@@ -4,42 +4,40 @@ The classifier models active admission control at a link ingress: it reads
 whatever five-tuple fields are readable from the packet itself (no keys) and
 remarks the DSCP bits accordingly.
 
-Readability per outer protocol:
+Each packet's IPv4 header is validated once (wire.read_ipv4); the fields are
+then read at fixed datagram offsets.  Readability per outer protocol:
 
-* plain TCP/UDP — ports from the transport header;
+* plain TCP/UDP — ports at offset 20 (engine.extract_ports, so a segment too
+  short for ports is MalformedPacket here as in the engine);
 * Q-ESP (253)   — ports and inner protocol from the clear header at fixed
-  offsets 28-33 of the datagram;
+  offsets 28-32 of the datagram;
 * ESP (50)      — ports unavailable (encrypted); protocol reported as 50 so
   rules may still match on the ESP protocol number itself;
 * anything else — ports unavailable.
 
 A rule that constrains a port can never match a packet whose ports are
 unavailable, which is exactly how ESP traffic degrades to the default class.
+
+Remarking rewrites only the ToS byte (ECN bits kept) and refreshes the header
+checksum over the 20 header bytes; a packet whose ToS already carries the
+chosen DSCP is returned unchanged.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
-from . import wire
-from .errors import ConfigError, MalformedPacket, QespLabError
-from .sadb import Selector
-from .wire import IPPROTO_ESP, IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP
+from . import engine, wire
+from .errors import ConfigError, InvalidHeader, MalformedPacket, QespLabError
+from .sadb import FiveTuple, Selector
+from .wire import IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN, QESP_HEADER_LEN
 
-# Clear five-tuple copies inside the Q-ESP header, relative to its start.
-_QESP_PORTS_OFF = 8
-_QESP_PROTO_OFF = 12
-
-
-@dataclass(frozen=True)
-class ExtractedFields:
-    """What a keyless observer can read; None marks unavailable ports."""
-
-    src_addr: int
-    dst_addr: int
-    protocol: int
-    src_port: int | None
-    dst_port: int | None
+# Clear copies in the Q-ESP header (after its SPI and Seq): SrcPort, DstPort
+# and Proto at datagram offsets 28-32.
+_QESP_CLEAR = struct.Struct(">HHB")
+_QESP_CLEAR_AT = IPV4_HEADER_LEN + 8
+_CHECKSUM = struct.Struct(">H")
 
 
 @dataclass(frozen=True)
@@ -59,69 +57,64 @@ class RuleTable:
     rules: tuple[ClassifierRule, ...] = ()
     default_dscp: int = 0
 
+    def dscp_for(self, ft: FiveTuple) -> int:
+        """The first matching rule's DSCP, else the default."""
+        for rule in self.rules:
+            if rule.selector.matches(ft):
+                return rule.dscp
+        return self.default_dscp
 
-def extract_fields(packet: bytes) -> ExtractedFields:
-    """Extract the classifiable fields from one wire datagram."""
+
+def _read_ipv4(packet: bytes) -> tuple[int, ...]:
     try:
-        header, payload = wire.parse_ipv4(packet)
+        return wire.read_ipv4(packet)
     except QespLabError as exc:
         raise MalformedPacket(str(exc)) from None
 
-    protocol = header.protocol
-    src_port: int | None = None
-    dst_port: int | None = None
 
-    if protocol in (IPPROTO_TCP, IPPROTO_UDP):
-        if len(payload) < 4:
-            raise MalformedPacket(f"transport segment too short for ports: {len(payload)}")
-        src_port = int.from_bytes(payload[0:2], "big")
-        dst_port = int.from_bytes(payload[2:4], "big")
-    elif protocol == IPPROTO_QESP:
-        if len(payload) < wire.QESP_HEADER_LEN:
-            raise MalformedPacket(f"Q-ESP header truncated: {len(payload)} bytes")
-        src_port = int.from_bytes(payload[_QESP_PORTS_OFF:_QESP_PORTS_OFF + 2], "big")
-        dst_port = int.from_bytes(payload[_QESP_PORTS_OFF + 2:_QESP_PORTS_OFF + 4], "big")
-        protocol = payload[_QESP_PROTO_OFF]
-    elif protocol == IPPROTO_ESP:
-        pass  # ports stay unavailable; protocol reported as 50
-
-    return ExtractedFields(src_addr=header.src_addr, dst_addr=header.dst_addr,
-                           protocol=protocol, src_port=src_port, dst_port=dst_port)
+def _five_tuple(packet: bytes, fields: tuple[int, ...]) -> FiveTuple:
+    protocol, _, src, dst = fields[6:]
+    if protocol == IPPROTO_QESP:
+        if len(packet) < IPV4_HEADER_LEN + QESP_HEADER_LEN:
+            raise MalformedPacket(
+                f"Q-ESP header truncated: {len(packet) - IPV4_HEADER_LEN} bytes")
+        src_port, dst_port, protocol = _QESP_CLEAR.unpack_from(packet, _QESP_CLEAR_AT)
+    elif protocol == IPPROTO_TCP or protocol == IPPROTO_UDP:
+        src_port, dst_port = engine.extract_ports(protocol, packet, IPV4_HEADER_LEN)
+    else:
+        src_port = dst_port = None  # encrypted (ESP) or not a port protocol
+    return FiveTuple(src, dst, protocol, src_port, dst_port)
 
 
-def _matches(selector: Selector, fields: ExtractedFields) -> bool:
-    if not selector.src_net.contains(fields.src_addr):
-        return False
-    if not selector.dst_net.contains(fields.dst_addr):
-        return False
-    if selector.protocol is not None and selector.protocol != fields.protocol:
-        return False
-    for ports, value in ((selector.src_ports, fields.src_port),
-                         (selector.dst_ports, fields.dst_port)):
-        if ports is not None and (value is None or not ports[0] <= value <= ports[1]):
-            return False
-    return True
+def extract_fields(packet: bytes) -> FiveTuple:
+    """The five-tuple a keyless observer reads from one wire datagram."""
+    return _five_tuple(packet, _read_ipv4(packet))
 
 
 def classify(table: RuleTable, packet: bytes) -> int:
     """DSCP for one packet: first matching rule wins, else the default."""
-    fields = extract_fields(packet)
-    for rule in table.rules:
-        if _matches(rule.selector, fields):
-            return rule.dscp
-    return table.default_dscp
+    return table.dscp_for(extract_fields(packet))
+
+
+def _remark(packet: bytes, tos: int, dscp: int) -> bytes:
+    if not 0 <= dscp <= 63:
+        raise InvalidHeader(f"dscp out of range: {dscp}")
+    new_tos = (dscp << 2) | (tos & 0x03)
+    if new_tos == tos:
+        return packet
+    header = bytearray(packet[:IPV4_HEADER_LEN])
+    header[1] = new_tos
+    _CHECKSUM.pack_into(header, 10, wire.ipv4_checksum(header))
+    return bytes(header) + packet[IPV4_HEADER_LEN:]
 
 
 def remark_dscp(packet: bytes, dscp: int) -> bytes:
     """Rewrite the DSCP bits (ECN untouched) and fix the header checksum."""
-    try:
-        header, payload = wire.parse_ipv4(packet)
-    except QespLabError as exc:
-        raise MalformedPacket(str(exc)) from None
-    return wire.encode_ipv4(header.with_dscp(dscp), payload)
+    return _remark(packet, _read_ipv4(packet)[1], dscp)
 
 
 def classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int, bytes]:
     """Classify, then write the chosen DSCP into the packet's ToS byte."""
-    dscp = classify(table, packet)
-    return dscp, remark_dscp(packet, dscp)
+    fields = _read_ipv4(packet)
+    dscp = table.dscp_for(_five_tuple(packet, fields))
+    return dscp, _remark(packet, fields[1], dscp)

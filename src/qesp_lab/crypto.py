@@ -104,14 +104,17 @@ def compute_pad_len(payload_len: int, trailer_fixed: int, effective_block: int) 
     return -(payload_len + trailer_fixed) % effective_block
 
 
+_FILLER = bytes(range(1, 256))
+
+
 def make_pad(pad_len: int) -> bytes:
-    """ESP-style monotonic filler 1, 2, 3, ..., pad_len."""
-    return bytes(range(1, pad_len + 1))
+    """ESP-style monotonic filler 1, 2, 3, ..., pad_len (at most 255)."""
+    return _FILLER[:pad_len]
 
 
 def check_pad(pad: bytes) -> bool:
     """True when pad is exactly the monotonic filler for its length."""
-    return pad == make_pad(len(pad))
+    return pad == _FILLER[:len(pad)]
 
 
 def _check_cipher_args(alg: CipherAlg, key: bytes, iv: bytes, data: bytes) -> None:
@@ -124,27 +127,39 @@ def _check_cipher_args(alg: CipherAlg, key: bytes, iv: bytes, data: bytes) -> No
             f"{alg.value} input length {len(data)} not a multiple of {alg.block_size}")
 
 
-def _cbc(alg: CipherAlg, key: bytes, iv: bytes) -> Cipher:
+def cipher_algorithm(alg: CipherAlg, key: bytes):
+    """The keyed block-cipher object behind alg (None for NULL).
+
+    Build it once per SA: only the CBC mode object is per packet, because the
+    IV changes.
+    """
+    if alg is CipherAlg.NULL:
+        return None
     if alg is CipherAlg.AES_128_CBC:
-        return Cipher(algorithms.AES(key), modes.CBC(iv))
-    return Cipher(TripleDES(key), modes.CBC(iv))
+        return algorithms.AES(key)
+    return TripleDES(key)
 
 
-def encrypt(alg: CipherAlg, key: bytes, iv: bytes, plaintext: bytes) -> bytes:
-    """Encrypt block-aligned plaintext; NULL is the identity transform."""
+def encrypt(alg: CipherAlg, key: bytes, iv: bytes, plaintext: bytes,
+            algorithm=None) -> bytes:
+    """Encrypt block-aligned plaintext; NULL is the identity transform.
+
+    algorithm is cipher_algorithm(alg, key) when the caller keeps one.
+    """
     _check_cipher_args(alg, key, iv, plaintext)
     if alg is CipherAlg.NULL:
         return plaintext
-    enc = _cbc(alg, key, iv).encryptor()
+    enc = Cipher(algorithm or cipher_algorithm(alg, key), modes.CBC(iv)).encryptor()
     return enc.update(plaintext) + enc.finalize()
 
 
-def decrypt(alg: CipherAlg, key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
+def decrypt(alg: CipherAlg, key: bytes, iv: bytes, ciphertext: bytes,
+            algorithm=None) -> bytes:
     """Inverse of encrypt()."""
     _check_cipher_args(alg, key, iv, ciphertext)
     if alg is CipherAlg.NULL:
         return ciphertext
-    dec = _cbc(alg, key, iv).decryptor()
+    dec = Cipher(algorithm or cipher_algorithm(alg, key), modes.CBC(iv)).decryptor()
     return dec.update(ciphertext) + dec.finalize()
 
 

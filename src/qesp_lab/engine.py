@@ -17,12 +17,16 @@ Auth coverage comes in two variants:
 Inbound processing order: SPI lookup, ICV verification, anti-replay check,
 decrypt, pad check, five-tuple cross-check (Q-ESP), rebuild.  The replay
 window only ever advances on authenticated traffic.
+
+Each direction validates the outer IPv4 header once (wire.read_ipv4) and
+builds outer headers, extended coverage and rebuilt datagrams from those
+validated fields (wire.pack_ipv4); every port read goes through
+extract_ports.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import replace
 
 from . import crypto, wire
 from .crypto import CipherAlg, MacAlg
@@ -32,6 +36,7 @@ from .errors import (
     BadPadding,
     FiveTupleMismatch,
     InvalidHeader,
+    MalformedPacket,
     OversizePacket,
     ReplayRejected,
     Truncated,
@@ -39,6 +44,7 @@ from .errors import (
 )
 from .sadb import FiveTuple, ProtocolVariant, Sadb, SaMode, SecurityAssociation
 from .wire import (
+    DEFAULT_TTL,
     ESP_HEADER_LEN,
     IPPROTO_ESP,
     IPPROTO_QESP,
@@ -47,7 +53,6 @@ from .wire import (
     IPV4_HEADER_LEN,
     QESP_FLAG_EXTENDED_AUTH,
     QESP_HEADER_LEN,
-    Ipv4Header,
 )
 
 IPPROTO_IPIP = 4  # ESP tunnel-mode next_header
@@ -55,24 +60,27 @@ IPPROTO_IPIP = 4  # ESP tunnel-mode next_header
 QESP_TRAILER_FIXED = 1  # pad_length only; protocol identifier is in the clear header
 ESP_TRAILER_FIXED = 2   # pad_length + next_header
 
+_PORTS = struct.Struct(">HH")
+_ESP_HEADER = struct.Struct(">II")
+# Extended coverage: the outer header with its mutable fields (ToS,
+# flags_frag, TTL, checksum) read as zero, so in-transit DSCP remarking, TTL
+# decrement and checksum rewrites do not break the ICV.  Packs ver_ihl,
+# total_length, identification, protocol, src, dst.
+_ZEROED_OUTER = struct.Struct(">BxHH3xBxxII")
 
-def extract_ports(protocol: int, segment: bytes) -> tuple[int, int]:
-    """Source/destination ports of a transport segment; (0, 0) when portless.
 
-    TCP and UDP both start with the two 16-bit ports.  Other protocols (and
-    segments too short to carry ports) report 0, which classifiers treat as
-    "no port".
+def extract_ports(protocol: int, data: bytes, offset: int = 0) -> tuple[int, int]:
+    """Source/destination ports of the segment at data[offset:]; (0, 0) when portless.
+
+    TCP and UDP both start with the two 16-bit ports; other protocols report
+    0, which classifiers treat as "no port".  A TCP or UDP segment too short
+    to carry both ports is malformed at every layer.
     """
-    if protocol in (IPPROTO_TCP, IPPROTO_UDP) and len(segment) >= 4:
-        return struct.unpack_from(">HH", segment)
-    return 0, 0
-
-
-def _zeroed_mutable(outer: Ipv4Header) -> bytes:
-    # Extended coverage: mutable fields read as zero so in-transit DSCP
-    # remarking, TTL decrement, and checksum rewrites do not break the ICV.
-    return wire.serialize_ipv4_header(
-        replace(outer, tos_dscp=0, flags_frag=0, ttl=0, checksum=0))
+    if protocol != IPPROTO_TCP and protocol != IPPROTO_UDP:
+        return 0, 0
+    if len(data) - offset < 4:
+        raise MalformedPacket(f"transport segment too short for ports: {len(data) - offset}")
+    return _PORTS.unpack_from(data, offset)
 
 
 def _pad_and_encrypt(sa: SecurityAssociation, plaintext: bytes, trailer_fixed: int,
@@ -80,7 +88,7 @@ def _pad_and_encrypt(sa: SecurityAssociation, plaintext: bytes, trailer_fixed: i
     pad_len = crypto.compute_pad_len(len(plaintext), trailer_fixed, sa.cipher.effective_block)
     padded = plaintext + crypto.make_pad(pad_len) + bytes([pad_len]) + trailer_tail
     iv = sa.next_iv()
-    return iv, crypto.encrypt(sa.cipher, sa.cipher_key, iv, padded)
+    return iv, crypto.encrypt(sa.cipher, sa.cipher_key, iv, padded, sa.cipher_algorithm)
 
 
 def _checked_total(body_without_icv: bytes, icv_len: int) -> int:
@@ -99,36 +107,29 @@ def outbound_qesp(sa: SecurityAssociation, datagram: bytes) -> bytes:
     """
     if sa.variant is not ProtocolVariant.QESP:
         raise InvalidHeader(f"SA 0x{sa.spi:x} is not a Q-ESP SA")
-    header, payload = wire.parse_ipv4(datagram)
+    _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = wire.read_ipv4(datagram)
+    src_port, dst_port = extract_ports(protocol, datagram, IPV4_HEADER_LEN)
 
     if sa.mode is SaMode.TRANSPORT:
-        plaintext = payload
-        inner_protocol = header.protocol
-        segment = payload
-        outer = replace(header, protocol=IPPROTO_QESP)
+        plaintext = datagram[IPV4_HEADER_LEN:]
     else:
         plaintext = datagram
-        inner_protocol = header.protocol
-        segment = payload
-        outer = Ipv4Header(
-            src_addr=sa.tunnel_src, dst_addr=sa.tunnel_dst,
-            protocol=IPPROTO_QESP, tos_dscp=header.tos_dscp)
+        ident, flags_frag, ttl, src, dst = 0, 0, DEFAULT_TTL, sa.tunnel_src, sa.tunnel_dst
 
-    src_port, dst_port = extract_ports(inner_protocol, segment)
     seq = sa.next_seq()
     iv, ciphertext = _pad_and_encrypt(sa, plaintext, QESP_TRAILER_FIXED, b"")
 
     body = wire.pack_qesp_header(
-        sa.spi, seq, src_port, dst_port, inner_protocol,
+        sa.spi, seq, src_port, dst_port, protocol,
         QESP_FLAG_EXTENDED_AUTH if sa.extended_auth else 0) + iv + ciphertext
 
     total = _checked_total(body, sa.mac.icv_len)
     if sa.extended_auth:
-        coverage = _zeroed_mutable(replace(outer, total_length=total)) + body
+        coverage = _ZEROED_OUTER.pack(0x45, total, ident, IPPROTO_QESP, src, dst) + body
     else:
         coverage = body
     icv = crypto.compute_icv(sa.mac, sa.mac_key, coverage)
-    return wire.encode_ipv4(outer, body + icv)
+    return wire.pack_ipv4(tos, ident, flags_frag, ttl, IPPROTO_QESP, src, dst, body + icv)
 
 
 def _strip_trailer(padded: bytes, trailer_fixed: int) -> tuple[bytes, int]:
@@ -147,7 +148,7 @@ def _strip_trailer(padded: bytes, trailer_fixed: int) -> tuple[bytes, int]:
 
 def _decrypt_checked(sa: SecurityAssociation, iv: bytes, ciphertext: bytes) -> bytes:
     try:
-        return crypto.decrypt(sa.cipher, sa.cipher_key, iv, ciphertext)
+        return crypto.decrypt(sa.cipher, sa.cipher_key, iv, ciphertext, sa.cipher_algorithm)
     except BadBlockAlignment as exc:
         # Only reachable under a NULL MAC; a real ICV catches tampering first.
         raise BadPadding(str(exc)) from None
@@ -155,9 +156,14 @@ def _decrypt_checked(sa: SecurityAssociation, iv: bytes, ciphertext: bytes) -> b
 
 def inbound_qesp(sadb: Sadb, datagram: bytes) -> bytes:
     """Decapsulate one Q-ESP datagram back to the original IPv4 datagram."""
-    header, body = wire.parse_ipv4(datagram)
-    if header.protocol != IPPROTO_QESP:
-        raise InvalidHeader(f"IP protocol {header.protocol} is not Q-ESP")
+    return _inbound_qesp(sadb, datagram, wire.read_ipv4(datagram))
+
+
+def _inbound_qesp(sadb: Sadb, datagram: bytes, fields: tuple[int, ...]) -> bytes:
+    _, tos, total, ident, flags_frag, ttl, protocol, _, src, dst = fields
+    if protocol != IPPROTO_QESP:
+        raise InvalidHeader(f"IP protocol {protocol} is not Q-ESP")
+    body = datagram[IPV4_HEADER_LEN:]
     qesp_header = wire.parse_qesp_header(body)
     sa = sadb.lookup_by_spi(qesp_header.spi)
     if sa is None or sa.variant is not ProtocolVariant.QESP:
@@ -166,7 +172,7 @@ def inbound_qesp(sadb: Sadb, datagram: bytes) -> bytes:
     packet = wire.parse_qesp_packet(body, sa.cipher.iv_len, sa.mac.icv_len)
     covered_body = body[:len(body) - sa.mac.icv_len]
     if sa.extended_auth:
-        coverage = _zeroed_mutable(header) + covered_body
+        coverage = _ZEROED_OUTER.pack(0x45, total, ident, protocol, src, dst) + covered_body
     else:
         coverage = covered_body
     if not crypto.verify_icv(sa.mac, sa.mac_key, coverage, packet.icv):
@@ -176,20 +182,18 @@ def inbound_qesp(sadb: Sadb, datagram: bytes) -> bytes:
 
     padded = _decrypt_checked(sa, packet.iv, packet.ciphertext)
     plaintext, _ = _strip_trailer(padded, QESP_TRAILER_FIXED)
+    clear_ports = (qesp_header.src_port, qesp_header.dst_port)
 
     if sa.mode is SaMode.TRANSPORT:
         ports = extract_ports(qesp_header.inner_protocol, plaintext)
-        if ports != (qesp_header.src_port, qesp_header.dst_port):
-            raise FiveTupleMismatch(
-                f"clear ports {(qesp_header.src_port, qesp_header.dst_port)} "
-                f"!= inner ports {ports}")
-        rebuilt = replace(header, protocol=qesp_header.inner_protocol)
-        return wire.encode_ipv4(rebuilt, plaintext)
+        if ports != clear_ports:
+            raise FiveTupleMismatch(f"clear ports {clear_ports} != inner ports {ports}")
+        return wire.pack_ipv4(tos, ident, flags_frag, ttl, qesp_header.inner_protocol,
+                              src, dst, plaintext)
 
-    inner_header, inner_payload = wire.parse_ipv4(plaintext)
-    ports = extract_ports(inner_header.protocol, inner_payload)
-    if (inner_header.protocol != qesp_header.inner_protocol
-            or ports != (qesp_header.src_port, qesp_header.dst_port)):
+    inner_protocol = wire.read_ipv4(plaintext)[6]
+    ports = extract_ports(inner_protocol, plaintext, IPV4_HEADER_LEN)
+    if inner_protocol != qesp_header.inner_protocol or ports != clear_ports:
         raise FiveTupleMismatch("clear five-tuple copies disagree with inner datagram")
     return plaintext
 
@@ -202,36 +206,38 @@ def outbound_esp(sa: SecurityAssociation, datagram: bytes) -> bytes:
     """
     if sa.variant is not ProtocolVariant.ESP:
         raise InvalidHeader(f"SA 0x{sa.spi:x} is not an ESP SA")
-    header, payload = wire.parse_ipv4(datagram)
+    _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = wire.read_ipv4(datagram)
 
     if sa.mode is SaMode.TRANSPORT:
-        plaintext = payload
-        next_header = header.protocol
-        outer = replace(header, protocol=IPPROTO_ESP)
+        plaintext = datagram[IPV4_HEADER_LEN:]
+        next_header = protocol
     else:
         plaintext = datagram
         next_header = IPPROTO_IPIP
-        outer = Ipv4Header(
-            src_addr=sa.tunnel_src, dst_addr=sa.tunnel_dst,
-            protocol=IPPROTO_ESP, tos_dscp=header.tos_dscp)
+        ident, flags_frag, ttl, src, dst = 0, 0, DEFAULT_TTL, sa.tunnel_src, sa.tunnel_dst
 
     seq = sa.next_seq()
     iv, ciphertext = _pad_and_encrypt(sa, plaintext, ESP_TRAILER_FIXED, bytes([next_header]))
-    body = struct.pack(">II", sa.spi, seq) + iv + ciphertext
+    body = _ESP_HEADER.pack(sa.spi, seq) + iv + ciphertext
 
     _checked_total(body, sa.mac.icv_len)
     icv = crypto.compute_icv(sa.mac, sa.mac_key, body)
-    return wire.encode_ipv4(outer, body + icv)
+    return wire.pack_ipv4(tos, ident, flags_frag, ttl, IPPROTO_ESP, src, dst, body + icv)
 
 
 def inbound_esp(sadb: Sadb, datagram: bytes) -> bytes:
     """Decapsulate one ESP datagram back to the original IPv4 datagram."""
-    header, body = wire.parse_ipv4(datagram)
-    if header.protocol != IPPROTO_ESP:
-        raise InvalidHeader(f"IP protocol {header.protocol} is not ESP")
+    return _inbound_esp(sadb, datagram, wire.read_ipv4(datagram))
+
+
+def _inbound_esp(sadb: Sadb, datagram: bytes, fields: tuple[int, ...]) -> bytes:
+    _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = fields
+    if protocol != IPPROTO_ESP:
+        raise InvalidHeader(f"IP protocol {protocol} is not ESP")
+    body = datagram[IPV4_HEADER_LEN:]
     if len(body) < ESP_HEADER_LEN:
         raise Truncated(f"ESP body needs 8 bytes, got {len(body)}")
-    spi = struct.unpack_from(">I", body)[0]
+    spi = _ESP_HEADER.unpack_from(body)[0]
     sa = sadb.lookup_by_spi(spi)
     if sa is None or sa.variant is not ProtocolVariant.ESP:
         raise UnknownSpi(f"no ESP SA for SPI 0x{spi:x}")
@@ -247,12 +253,11 @@ def inbound_esp(sadb: Sadb, datagram: bytes) -> bytes:
     plaintext, next_header = _strip_trailer(padded, ESP_TRAILER_FIXED)
 
     if sa.mode is SaMode.TRANSPORT:
-        rebuilt = replace(header, protocol=next_header)
-        return wire.encode_ipv4(rebuilt, plaintext)
+        return wire.pack_ipv4(tos, ident, flags_frag, ttl, next_header, src, dst, plaintext)
 
     if next_header != IPPROTO_IPIP:
         raise BadPadding(f"tunnel-mode next_header {next_header} is not IP-in-IP")
-    wire.parse_ipv4(plaintext)  # validate before handing the datagram back
+    wire.read_ipv4(plaintext)  # validate before handing the datagram back
     return plaintext
 
 
@@ -265,12 +270,13 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
 
 def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     """Protocol dispatch on the outer IP protocol number."""
-    header, _ = wire.parse_ipv4(datagram)
-    if header.protocol == IPPROTO_QESP:
-        return inbound_qesp(sadb, datagram)
-    if header.protocol == IPPROTO_ESP:
-        return inbound_esp(sadb, datagram)
-    raise InvalidHeader(f"IP protocol {header.protocol} is not an encapsulation")
+    fields = wire.read_ipv4(datagram)
+    protocol = fields[6]
+    if protocol == IPPROTO_QESP:
+        return _inbound_qesp(sadb, datagram, fields)
+    if protocol == IPPROTO_ESP:
+        return _inbound_esp(sadb, datagram, fields)
+    raise InvalidHeader(f"IP protocol {protocol} is not an encapsulation")
 
 
 def per_packet_overhead(variant: ProtocolVariant, mode: SaMode, cipher: CipherAlg,
@@ -294,7 +300,7 @@ def per_packet_overhead(variant: ProtocolVariant, mode: SaMode, cipher: CipherAl
 
 def five_tuple_of(datagram: bytes) -> FiveTuple:
     """Five-tuple of a plain (unencapsulated) IPv4 datagram."""
-    header, payload = wire.parse_ipv4(datagram)
-    src_port, dst_port = extract_ports(header.protocol, payload)
-    return FiveTuple(src_addr=header.src_addr, dst_addr=header.dst_addr,
-                     protocol=header.protocol, src_port=src_port, dst_port=dst_port)
+    protocol, _, src, dst = wire.read_ipv4(datagram)[6:]
+    src_port, dst_port = extract_ports(protocol, datagram, IPV4_HEADER_LEN)
+    return FiveTuple(src_addr=src, dst_addr=dst, protocol=protocol,
+                     src_port=src_port, dst_port=dst_port)

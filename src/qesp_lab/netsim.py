@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable
 from . import classifier, engine, wire
 from .errors import ConfigError, QespLabError
 from .sadb import FiveTuple
-from .wire import IPPROTO_TCP, IPPROTO_UDP, Ipv4Header
+from .wire import DEFAULT_TTL, IPPROTO_TCP, IPPROTO_UDP
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -202,9 +202,8 @@ def build_datagram(ft: FiveTuple, payload: bytes, ident: int = 0) -> bytes:
                               5 << 4, 0, 8192, 0, 0) + payload
     else:
         segment = payload
-    header = Ipv4Header(src_addr=ft.src_addr, dst_addr=ft.dst_addr,
-                        protocol=ft.protocol, identification=ident & 0xFFFF)
-    return wire.encode_ipv4(header, segment)
+    return wire.pack_ipv4(0, ident & 0xFFFF, 0, DEFAULT_TTL, ft.protocol, ft.src_addr,
+                          ft.dst_addr, segment)
 
 
 def plain_datagram_len(source: TrafficSource) -> int:

@@ -12,6 +12,7 @@ import enum
 import threading
 from dataclasses import dataclass, field
 
+from . import crypto
 from .crypto import CipherAlg, IvGenerator, MacAlg
 from .errors import BadKeyLength, ConfigError, DuplicateSpi, SequenceExhausted
 from .wire import addr_to_int, int_to_addr
@@ -33,13 +34,17 @@ class SaMode(enum.Enum):
 
 @dataclass(frozen=True)
 class FiveTuple:
-    """Flow identity: addresses, transport protocol, ports (0 = no port)."""
+    """Flow identity: addresses, transport protocol, ports (0 = no port).
+
+    A keyless observer reports None for ports it cannot read (ESP, non-port
+    protocols); no port constraint matches those.
+    """
 
     src_addr: int
     dst_addr: int
     protocol: int
-    src_port: int = 0
-    dst_port: int = 0
+    src_port: int | None = 0
+    dst_port: int | None = 0
 
     def __str__(self) -> str:
         return (f"{int_to_addr(self.src_addr)}:{self.src_port} -> "
@@ -52,10 +57,12 @@ class Ipv4Net:
 
     addr: int
     prefix: int
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.prefix <= 32:
             raise ConfigError(f"prefix out of range: {self.prefix}")
+        object.__setattr__(self, "mask", (0xFFFFFFFF << (32 - self.prefix)) & 0xFFFFFFFF)
 
     @classmethod
     def parse(cls, text: str) -> "Ipv4Net":
@@ -65,12 +72,8 @@ class Ipv4Net:
         prefix = int(prefix_part) if prefix_part else 32
         return cls(addr_to_int(addr_part), prefix)
 
-    @property
-    def mask(self) -> int:
-        return 0 if self.prefix == 0 else (0xFFFFFFFF << (32 - self.prefix)) & 0xFFFFFFFF
-
     def contains(self, addr: int) -> bool:
-        return (addr & self.mask) == (self.addr & self.mask)
+        return (addr ^ self.addr) & self.mask == 0
 
     def __str__(self) -> str:
         return f"{int_to_addr(self.addr)}/{self.prefix}"
@@ -98,17 +101,15 @@ class Selector:
                 raise ConfigError(f"{name} range not well-ordered: {ports}")
 
     def matches(self, ft: FiveTuple) -> bool:
-        if not self.src_net.contains(ft.src_addr):
-            return False
-        if not self.dst_net.contains(ft.dst_addr):
-            return False
         if self.protocol is not None and self.protocol != ft.protocol:
             return False
-        if self.src_ports is not None and not self.src_ports[0] <= ft.src_port <= self.src_ports[1]:
+        ports, port = self.src_ports, ft.src_port
+        if ports is not None and (port is None or not ports[0] <= port <= ports[1]):
             return False
-        if self.dst_ports is not None and not self.dst_ports[0] <= ft.dst_port <= self.dst_ports[1]:
+        ports, port = self.dst_ports, ft.dst_port
+        if ports is not None and (port is None or not ports[0] <= port <= ports[1]):
             return False
-        return True
+        return self.src_net.contains(ft.src_addr) and self.dst_net.contains(ft.dst_addr)
 
 
 @dataclass
@@ -136,6 +137,7 @@ class SecurityAssociation:
     seq_next: int = 1
     replay_highest: int = 0
     replay_bitmap: int = 0
+    cipher_algorithm: object = field(init=False, repr=False, compare=False)
     _iv_gen: IvGenerator = field(init=False, repr=False)
     _lock: threading.Lock = field(init=False, repr=False)
 
@@ -154,6 +156,7 @@ class SecurityAssociation:
             raise ConfigError("extended_auth is a Q-ESP feature; ESP never covers the outer header")
         if self.mode is SaMode.TUNNEL and (self.tunnel_src is None or self.tunnel_dst is None):
             raise ConfigError(f"tunnel-mode SA 0x{self.spi:x} needs tunnel src and dst")
+        self.cipher_algorithm = crypto.cipher_algorithm(self.cipher, self.cipher_key)
         self._iv_gen = IvGenerator(self.iv_seed)
         self._lock = threading.Lock()
 

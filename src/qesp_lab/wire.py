@@ -4,6 +4,13 @@ All multi-byte fields are big-endian.  Encoders are deterministic; parsers
 are total (any byte string yields a value or a QespLabError subclass) and
 satisfy parse(encode(x)) == x for every valid x.
 
+IPv4 has one validator and one packer, shared by every layer's per-packet
+path.  read_ipv4 checks a datagram (length accounting, version 4, ihl 5,
+header checksum) with a single struct unpack and returns the raw header
+fields; pack_ipv4 builds a header from fields, deriving total_length and the
+checksum.  parse_ipv4/encode_ipv4 are the Ipv4Header views of the same two
+functions, so no second validation path exists.
+
 Q-ESP layout (IP protocol 253)::
 
     outer IPv4 header (20 bytes, no options)
@@ -40,6 +47,7 @@ from .errors import (
 )
 
 IPV4_HEADER_LEN = 20
+DEFAULT_TTL = 64
 IPV4_MAX_PAYLOAD = 65535 - IPV4_HEADER_LEN
 QESP_HEADER_LEN = 16
 ESP_HEADER_LEN = 8
@@ -56,6 +64,7 @@ QESP_FLAG_EXTENDED_AUTH = 0x01
 QESP_VALID_FLAGS = 0x01
 
 _IPV4_STRUCT = struct.Struct(">BBHHHBBHII")
+_IPV4_WORDS = struct.Struct(">10H")
 _QESP_STRUCT = struct.Struct(">IIHHBBH")
 
 
@@ -96,7 +105,7 @@ class Ipv4Header:
     tos_dscp: int = 0
     identification: int = 0
     flags_frag: int = 0
-    ttl: int = 64
+    ttl: int = DEFAULT_TTL
     total_length: int = 0
     checksum: int = 0
     version: int = 4
@@ -121,68 +130,75 @@ class Ipv4Header:
 
 
 def ipv4_checksum(header_bytes: bytes) -> int:
-    """Ones-complement sum of 16-bit words, checksum field taken as zero."""
-    total = 0
-    for i in range(0, len(header_bytes), 2):
-        if i == 10:  # skip the checksum field itself
-            continue
-        total += (header_bytes[i] << 8) | header_bytes[i + 1]
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total ^ 0xFFFF
+    """Ones-complement sum of the ten 16-bit words of a 20-byte header,
+    the checksum word taken as zero."""
+    words = _IPV4_WORDS.unpack_from(header_bytes)
+    return _fold(sum(words) - words[5])
 
 
-def serialize_ipv4_header(h: Ipv4Header) -> bytes:
-    """Pack the 20 header bytes exactly as stored, checksum included.
+def _fold(total: int) -> int:
+    # At most nine 16-bit words: two end-around carries always suffice.
+    total = (total & 0xFFFF) + (total >> 16)
+    return ((total & 0xFFFF) + (total >> 16)) ^ 0xFFFF
 
-    Used for auth-coverage construction, where mutable fields are zeroed by
-    the caller and the checksum must not be recomputed.
+
+def _checksum(tos: int, total_length: int, ident: int, flags_frag: int, ttl: int,
+              protocol: int, src: int, dst: int) -> int:
+    """ipv4_checksum of the version 4, ihl 5 header holding these fields."""
+    return _fold(0x4500 + tos + total_length + ident + flags_frag + (ttl << 8) + protocol
+                 + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF))
+
+
+def read_ipv4(b: bytes) -> tuple[int, ...]:
+    """The IPv4 validator: checks length accounting, version, ihl and checksum.
+
+    Returns the unpacked header (ver_ihl, tos, total_length, identification,
+    flags_frag, ttl, protocol, checksum, src_addr, dst_addr); the payload is
+    b[IPV4_HEADER_LEN:].
     """
-    try:
-        return _IPV4_STRUCT.pack(
-            (h.version << 4) | h.ihl,
-            h.tos_dscp,
-            h.total_length,
-            h.identification,
-            h.flags_frag,
-            h.ttl,
-            h.protocol,
-            h.checksum,
-            h.src_addr,
-            h.dst_addr,
-        )
-    except struct.error as exc:
-        raise InvalidHeader(f"header field out of range: {exc}") from None
-
-
-def encode_ipv4(h: Ipv4Header, payload: bytes) -> bytes:
-    """Serialize header plus payload, recomputing total_length and checksum."""
-    if len(payload) > IPV4_MAX_PAYLOAD:
-        raise InvalidHeader(f"payload too long for IPv4: {len(payload)}")
-    filled = replace(h, total_length=IPV4_HEADER_LEN + len(payload), checksum=0)
-    raw = bytearray(serialize_ipv4_header(filled))
-    struct.pack_into(">H", raw, 10, ipv4_checksum(raw))
-    return bytes(raw) + payload
-
-
-def parse_ipv4(b: bytes) -> tuple[Ipv4Header, bytes]:
-    """Parse one IPv4 datagram; verifies length accounting and checksum."""
     if len(b) < IPV4_HEADER_LEN:
         raise Truncated(f"IPv4 header needs 20 bytes, got {len(b)}")
-    (ver_ihl, tos, total_length, ident, flags_frag, ttl, proto, checksum,
-     src, dst) = _IPV4_STRUCT.unpack_from(b)
-    version, ihl = ver_ihl >> 4, ver_ihl & 0x0F
-    if version != 4:
-        raise InvalidHeader(f"version must be 4, got {version}")
-    if ihl != 5:
-        raise UnsupportedOptions(f"ihl must be 5, got {ihl}")
+    fields = _IPV4_STRUCT.unpack_from(b)
+    ver_ihl, tos, total_length, ident, flags_frag, ttl, proto, checksum, src, dst = fields
+    if ver_ihl != 0x45:
+        if ver_ihl >> 4 != 4:
+            raise InvalidHeader(f"version must be 4, got {ver_ihl >> 4}")
+        raise UnsupportedOptions(f"ihl must be 5, got {ver_ihl & 0x0F}")
     if total_length > len(b):
         raise Truncated(f"total_length {total_length} exceeds buffer {len(b)}")
     if total_length != len(b):
         raise InvalidHeader(
             f"trailing bytes: total_length {total_length}, buffer {len(b)}")
-    if ipv4_checksum(b[:IPV4_HEADER_LEN]) != checksum:
+    if _checksum(tos, total_length, ident, flags_frag, ttl, proto, src, dst) != checksum:
         raise BadChecksum(f"header checksum 0x{checksum:04x} does not verify")
+    return fields
+
+
+def pack_ipv4(tos: int, ident: int, flags_frag: int, ttl: int, protocol: int,
+              src: int, dst: int, payload: bytes) -> bytes:
+    """The IPv4 packer: version 4, ihl 5, total_length and checksum derived."""
+    total_length = IPV4_HEADER_LEN + len(payload)
+    if total_length > 0xFFFF:
+        raise InvalidHeader(f"payload too long for IPv4: {len(payload)}")
+    try:
+        checksum = _checksum(tos, total_length, ident, flags_frag, ttl, protocol, src, dst)
+        header = _IPV4_STRUCT.pack(0x45, tos, total_length, ident, flags_frag, ttl,
+                                   protocol, checksum, src, dst)
+    except (struct.error, TypeError) as exc:
+        raise InvalidHeader(f"header field out of range: {exc}") from None
+    return header + payload
+
+
+def encode_ipv4(h: Ipv4Header, payload: bytes) -> bytes:
+    """Serialize header plus payload, recomputing total_length and checksum."""
+    return pack_ipv4(h.tos_dscp, h.identification, h.flags_frag, h.ttl, h.protocol,
+                     h.src_addr, h.dst_addr, payload)
+
+
+def parse_ipv4(b: bytes) -> tuple[Ipv4Header, bytes]:
+    """Parse one IPv4 datagram; verifies length accounting and checksum."""
+    (_, tos, total_length, ident, flags_frag, ttl, proto, checksum,
+     src, dst) = read_ipv4(b)
     header = Ipv4Header(
         src_addr=src, dst_addr=dst, protocol=proto, tos_dscp=tos,
         identification=ident, flags_frag=flags_frag, ttl=ttl,

@@ -64,6 +64,11 @@ class TestPadding:
         assert crypto.check_pad(b"\x01\x02\x03")
         assert not crypto.check_pad(b"\x01\x02\x04")
 
+    def test_longest_filler(self):
+        assert crypto.make_pad(255) == bytes(range(1, 256))
+        assert crypto.check_pad(bytes(range(1, 256)))
+        assert not crypto.check_pad(bytes(range(1, 256))[:-1] + b"\x00")
+
     def test_effective_block(self):
         assert CipherAlg.NULL.effective_block == 4
         assert CipherAlg.AES_128_CBC.effective_block == 16
@@ -87,6 +92,22 @@ class TestCiphers:
         data = b"anything at all, any length"
         assert crypto.encrypt(CipherAlg.NULL, b"", b"", data) == data
         assert crypto.decrypt(CipherAlg.NULL, b"", b"", data) == data
+
+    @pytest.mark.parametrize("alg,key,iv,pt,ct", [
+        (CipherAlg.AES_128_CBC, AES_KEY, AES_IV, AES_PT, AES_CT),
+        (CipherAlg.TRIPLE_DES_CBC, TDES_KEY, TDES_IV, TDES_PT, TDES_CT),
+    ])
+    def test_kept_algorithm_object_gives_same_answers(self, alg, key, iv, pt, ct):
+        algorithm = crypto.cipher_algorithm(alg, key)
+        for _ in range(2):  # reusable across packets
+            assert crypto.encrypt(alg, key, iv, pt, algorithm) == ct
+            assert crypto.decrypt(alg, key, iv, ct, algorithm) == pt
+
+    def test_sa_keeps_its_algorithm_object(self):
+        from conftest import make_sa
+        assert make_sa(cipher=CipherAlg.NULL).cipher_algorithm is None
+        sa = make_sa(cipher=CipherAlg.AES_128_CBC)
+        assert sa.cipher_algorithm.key == sa.cipher_key
 
     def test_misaligned_plaintext_rejected(self):
         with pytest.raises(BadBlockAlignment):

@@ -1,0 +1,227 @@
+"""Per-packet path: the IPv4 validator/packer against independent references,
+and one five-tuple truth across engine and classifier."""
+
+from __future__ import annotations
+
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import ALL_MODES, ALL_VARIANTS, make_sa, sadb_with
+from qesp_lab import classifier, engine, wire
+from qesp_lab.classifier import ClassifierRule, RuleTable
+from qesp_lab.crypto import CipherAlg, MacAlg
+from qesp_lab.errors import MalformedPacket, QespLabError
+from qesp_lab.sadb import Ipv4Net, ProtocolVariant, SaMode, Selector
+
+SRC = wire.addr_to_int("10.0.0.1")
+DST = wire.addr_to_int("10.0.9.9")
+
+u8, u16, u32 = st.integers(0, 0xFF), st.integers(0, 0xFFFF), st.integers(0, 0xFFFFFFFF)
+protocols = st.sampled_from([wire.IPPROTO_TCP, wire.IPPROTO_UDP, 1]) | u8
+
+
+@st.composite
+def datagrams(draw) -> bytes:
+    header = wire.Ipv4Header(
+        src_addr=draw(u32), dst_addr=draw(u32), protocol=draw(protocols),
+        tos_dscp=draw(u8), identification=draw(u16), flags_frag=draw(u16), ttl=draw(u8))
+    return wire.encode_ipv4(header, draw(st.binary(max_size=2000)))
+
+
+port_ranges = st.none() | st.tuples(u16, u16).map(lambda p: (min(p), max(p)))
+nets = st.builds(Ipv4Net, u32, st.integers(0, 32))
+rules = st.builds(
+    ClassifierRule,
+    selector=st.builds(Selector, src_net=nets, dst_net=nets,
+                       protocol=st.none() | st.sampled_from([1, 6, 17, 50, 253]),
+                       src_ports=port_ranges, dst_ports=port_ranges),
+    dscp=st.integers(0, 63))
+tables = st.builds(RuleTable, rules=st.lists(rules, max_size=4).map(tuple),
+                   default_dscp=st.integers(0, 63))
+
+
+def outcome(fn, *args):
+    """fn's result, or the QespLabError subclass it raised."""
+    try:
+        return fn(*args)
+    except QespLabError as exc:
+        return type(exc)
+
+
+# --- independent references ---------------------------------------------------
+
+def reference_checksum(header: bytes) -> int:
+    total = 0
+    for i in range(0, 20, 2):
+        if i != 10:
+            total += int.from_bytes(header[i:i + 2], "big")
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+def reference_in_net(net: Ipv4Net, addr: int) -> bool:
+    mask = (0xFFFFFFFF << (32 - net.prefix)) & 0xFFFFFFFF
+    return addr & mask == net.addr & mask
+
+
+def reference_classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int, bytes]:
+    """Parse into an Ipv4Header, match field by field, re-encode with_dscp."""
+    try:
+        header, payload = wire.parse_ipv4(packet)
+    except QespLabError as exc:
+        raise MalformedPacket(str(exc)) from None
+    protocol, ports = header.protocol, (None, None)
+    if protocol in (wire.IPPROTO_TCP, wire.IPPROTO_UDP):
+        if len(payload) < 4:
+            raise MalformedPacket("segment too short for ports")
+        ports = struct.unpack(">HH", payload[:4])
+    elif protocol == wire.IPPROTO_QESP:
+        if len(payload) < wire.QESP_HEADER_LEN:
+            raise MalformedPacket("Q-ESP header truncated")
+        *ports, protocol = struct.unpack(">HHB", payload[8:13])
+    dscp = table.default_dscp
+    for rule in table.rules:
+        sel = rule.selector
+        if (reference_in_net(sel.src_net, header.src_addr)
+                and reference_in_net(sel.dst_net, header.dst_addr)
+                and sel.protocol in (None, protocol)
+                and all(want is None or (port is not None and want[0] <= port <= want[1])
+                        for want, port in ((sel.src_ports, ports[0]),
+                                           (sel.dst_ports, ports[1])))):
+            dscp = rule.dscp
+            break
+    return dscp, wire.encode_ipv4(header.with_dscp(dscp), payload)
+
+
+# --- differential properties ----------------------------------------------------
+
+class TestAgainstReferences:
+    @given(st.binary(min_size=20, max_size=20))
+    def test_checksum_equals_word_by_word_reference(self, header):
+        assert wire.ipv4_checksum(header) == reference_checksum(header)
+
+    @given(st.one_of(st.binary(max_size=64), datagrams(),
+                     st.tuples(datagrams(), st.integers(0, 19), u8).map(
+                         lambda t: t[0][:t[1]] + bytes([t[2]]) + t[0][t[1] + 1:])))
+    @settings(max_examples=300)
+    def test_validator_agrees_with_parse_ipv4(self, blob):
+        """Same error class from both, and the same fields when both accept."""
+        parsed, fields = outcome(wire.parse_ipv4, blob), outcome(wire.read_ipv4, blob)
+        if isinstance(fields, tuple):
+            header, payload = parsed
+            assert fields[1:] == (header.tos_dscp, header.total_length,
+                                  header.identification, header.flags_frag, header.ttl,
+                                  header.protocol, header.checksum,
+                                  header.src_addr, header.dst_addr)
+            assert payload == blob[wire.IPV4_HEADER_LEN:]
+        else:
+            assert parsed is fields
+
+    @given(tables, datagrams())
+    @settings(max_examples=300)
+    def test_classify_and_remark_equals_reference(self, table, packet):
+        assert (outcome(classifier.classify_and_remark, table, packet)
+                == outcome(reference_classify_and_remark, table, packet))
+
+    @given(tables, datagrams().filter(
+        lambda p: p[9] in (wire.IPPROTO_TCP, wire.IPPROTO_UDP)))
+    def test_qesp_clear_header_classifies_like_plain(self, table, packet):
+        """Ports agree, short segments included (portless protocols read 0/0
+        from the clear header but None when plain, so they are left out)."""
+        sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+        encapsulated = outcome(engine.outbound, sa, packet)
+        if encapsulated is MalformedPacket:
+            assert outcome(classifier.classify, table, packet) is MalformedPacket
+        else:
+            assert (classifier.classify(table, encapsulated)
+                    == outcome(classifier.classify, table, packet))
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("cipher,mac", [(CipherAlg.NULL, MacAlg.NULL),
+                                            (CipherAlg.AES_128_CBC, MacAlg.HMAC_SHA1_96)])
+    @given(packet=datagrams())
+    @settings(max_examples=40, deadline=None)
+    def test_inbound_inverts_outbound(self, variant, mode, cipher, mac, packet):
+        sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac,
+                     extended_auth=variant is ProtocolVariant.QESP)
+        sent = outcome(engine.outbound, sa, packet)
+        short_segment = (packet[9] in (wire.IPPROTO_TCP, wire.IPPROTO_UDP)
+                         and len(packet) < wire.IPV4_HEADER_LEN + 4)
+        if variant is ProtocolVariant.QESP and short_segment:
+            assert sent is MalformedPacket
+        else:
+            assert engine.inbound(sadb_with(sa), sent) == packet
+
+
+# --- one five-tuple truth: a TCP/UDP segment too short for ports -----------------
+
+SHORT_UDP = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_UDP, SRC, DST, b"\x12\x34")
+
+
+def crafted_qesp(sa, inner: bytes) -> bytes:
+    """NULL/NULL Q-ESP packet around inner, clear ports 0/0, as a forger would build it."""
+    if sa.mode is SaMode.TUNNEL:
+        plaintext, src, dst = inner, sa.tunnel_src, sa.tunnel_dst
+    else:
+        plaintext, src, dst = inner[wire.IPV4_HEADER_LEN:], SRC, DST
+    pad_len = -(len(plaintext) + 1) % 4
+    body = (wire.pack_qesp_header(sa.spi, 1, 0, 0, inner[9], 0) + plaintext
+            + bytes(range(1, pad_len + 1)) + bytes([pad_len]))
+    return wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_QESP, src, dst, body)
+
+
+class TestShortSegmentIsMalformedEverywhere:
+    def test_plain_classify(self):
+        with pytest.raises(MalformedPacket):
+            classifier.classify(RuleTable(), SHORT_UDP)
+
+    def test_five_tuple_of(self):
+        with pytest.raises(MalformedPacket):
+            engine.five_tuple_of(SHORT_UDP)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_qesp_outbound_consumes_no_sequence_number(self, mode):
+        sa = make_sa(mode=mode, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+        with pytest.raises(MalformedPacket):
+            engine.outbound(sa, SHORT_UDP)
+        assert sa.seq_next == 1
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_qesp_decap_cross_check(self, mode):
+        sa = make_sa(mode=mode, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+        with pytest.raises(MalformedPacket):
+            engine.inbound(sadb_with(sa), crafted_qesp(sa, SHORT_UDP))
+
+    def test_tcp_too(self):
+        short_tcp = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_TCP, SRC, DST, b"\x00\x50\x01")
+        with pytest.raises(MalformedPacket):
+            classifier.classify(RuleTable(), short_tcp)
+        with pytest.raises(MalformedPacket):
+            engine.outbound(make_sa(), short_tcp)
+
+    def test_four_byte_segment_still_has_ports(self):
+        udp = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_UDP, SRC, DST, b"\x0f\xa0\x13\xc4")
+        assert engine.extract_ports(wire.IPPROTO_UDP, udp, wire.IPV4_HEADER_LEN) == (4000, 5060)
+        table = RuleTable(rules=(ClassifierRule(Selector(dst_ports=(5060, 5060)), 46),))
+        sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+        assert classifier.classify(table, udp) == 46
+        assert classifier.classify(table, engine.outbound(sa, udp)) == 46
+
+
+class TestRemarkInPlace:
+    def test_matching_tos_returns_input_unchanged(self):
+        packet = wire.pack_ipv4(46 << 2 | 0x01, 7, 0, 64, 1, SRC, DST, b"ping")
+        table = RuleTable(default_dscp=46)
+        assert classifier.classify_and_remark(table, packet) == (46, packet)
+
+    def test_only_tos_and_checksum_change(self):
+        packet = wire.pack_ipv4(0x03, 7, 0x4000, 61, 1, SRC, DST, b"ping")
+        _, marked = classifier.classify_and_remark(RuleTable(default_dscp=46), packet)
+        assert marked[1] == 46 << 2 | 0x03
+        assert marked[:1] + marked[2:10] + marked[12:] == packet[:1] + packet[2:10] + packet[12:]
+        assert struct.unpack_from(">H", marked, 10)[0] == reference_checksum(marked)

@@ -56,6 +56,19 @@ class TestSelectors:
         assert sel.matches(packet)
         assert not sel.matches(replace(packet, dst_port=5061))
 
+    def test_unreadable_ports_match_no_port_constraint(self):
+        esp = FiveTuple(src_addr=1, dst_addr=2, protocol=50, src_port=None, dst_port=None)
+        assert not Selector(src_ports=(0, 65535)).matches(esp)
+        assert not Selector(dst_ports=(0, 65535)).matches(esp)
+        assert Selector(protocol=50).matches(esp)
+
+    def test_prefix_edges(self):
+        assert Ipv4Net(0xC0000207, 32).contains(0xC0000207)
+        assert not Ipv4Net(0xC0000207, 32).contains(0xC0000206)
+        assert Ipv4Net(0x80000000, 1).contains(0xFFFFFFFF)
+        assert not Ipv4Net(0x80000000, 1).contains(0x7FFFFFFF)
+        assert Ipv4Net(0x12345678, 0).contains(0)
+
     def test_bad_port_range(self):
         with pytest.raises(ConfigError):
             Selector(src_ports=(10, 5))
