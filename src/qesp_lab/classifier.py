@@ -10,7 +10,8 @@ then read at fixed datagram offsets.  Readability per outer protocol:
 * plain TCP/UDP — ports at offset 20 (engine.extract_ports, so a segment too
   short for ports is MalformedPacket here as in the engine);
 * Q-ESP (253)   — ports and inner protocol from the clear header at fixed
-  offsets 28-32 of the datagram;
+  offsets 28-32 of the datagram; ports unavailable when the inner protocol
+  is neither TCP nor UDP, exactly as for the plain datagram;
 * ESP (50)      — ports unavailable (encrypted); protocol reported as 50 so
   rules may still match on the ESP protocol number itself;
 * anything else — ports unavailable.
@@ -79,6 +80,8 @@ def _five_tuple(packet: bytes, fields: tuple[int, ...]) -> FiveTuple:
             raise MalformedPacket(
                 f"Q-ESP header truncated: {len(packet) - IPV4_HEADER_LEN} bytes")
         src_port, dst_port, protocol = _QESP_CLEAR.unpack_from(packet, _QESP_CLEAR_AT)
+        if protocol != IPPROTO_TCP and protocol != IPPROTO_UDP:
+            src_port = dst_port = None  # the 0/0 copies of a portless protocol
     elif protocol == IPPROTO_TCP or protocol == IPPROTO_UDP:
         src_port, dst_port = engine.extract_ports(protocol, packet, IPV4_HEADER_LEN)
     else:

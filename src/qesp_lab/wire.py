@@ -30,6 +30,10 @@ those fields inside the ciphertext; it is implemented here as the baseline::
 
 The trailer difference is deliberate: Q-ESP needs no next-header byte because
 the protocol identifier travels in its clear header.
+
+Neither body is self-describing (the SA that the SPI selects fixes the IV and
+ICV lengths), so engine.inbound splits it by engine.LAYOUTS; this module keeps
+only the Q-ESP header's packer and parser.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .errors import (
 
 IPV4_HEADER_LEN = 20
 DEFAULT_TTL = 64
-IPV4_MAX_PAYLOAD = 65535 - IPV4_HEADER_LEN
 QESP_HEADER_LEN = 16
 ESP_HEADER_LEN = 8
 
@@ -231,29 +234,19 @@ class QespHeader:
         if self.reserved != 0:
             raise InvalidHeader(f"reserved must be 0, got {self.reserved}")
 
-    @property
-    def extended_auth(self) -> bool:
-        return bool(self.flags & QESP_FLAG_EXTENDED_AUTH)
-
-
-def encode_qesp_header(h: QespHeader) -> bytes:
-    """Serialize the 16 header bytes: SPI, Seq, SrcPort, DstPort, Proto, Flags, Reserved."""
-    try:
-        return _QESP_STRUCT.pack(h.spi, h.seq, h.src_port, h.dst_port,
-                                 h.inner_protocol, h.flags, h.reserved)
-    except struct.error as exc:
-        raise InvalidHeader(f"header field out of range: {exc}") from None
-
 
 def pack_qesp_header(spi: int, seq: int, src_port: int, dst_port: int,
                      inner_protocol: int, flags: int) -> bytes:
-    """Scalar fast path of encode_qesp_header for per-packet senders.
+    """Serialize the 16 header bytes: SPI, Seq, SrcPort, DstPort, Proto, Flags, Reserved.
 
-    Callers are trusted to respect the header invariants (the engine derives
-    every field from validated state); parse_qesp_header re-checks them on
-    the receiving side.
+    Field ranges are checked here; the engine derives every field from
+    validated state, and parse_qesp_header re-checks the SPI, flag and
+    reserved invariants on the receiving side.
     """
-    return _QESP_STRUCT.pack(spi, seq, src_port, dst_port, inner_protocol, flags, 0)
+    try:
+        return _QESP_STRUCT.pack(spi, seq, src_port, dst_port, inner_protocol, flags, 0)
+    except struct.error as exc:
+        raise InvalidHeader(f"header field out of range: {exc}") from None
 
 
 def parse_qesp_header(b: bytes) -> QespHeader:
@@ -264,68 +257,6 @@ def parse_qesp_header(b: bytes) -> QespHeader:
     # dataclass validation rejects spi==0, bad flags, nonzero reserved
     return QespHeader(spi=spi, seq=seq, src_port=sport, dst_port=dport,
                       inner_protocol=proto, flags=flags, reserved=reserved)
-
-
-@dataclass(frozen=True)
-class QespPacket:
-    """Parsed Q-ESP packet: clear header, opaque IV/ciphertext, ICV."""
-
-    header: QespHeader
-    iv: bytes
-    ciphertext: bytes
-    icv: bytes
-
-
-def encode_qesp_packet(p: QespPacket) -> bytes:
-    return encode_qesp_header(p.header) + p.iv + p.ciphertext + p.icv
-
-
-def parse_qesp_packet(b: bytes, iv_len: int, icv_len: int) -> QespPacket:
-    """Split a Q-ESP packet body; iv_len/icv_len come from the SA.
-
-    The format is not self-describing: the receiver knows the cipher and MAC
-    from the SA selected by the SPI.
-    """
-    min_len = QESP_HEADER_LEN + iv_len + icv_len + 1
-    if len(b) < min_len:
-        raise Truncated(f"Q-ESP packet needs >= {min_len} bytes, got {len(b)}")
-    header = parse_qesp_header(b)
-    iv_end = QESP_HEADER_LEN + iv_len
-    ct_end = len(b) - icv_len
-    return QespPacket(header=header, iv=b[QESP_HEADER_LEN:iv_end],
-                      ciphertext=b[iv_end:ct_end],
-                      icv=b[ct_end:] if icv_len else b"")
-
-
-@dataclass(frozen=True)
-class EspPacket:
-    """Parsed classic ESP packet: 8-byte header, trailer inside ciphertext."""
-
-    spi: int
-    seq: int
-    iv: bytes
-    ciphertext: bytes
-    icv: bytes
-
-
-def encode_esp(p: EspPacket) -> bytes:
-    try:
-        return struct.pack(">II", p.spi, p.seq) + p.iv + p.ciphertext + p.icv
-    except struct.error as exc:
-        raise InvalidHeader(f"header field out of range: {exc}") from None
-
-
-def parse_esp(b: bytes, iv_len: int, icv_len: int) -> EspPacket:
-    """Split an ESP packet body; iv_len/icv_len come from the SA."""
-    min_len = ESP_HEADER_LEN + iv_len + icv_len + 1
-    if len(b) < min_len:
-        raise Truncated(f"ESP packet needs >= {min_len} bytes, got {len(b)}")
-    spi, seq = struct.unpack_from(">II", b)
-    iv_end = ESP_HEADER_LEN + iv_len
-    ct_end = len(b) - icv_len
-    return EspPacket(spi=spi, seq=seq, iv=b[ESP_HEADER_LEN:iv_end],
-                     ciphertext=b[iv_end:ct_end],
-                     icv=b[ct_end:] if icv_len else b"")
 
 
 # --- packet dump files -------------------------------------------------------

@@ -49,10 +49,15 @@ class TestExtraction:
         assert fields.protocol == 1
         assert fields.src_port is None
 
-    def test_qesp_portless_inner_reads_zero(self):
-        fields = classifier.extract_fields(qesp_of(make_datagram(protocol=1)))
+    def test_qesp_portless_inner_has_no_ports(self):
+        """The clear 0/0 copies of a portless protocol read as no ports, as
+        plain does, so a dst_ports (0, 0) rule marks neither copy."""
+        plain = make_datagram(protocol=1)
+        fields = classifier.extract_fields(qesp_of(plain))
         assert fields.protocol == 1
-        assert (fields.src_port, fields.dst_port) == (0, 0)
+        assert (fields.src_port, fields.dst_port) == (None, None)
+        table = RuleTable(rules=(ClassifierRule(Selector(dst_ports=(0, 0)), EF),))
+        assert classifier.classify(table, plain) == classifier.classify(table, qesp_of(plain)) == 0
 
     def test_malformed_rejected(self):
         with pytest.raises(MalformedPacket):

@@ -130,6 +130,19 @@ class TestPriority:
                          "--out", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize("fixture,argv", [
+    ("cli_priority_seed1.txt", ["priority", "--seed", "1"]),
+    ("cli_throughput_transport.csv", ["throughput", "--sizes", "64,1024", "--duration", "2",
+                                      "--seed", "1", "--mode", "transport"]),
+    ("cli_throughput_tunnel.csv", ["throughput", "--sizes", "64,1024", "--duration", "2",
+                                   "--seed", "1", "--mode", "tunnel"]),
+])
+def test_output_byte_identical_to_recorded(fixture, argv, capsys):
+    """CSV rows and summary lines stay byte-for-byte what the recorded run printed."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / fixture).read_bytes()
+
+
 class TestOneShotTools:
     def test_encap_decap_roundtrip(self, tmp_path, config_file, packet_file, capsys):
         assert main(["encap", "--config", config_file, "--in", packet_file]) == 0

@@ -37,6 +37,7 @@ from qesp_lab.errors import (
     OversizePacket,
     ReplayRejected,
     SequenceExhausted,
+    Truncated,
     UnknownSpi,
 )
 from qesp_lab.sadb import ProtocolVariant, SaMode
@@ -283,12 +284,33 @@ class TestInboundRejections:
         with pytest.raises(UnknownSpi):
             engine.inbound(sadb_with(), out)
 
-    def test_spi_of_wrong_variant(self, udp_datagram):
-        qesp_sa = make_sa(spi=0x500)
-        out = engine.outbound(qesp_sa, udp_datagram)
-        esp_db = sadb_with(make_sa(variant=ProtocolVariant.ESP, spi=0x500))
-        with pytest.raises(UnknownSpi):
-            engine.inbound_qesp(esp_db, out)
+    @pytest.mark.parametrize("variant,other,label", [
+        (ProtocolVariant.QESP, ProtocolVariant.ESP, "Q-ESP"),
+        (ProtocolVariant.ESP, ProtocolVariant.QESP, "ESP")])
+    def test_spi_of_wrong_variant(self, udp_datagram, variant, other, label):
+        out = engine.outbound(make_sa(variant=variant, spi=0x500), udp_datagram)
+        with pytest.raises(UnknownSpi, match=f"^no {label} SA for SPI 0x500$"):
+            engine.inbound(sadb_with(make_sa(variant=other, spi=0x500)), out)
+
+    @pytest.mark.parametrize("variant,label,header_len", [
+        (ProtocolVariant.QESP, "Q-ESP", 16), (ProtocolVariant.ESP, "ESP", 8)])
+    def test_body_shorter_than_header_iv_icv_is_truncated(self, udp_datagram, variant,
+                                                          label, header_len):
+        """header + IV + ICV + one ciphertext byte is the shortest body."""
+        sa = make_sa(variant=variant)  # AES-128: 16-byte IV; HMAC-SHA1-96: 12-byte ICV
+        db = sadb_with(sa)
+        out = engine.outbound(sa, udp_datagram)
+        min_len = header_len + 16 + 12 + 1
+
+        def cut(body_len: int) -> bytes:
+            return wire.pack_ipv4(0, 1, 0, 64, out[9], 1, 2, out[20:20 + body_len])
+
+        for body_len in (header_len, min_len - 1):
+            with pytest.raises(Truncated, match=f"^{label} packet needs >= {min_len} "
+                                                f"bytes, got {body_len}$"):
+                engine.inbound(db, cut(body_len))
+        with pytest.raises(AuthFailure):
+            engine.inbound(db, cut(min_len))
 
     def test_forged_clear_port_with_null_mac(self, udp_datagram):
         """Cross-check catches clear-copy forgery when no MAC protects it."""
@@ -322,6 +344,32 @@ class TestInboundRejections:
         datagram = make_datagram(payload_len=65481)  # 65509-byte segment
         with pytest.raises(OversizePacket):
             engine.outbound(sa, datagram)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+class TestInboundOrder:
+    """RFC 4303 §3.4.3: the ICV is verified before the replay check, and the
+    window advances only on authenticated packets."""
+
+    def test_tampered_replay_is_auth_failure(self, udp_datagram, variant):
+        sa = make_sa(variant=variant)
+        db = sadb_with(sa)
+        out = engine.outbound(sa, udp_datagram)
+        engine.inbound(db, out)
+        tampered = bytearray(out)
+        tampered[-sa.mac.icv_len - 1] ^= 0x01  # last ciphertext byte
+        with pytest.raises(AuthFailure):
+            engine.inbound(db, bytes(tampered))
+
+    def test_forged_far_ahead_seq_leaves_window(self, udp_datagram, variant):
+        sa = make_sa(variant=variant)
+        db = sadb_with(sa)
+        out = engine.outbound(sa, udp_datagram)
+        forged = bytearray(out)
+        struct.pack_into(">I", forged, 24, 1000)  # Seq follows the SPI in both headers
+        with pytest.raises(AuthFailure):
+            engine.inbound(db, bytes(forged))
+        assert engine.inbound(db, out) == udp_datagram  # seq 1 is still inside the window
 
 
 class TestDscpHandling:

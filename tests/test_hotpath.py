@@ -83,6 +83,8 @@ def reference_classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int,
         if len(payload) < wire.QESP_HEADER_LEN:
             raise MalformedPacket("Q-ESP header truncated")
         *ports, protocol = struct.unpack(">HHB", payload[8:13])
+        if protocol not in (wire.IPPROTO_TCP, wire.IPPROTO_UDP):
+            ports = (None, None)
     dscp = table.default_dscp
     for rule in table.rules:
         sel = rule.selector
@@ -127,11 +129,9 @@ class TestAgainstReferences:
         assert (outcome(classifier.classify_and_remark, table, packet)
                 == outcome(reference_classify_and_remark, table, packet))
 
-    @given(tables, datagrams().filter(
-        lambda p: p[9] in (wire.IPPROTO_TCP, wire.IPPROTO_UDP)))
+    @given(tables, datagrams())
     def test_qesp_clear_header_classifies_like_plain(self, table, packet):
-        """Ports agree, short segments included (portless protocols read 0/0
-        from the clear header but None when plain, so they are left out)."""
+        """Ports agree, short segments and portless protocols included."""
         sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
         encapsulated = outcome(engine.outbound, sa, packet)
         if encapsulated is MalformedPacket:

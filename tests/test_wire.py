@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesp_lab import wire
+from conftest import make_sa, sadb_with
+from qesp_lab import engine, wire
+from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import (
     BadChecksum,
     InvalidHeader,
@@ -17,6 +19,7 @@ from qesp_lab.errors import (
     Truncated,
     UnsupportedOptions,
 )
+from qesp_lab.sadb import ProtocolVariant, SaMode
 
 
 def ones_complement_checksum_oracle(datagram: bytes) -> int:
@@ -29,17 +32,26 @@ def ones_complement_checksum_oracle(datagram: bytes) -> int:
     return (~total) & 0xFFFF
 
 
+def pack(h: wire.QespHeader) -> bytes:
+    return wire.pack_qesp_header(h.spi, h.seq, h.src_port, h.dst_port,
+                                 h.inner_protocol, h.flags)
+
+
 class TestQespHeaderFormat:
     def test_known_encoding(self):
         """SPI, Seq, ports, protocol, flags land at their fixed offsets."""
-        h = wire.QespHeader(spi=0x00000101, seq=1, src_port=5060, dst_port=5060,
-                            inner_protocol=17, flags=0x01)
-        assert wire.encode_qesp_header(h).hex() == "000001010000000113c413c411010000"
+        assert (wire.pack_qesp_header(0x00000101, 1, 5060, 5060, 17, 0x01).hex()
+                == "000001010000000113c413c411010000")
 
     def test_saturated_encoding(self):
-        h = wire.QespHeader(spi=0xFFFFFFFF, seq=0xFFFFFFFF, src_port=65535,
-                            dst_port=65535, inner_protocol=255, flags=0x01)
-        assert wire.encode_qesp_header(h).hex() == "ff" * 13 + "010000"
+        assert (wire.pack_qesp_header(0xFFFFFFFF, 0xFFFFFFFF, 65535, 65535, 255, 0x01).hex()
+                == "ff" * 13 + "010000")
+
+    def test_out_of_range_field_rejected(self):
+        with pytest.raises(InvalidHeader):
+            wire.pack_qesp_header(0x101, 1, 65536, 5060, 17, 0)
+        with pytest.raises(InvalidHeader):
+            wire.pack_qesp_header(0x101, 1 << 32, 4000, 5060, 17, 0)
 
     def test_spi_zero_rejected(self):
         with pytest.raises(InvalidHeader):
@@ -48,22 +60,20 @@ class TestQespHeaderFormat:
     def test_roundtrip_known(self):
         h = wire.QespHeader(spi=0x101, seq=1, src_port=5060, dst_port=5060,
                             inner_protocol=17, flags=0x01)
-        assert wire.parse_qesp_header(wire.encode_qesp_header(h)) == h
+        assert wire.parse_qesp_header(pack(h)) == h
 
     def test_truncated(self):
         with pytest.raises(Truncated):
             wire.parse_qesp_header(b"\x00" * 15)
 
     def test_undefined_flag_bit_rejected(self):
-        raw = bytearray(wire.encode_qesp_header(
-            wire.QespHeader(spi=0x101, seq=1, src_port=1, dst_port=2, inner_protocol=17)))
+        raw = bytearray(wire.pack_qesp_header(0x101, 1, 1, 2, 17, 0))
         raw[13] = 0x02
         with pytest.raises(InvalidHeader):
             wire.parse_qesp_header(bytes(raw))
 
     def test_nonzero_reserved_rejected(self):
-        raw = bytearray(wire.encode_qesp_header(
-            wire.QespHeader(spi=0x101, seq=1, src_port=1, dst_port=2, inner_protocol=17)))
+        raw = bytearray(wire.pack_qesp_header(0x101, 1, 1, 2, 17, 0))
         raw[15] = 0x01
         with pytest.raises(InvalidHeader):
             wire.parse_qesp_header(bytes(raw))
@@ -74,9 +84,19 @@ class TestQespHeaderFormat:
     def test_roundtrip_property(self, spi, seq, sport, dport, proto, flags):
         h = wire.QespHeader(spi=spi, seq=seq, src_port=sport, dst_port=dport,
                             inner_protocol=proto, flags=flags)
-        encoded = wire.encode_qesp_header(h)
+        encoded = pack(h)
         assert len(encoded) == 16
         assert wire.parse_qesp_header(encoded) == h
+
+    def test_five_tuple_at_fixed_datagram_offsets(self):
+        """Ports/protocol are readable at bytes 28-33 of the datagram, no keys."""
+        body = (wire.pack_qesp_header(0x101, 1, 4000, 5060, 17, 0)
+                + bytes(16) + bytes(32) + bytes(12))  # IV, ciphertext, ICV
+        datagram = wire.encode_ipv4(
+            wire.Ipv4Header(src_addr=1, dst_addr=2, protocol=wire.IPPROTO_QESP), body)
+        assert int.from_bytes(datagram[28:30], "big") == 4000
+        assert int.from_bytes(datagram[30:32], "big") == 5060
+        assert datagram[32] == 17
 
 
 class TestIpv4:
@@ -158,57 +178,6 @@ class TestIpv4:
         assert remarked.tos_dscp == 0x01  # ECN bit preserved
 
 
-class TestEspPacket:
-    def test_length_arithmetic(self):
-        p = wire.EspPacket(spi=0x200, seq=7, iv=bytes(16), ciphertext=bytes(32),
-                           icv=bytes(12))
-        assert len(wire.encode_esp(p)) == 68
-
-    def test_roundtrip_known(self):
-        p = wire.EspPacket(spi=0x200, seq=7, iv=bytes(range(16)),
-                           ciphertext=bytes(range(32)), icv=bytes(range(12)))
-        assert wire.parse_esp(wire.encode_esp(p), 16, 12) == p
-
-    def test_truncated(self):
-        with pytest.raises(Truncated):
-            wire.parse_esp(b"\x00" * 19, iv_len=16, icv_len=12)
-
-    @given(spi=st.integers(0, 0xFFFFFFFF), seq=st.integers(0, 0xFFFFFFFF),
-           iv_len=st.sampled_from([0, 8, 16]), icv_len=st.sampled_from([0, 12]),
-           ct=st.binary(min_size=1, max_size=64))
-    def test_roundtrip_property(self, spi, seq, iv_len, icv_len, ct):
-        p = wire.EspPacket(spi=spi, seq=seq, iv=bytes(iv_len),
-                           ciphertext=ct, icv=b"\xee" * icv_len)
-        assert wire.parse_esp(wire.encode_esp(p), iv_len, icv_len) == p
-
-
-class TestQespPacket:
-    @given(iv_len=st.sampled_from([0, 8, 16]), icv_len=st.sampled_from([0, 12]),
-           ct=st.binary(min_size=1, max_size=64))
-    def test_roundtrip_property(self, iv_len, icv_len, ct):
-        header = wire.QespHeader(spi=0x77, seq=9, src_port=1, dst_port=2,
-                                 inner_protocol=17)
-        p = wire.QespPacket(header=header, iv=bytes(iv_len), ciphertext=ct,
-                            icv=b"\xaa" * icv_len)
-        assert wire.parse_qesp_packet(wire.encode_qesp_packet(p), iv_len, icv_len) == p
-
-    def test_truncated(self):
-        with pytest.raises(Truncated):
-            wire.parse_qesp_packet(b"\x00" * 20, iv_len=16, icv_len=12)
-
-    def test_five_tuple_at_fixed_datagram_offsets(self):
-        """Ports/protocol are readable at bytes 28-33 of the datagram, no keys."""
-        header = wire.QespHeader(spi=0x101, seq=1, src_port=4000, dst_port=5060,
-                                 inner_protocol=17)
-        body = wire.encode_qesp_packet(wire.QespPacket(
-            header=header, iv=bytes(16), ciphertext=bytes(32), icv=bytes(12)))
-        datagram = wire.encode_ipv4(
-            wire.Ipv4Header(src_addr=1, dst_addr=2, protocol=wire.IPPROTO_QESP), body)
-        assert int.from_bytes(datagram[28:30], "big") == 4000
-        assert int.from_bytes(datagram[30:32], "big") == 5060
-        assert datagram[32] == 17
-
-
 class TestPacketDump:
     def test_roundtrip(self):
         packets = [b"", b"\x01", b"\xab" * 300]
@@ -229,19 +198,57 @@ class TestPacketDump:
         assert wire.packets_from_hex("  " + text.replace("\n", " \t ")) == packets
 
 
+AES, SHA1 = CipherAlg.AES_128_CBC, MacAlg.HMAC_SHA1_96
+NULL_CIPHER, NULL_MAC = CipherAlg.NULL, MacAlg.NULL
+INBOUND_SAS = (
+    (0x101, ProtocolVariant.QESP, SaMode.TRANSPORT, AES, SHA1),
+    (0x102, ProtocolVariant.QESP, SaMode.TRANSPORT, NULL_CIPHER, NULL_MAC),
+    (0x103, ProtocolVariant.QESP, SaMode.TUNNEL, NULL_CIPHER, NULL_MAC),
+    (0x201, ProtocolVariant.ESP, SaMode.TRANSPORT, AES, SHA1),
+    (0x202, ProtocolVariant.ESP, SaMode.TRANSPORT, NULL_CIPHER, NULL_MAC),
+    (0x203, ProtocolVariant.ESP, SaMode.TUNNEL, NULL_CIPHER, NULL_MAC),
+)
+_spis = st.sampled_from([sa[0] for sa in INBOUND_SAS]) | st.integers(0, 0xFFFFFFFF)
+_u32 = st.integers(0, 0xFFFFFFFF)
+_tail = st.binary(max_size=40) | st.binary(min_size=40, max_size=300)
+encapsulated_bodies = st.one_of(
+    st.binary(max_size=300),
+    st.builds(lambda spi, seq, tail: struct.pack(">II", spi, seq) + tail, _spis, _u32, _tail),
+    st.builds(lambda spi, seq, ports, proto, flags, tail:
+              wire.pack_qesp_header(spi, seq, *ports, proto, flags) + tail,
+              _spis, _u32, st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)),
+              st.integers(0, 255), st.sampled_from([0, 1]), _tail),
+)
+
+
 class TestParserTotality:
     """Parsers reject arbitrary input with QespLabError, never anything else."""
 
     @given(st.binary(min_size=0, max_size=65536))
     @settings(max_examples=300)
     def test_parsers_total(self, blob):
-        for parse in (wire.parse_ipv4, wire.parse_qesp_header,
-                      lambda b: wire.parse_esp(b, 16, 12),
-                      lambda b: wire.parse_qesp_packet(b, 16, 12)):
+        for parse in (wire.parse_ipv4, wire.parse_qesp_header):
             try:
                 parse(blob)
             except QespLabError:
                 pass
+
+    @given(protocol=st.sampled_from([wire.IPPROTO_ESP, wire.IPPROTO_QESP]),
+           tos=st.integers(0, 255), body=encapsulated_bodies)
+    @settings(max_examples=300)
+    def test_inbound_total(self, protocol, tos, body):
+        """engine.inbound on a valid outer header and an arbitrary body; the
+        bodies are biased to name a known SPI, so the AES/SHA1 SAs reach the
+        ICV and the NULL/NULL SAs reach decrypt, padding and the
+        post-decrypt checks."""
+        db = sadb_with(*(make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac,
+                                 spi=spi, extended_auth=variant is ProtocolVariant.QESP)
+                         for spi, variant, mode, cipher, mac in INBOUND_SAS))
+        datagram = wire.pack_ipv4(tos, 1, 0, 64, protocol, 0x0A000001, 0x0A000909, body)
+        try:
+            engine.inbound(db, datagram)
+        except QespLabError:
+            pass
 
     @given(st.text(alphabet="0123456789abcdefxyz \n\t", max_size=200))
     def test_hex_loader_total(self, text):
