@@ -11,7 +11,10 @@ then read at fixed datagram offsets.  Readability per outer protocol:
   short for ports is MalformedPacket here as in the engine);
 * Q-ESP (253)   — ports and inner protocol from the clear header at fixed
   offsets 28-32 of the datagram; ports unavailable when the inner protocol
-  is neither TCP nor UDP, exactly as for the plain datagram;
+  is neither TCP nor UDP, exactly as for the plain datagram.  One layer
+  only: a well-formed nested Q-ESP datagram shows inner protocol 253 and no
+  ports, not the nested clear header.  A body shorter than the 16-byte clear
+  header is MalformedPacket, here as in the engine;
 * ESP (50)      — ports unavailable (encrypted); protocol reported as 50 so
   rules may still match on the ESP protocol number itself;
 * anything else — ports unavailable.

@@ -8,6 +8,22 @@ crypto cost in benchmarks, and to make layouts visible in tests.
 Block ciphers are delegated to OpenSSL via the `cryptography` package; MACs
 use the stdlib hmac/hashlib.  Padding, truncation, and IV generation are
 implemented here.
+
+Keyed state is built once per SA, not per packet: a CipherState holds one
+persistent CBC encryptor and one persistent CBC decryptor, a MacState a keyed
+HMAC prototype that each packet copies.  The persistent CBC contexts give
+byte for byte what a fresh context under the packet's IV would, by two CBC
+identities:
+
+* encrypt — the encryptor chains from its previous output block C, so
+  XORing iv ^ C into the first plaintext block makes it start from iv; the
+  last ciphertext block becomes the next C;
+* decrypt — feeding iv ahead of the ciphertext makes iv the chaining block
+  of the first real block; the output block for iv itself is dropped.
+
+The encryptor's chaining block is mutable per-SA state, so encrypt and
+decrypt are serialized per CipherState, as sequence, replay and IV state are
+per SA.  The NULL cipher keeps no context and takes no lock.
 """
 
 from __future__ import annotations
@@ -17,6 +33,7 @@ import hashlib
 import hmac
 import math
 import struct
+import threading
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -95,6 +112,47 @@ _MAC_HASH = {
 }
 
 
+def _check_key(alg: CipherAlg | MacAlg, key: bytes) -> None:
+    if len(key) != alg.key_len:
+        raise BadKeyLength(f"{alg.value} needs a {alg.key_len}-byte key, got {len(key)}")
+
+
+class CipherState:
+    """One SA's keyed cipher: persistent CBC contexts plus the constants the
+    per-packet path reads (block_size, iv_len, effective_block)."""
+
+    __slots__ = ("alg", "block_size", "iv_len", "effective_block",
+                 "_enc", "_dec", "_chain", "_lock")
+
+    def __init__(self, alg: CipherAlg, key: bytes) -> None:
+        _check_key(alg, key)
+        self.alg = alg
+        self.block_size = alg.block_size
+        self.iv_len = alg.iv_len
+        self.effective_block = alg.effective_block
+        self._enc = self._dec = self._lock = None
+        self._chain = 0  # last ciphertext block as an int; 0 is the start IV
+        if alg is CipherAlg.NULL:
+            return
+        algorithm = algorithms.AES(key) if alg is CipherAlg.AES_128_CBC else TripleDES(key)
+        start = modes.CBC(bytes(self.block_size))
+        self._enc = Cipher(algorithm, start).encryptor()
+        self._dec = Cipher(algorithm, start).decryptor()
+        self._lock = threading.Lock()
+
+
+class MacState:
+    """One SA's keyed MAC: an HMAC prototype, copied per packet, and icv_len."""
+
+    __slots__ = ("icv_len", "_prototype")
+
+    def __init__(self, alg: MacAlg, key: bytes) -> None:
+        _check_key(alg, key)
+        self.icv_len = alg.icv_len
+        self._prototype = (None if alg is MacAlg.NULL
+                           else hmac.new(key, digestmod=_MAC_HASH[alg]))
+
+
 def compute_pad_len(payload_len: int, trailer_fixed: int, effective_block: int) -> int:
     """Smallest pad >= 0 making payload + pad + trailer a block multiple.
 
@@ -117,64 +175,52 @@ def check_pad(pad: bytes) -> bool:
     return pad == _FILLER[:len(pad)]
 
 
-def _check_cipher_args(alg: CipherAlg, key: bytes, iv: bytes, data: bytes) -> None:
-    if len(key) != alg.key_len:
-        raise BadKeyLength(f"{alg.value} needs a {alg.key_len}-byte key, got {len(key)}")
-    if len(iv) != alg.iv_len:
-        raise BadIvLength(f"{alg.value} needs a {alg.iv_len}-byte IV, got {len(iv)}")
-    if alg.block_size > 1 and len(data) % alg.block_size:
+def _check_cipher_args(state: CipherState, iv: bytes, data: bytes) -> None:
+    if len(iv) != state.iv_len:
+        raise BadIvLength(f"{state.alg.value} needs a {state.iv_len}-byte IV, got {len(iv)}")
+    if len(data) % state.block_size:
         raise BadBlockAlignment(
-            f"{alg.value} input length {len(data)} not a multiple of {alg.block_size}")
+            f"{state.alg.value} input length {len(data)} not a multiple of {state.block_size}")
 
 
-def cipher_algorithm(alg: CipherAlg, key: bytes):
-    """The keyed block-cipher object behind alg (None for NULL).
-
-    Build it once per SA: only the CBC mode object is per packet, because the
-    IV changes.
-    """
-    if alg is CipherAlg.NULL:
-        return None
-    if alg is CipherAlg.AES_128_CBC:
-        return algorithms.AES(key)
-    return TripleDES(key)
-
-
-def encrypt(alg: CipherAlg, key: bytes, iv: bytes, plaintext: bytes,
-            algorithm=None) -> bytes:
-    """Encrypt block-aligned plaintext; NULL is the identity transform.
-
-    algorithm is cipher_algorithm(alg, key) when the caller keeps one.
-    """
-    _check_cipher_args(alg, key, iv, plaintext)
-    if alg is CipherAlg.NULL:
+def encrypt(state: CipherState, iv: bytes, plaintext: bytes) -> bytes:
+    """CBC-encrypt block-aligned plaintext under iv; NULL is the identity."""
+    _check_cipher_args(state, iv, plaintext)
+    enc = state._enc
+    if enc is None or not plaintext:  # NULL, or no first block to chain
         return plaintext
-    enc = Cipher(algorithm or cipher_algorithm(alg, key), modes.CBC(iv)).encryptor()
-    return enc.update(plaintext) + enc.finalize()
+    block = state.block_size
+    with state._lock:
+        first = (int.from_bytes(plaintext[:block], "big") ^ int.from_bytes(iv, "big")
+                 ^ state._chain)
+        ciphertext = enc.update(first.to_bytes(block, "big") + plaintext[block:])
+        state._chain = int.from_bytes(ciphertext[-block:], "big")
+    return ciphertext
 
 
-def decrypt(alg: CipherAlg, key: bytes, iv: bytes, ciphertext: bytes,
-            algorithm=None) -> bytes:
+def decrypt(state: CipherState, iv: bytes, ciphertext: bytes) -> bytes:
     """Inverse of encrypt()."""
-    _check_cipher_args(alg, key, iv, ciphertext)
-    if alg is CipherAlg.NULL:
+    _check_cipher_args(state, iv, ciphertext)
+    dec = state._dec
+    if dec is None:
         return ciphertext
-    dec = Cipher(algorithm or cipher_algorithm(alg, key), modes.CBC(iv)).decryptor()
-    return dec.update(ciphertext) + dec.finalize()
+    with state._lock:
+        return dec.update(iv + ciphertext)[state.block_size:]
 
 
-def compute_icv(alg: MacAlg, key: bytes, data: bytes) -> bytes:
+def compute_icv(state: MacState, data: bytes) -> bytes:
     """First 12 bytes of the HMAC over data; empty for the NULL MAC."""
-    if len(key) != alg.key_len:
-        raise BadKeyLength(f"{alg.value} needs a {alg.key_len}-byte key, got {len(key)}")
-    if alg is MacAlg.NULL:
+    prototype = state._prototype
+    if prototype is None:
         return b""
-    return hmac.new(key, data, _MAC_HASH[alg]).digest()[:ICV_TRUNC_LEN]
+    mac = prototype.copy()
+    mac.update(data)
+    return mac.digest()[:ICV_TRUNC_LEN]
 
 
-def verify_icv(alg: MacAlg, key: bytes, data: bytes, icv: bytes) -> bool:
+def verify_icv(state: MacState, data: bytes, icv: bytes) -> bool:
     """Constant-time ICV verification; NULL MAC accepts exactly the empty ICV."""
-    return hmac.compare_digest(compute_icv(alg, key, data), icv)
+    return hmac.compare_digest(compute_icv(state, data), icv)
 
 
 class IvGenerator:

@@ -100,11 +100,16 @@ _ZEROED_OUTER = struct.Struct(">BxHH3xBxxII")
 def extract_ports(protocol: int, data: bytes, offset: int = 0) -> tuple[int, int]:
     """Source/destination ports of the segment at data[offset:]; (0, 0) when portless.
 
-    TCP and UDP both start with the two 16-bit ports; other protocols report
-    0, which classifiers treat as "no port".  A TCP or UDP segment too short
-    to carry both ports is malformed at every layer.
+    TCP and UDP both start with the two 16-bit ports.  Every other protocol
+    reports 0/0, the values a Q-ESP clear header carries for it;
+    five_tuple_of and the classifier read those as no ports (None).  What the
+    classifier rejects is malformed at every layer: a TCP or UDP segment too
+    short to carry both ports, and a Q-ESP segment shorter than its clear
+    header.
     """
     if protocol != IPPROTO_TCP and protocol != IPPROTO_UDP:
+        if protocol == IPPROTO_QESP and len(data) - offset < QESP_HEADER_LEN:
+            raise MalformedPacket(f"Q-ESP header truncated: {len(data) - offset} bytes")
         return 0, 0
     if len(data) - offset < 4:
         raise MalformedPacket(f"transport segment too short for ports: {len(data) - offset}")
@@ -135,9 +140,10 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
         next_header = IPPROTO_IPIP
         ident, flags_frag, ttl, src, dst = 0, 0, DEFAULT_TTL, sa.tunnel_src, sa.tunnel_dst
 
+    cipher = sa.cipher_state
     seq = sa.next_seq()
     pad_len = crypto.compute_pad_len(len(plaintext), layout.trailer_fixed,
-                                     sa.cipher.effective_block)
+                                     cipher.effective_block)
     trailer = crypto.make_pad(pad_len) + bytes([pad_len])
     if qesp:
         header = wire.pack_qesp_header(sa.spi, seq, src_port, dst_port, protocol,
@@ -146,17 +152,16 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
         header = _ESP_HEADER.pack(sa.spi, seq)
         trailer += bytes([next_header])
     iv = sa.next_iv()
-    body = header + iv + crypto.encrypt(sa.cipher, sa.cipher_key, iv, plaintext + trailer,
-                                        sa.cipher_algorithm)
+    body = header + iv + crypto.encrypt(cipher, iv, plaintext + trailer)
 
-    total = IPV4_HEADER_LEN + len(body) + sa.mac.icv_len
+    total = IPV4_HEADER_LEN + len(body) + sa.mac_state.icv_len
     if total > 0xFFFF:
         raise OversizePacket(f"encapsulated datagram would be {total} bytes")
     if sa.extended_auth:
         coverage = _ZEROED_OUTER.pack(0x45, total, ident, layout.ip_protocol, src, dst) + body
     else:
         coverage = body
-    icv = crypto.compute_icv(sa.mac, sa.mac_key, coverage)
+    icv = crypto.compute_icv(sa.mac_state, coverage)
     return wire.pack_ipv4(tos, ident, flags_frag, ttl, layout.ip_protocol, src, dst, body + icv)
 
 
@@ -208,22 +213,23 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
 
     # The format is not self-describing: the IV and ICV lengths come from the
     # SA, and at least one ciphertext byte must sit between them.
-    iv_end = layout.header_len + sa.cipher.iv_len
-    icv_start = len(body) - sa.mac.icv_len
+    iv_end = layout.header_len + sa.cipher_state.iv_len
+    icv_len = sa.mac_state.icv_len
+    icv_start = len(body) - icv_len
     if icv_start <= iv_end:
-        raise Truncated(f"{layout.label} packet needs >= {iv_end + sa.mac.icv_len + 1} "
+        raise Truncated(f"{layout.label} packet needs >= {iv_end + icv_len + 1} "
                         f"bytes, got {len(body)}")
     coverage = body[:icv_start]
     if sa.extended_auth:
         coverage = _ZEROED_OUTER.pack(0x45, total, ident, protocol, src, dst) + coverage
-    if not crypto.verify_icv(sa.mac, sa.mac_key, coverage, body[icv_start:]):
+    if not crypto.verify_icv(sa.mac_state, coverage, body[icv_start:]):
         raise AuthFailure(f"ICV mismatch on SPI 0x{sa.spi:x}")
     if not sa.replay_check_and_update(seq):
         raise ReplayRejected(f"seq {seq} rejected by replay window")
 
     try:
-        padded = crypto.decrypt(sa.cipher, sa.cipher_key, body[layout.header_len:iv_end],
-                                body[iv_end:icv_start], sa.cipher_algorithm)
+        padded = crypto.decrypt(sa.cipher_state, body[layout.header_len:iv_end],
+                                body[iv_end:icv_start])
     except BadBlockAlignment as exc:
         # Only reachable under a NULL MAC; a real ICV catches tampering first.
         raise BadPadding(str(exc)) from None
@@ -261,8 +267,14 @@ def per_packet_overhead(variant: ProtocolVariant, mode: SaMode, cipher: CipherAl
 
 
 def five_tuple_of(datagram: bytes) -> FiveTuple:
-    """Five-tuple of a plain (unencapsulated) IPv4 datagram."""
+    """Five-tuple of an IPv4 datagram for outbound SA selection.
+
+    Ports are None for every protocol but TCP and UDP, as the classifier
+    reads a portless protocol, so no port-constrained selector matches them.
+    """
     protocol, _, src, dst = wire.read_ipv4(datagram)[6:]
     src_port, dst_port = extract_ports(protocol, datagram, IPV4_HEADER_LEN)
+    if protocol != IPPROTO_TCP and protocol != IPPROTO_UDP:
+        src_port = dst_port = None
     return FiveTuple(src_addr=src, dst_addr=dst, protocol=protocol,
                      src_port=src_port, dst_port=dst_port)

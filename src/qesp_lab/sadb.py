@@ -12,9 +12,8 @@ import enum
 import threading
 from dataclasses import dataclass, field
 
-from . import crypto
-from .crypto import CipherAlg, IvGenerator, MacAlg
-from .errors import BadKeyLength, ConfigError, DuplicateSpi, SequenceExhausted
+from .crypto import CipherAlg, CipherState, IvGenerator, MacAlg, MacState
+from .errors import ConfigError, DuplicateSpi, SequenceExhausted
 from .wire import addr_to_int, int_to_addr
 
 REPLAY_WINDOW = 64
@@ -34,10 +33,11 @@ class SaMode(enum.Enum):
 
 @dataclass(frozen=True)
 class FiveTuple:
-    """Flow identity: addresses, transport protocol, ports (0 = no port).
+    """Flow identity: addresses, transport protocol and ports.
 
-    A keyless observer reports None for ports it cannot read (ESP, non-port
-    protocols); no port constraint matches those.
+    Read from a packet, ports are None when there are none to read: every
+    protocol but TCP and UDP, and ESP, whose ports are encrypted.  No port
+    constraint matches a None port.  Configured flows default to port 0.
     """
 
     src_addr: int
@@ -117,8 +117,13 @@ class SecurityAssociation:
     """One direction of one protected flow.
 
     seq_next only ever increases and is never reused; replay_highest tracks
-    the greatest authenticated sequence number seen inbound.  The sequence,
-    replay, and IV state are serialized per SA, so distinct SAs may be
+    the greatest authenticated sequence number seen inbound.
+
+    The keyed crypto state is built once, here, not per packet: cipher_state
+    holds persistent CBC contexts (see the crypto module for the chaining
+    identities that keep their output byte-identical to a fresh context per
+    packet) and mac_state a keyed HMAC prototype.  The sequence, replay, IV
+    and CBC chaining state are serialized per SA, so distinct SAs may be
     processed concurrently.
     """
 
@@ -137,26 +142,20 @@ class SecurityAssociation:
     seq_next: int = 1
     replay_highest: int = 0
     replay_bitmap: int = 0
-    cipher_algorithm: object = field(init=False, repr=False, compare=False)
+    cipher_state: CipherState = field(init=False, repr=False, compare=False)
+    mac_state: MacState = field(init=False, repr=False, compare=False)
     _iv_gen: IvGenerator = field(init=False, repr=False)
     _lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.spi <= 0xFFFFFFFF:
             raise ConfigError(f"spi must be a nonzero 32-bit value, got {self.spi}")
-        if len(self.cipher_key) != self.cipher.key_len:
-            raise BadKeyLength(
-                f"{self.cipher.value} needs a {self.cipher.key_len}-byte key, "
-                f"got {len(self.cipher_key)}")
-        if len(self.mac_key) != self.mac.key_len:
-            raise BadKeyLength(
-                f"{self.mac.value} needs a {self.mac.key_len}-byte key, "
-                f"got {len(self.mac_key)}")
+        self.cipher_state = CipherState(self.cipher, self.cipher_key)
+        self.mac_state = MacState(self.mac, self.mac_key)
         if self.variant is ProtocolVariant.ESP and self.extended_auth:
             raise ConfigError("extended_auth is a Q-ESP feature; ESP never covers the outer header")
         if self.mode is SaMode.TUNNEL and (self.tunnel_src is None or self.tunnel_dst is None):
             raise ConfigError(f"tunnel-mode SA 0x{self.spi:x} needs tunnel src and dst")
-        self.cipher_algorithm = crypto.cipher_algorithm(self.cipher, self.cipher_key)
         self._iv_gen = IvGenerator(self.iv_seed)
         self._lock = threading.Lock()
 
@@ -175,7 +174,7 @@ class SecurityAssociation:
 
     def next_iv(self) -> bytes:
         with self._lock:
-            return self._iv_gen.next_iv(self.cipher.iv_len)
+            return self._iv_gen.next_iv(self.cipher_state.iv_len)
 
     def replay_check_and_update(self, seq: int) -> bool:
         """Sliding-window anti-replay decision; call only after ICV verification.

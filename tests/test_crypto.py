@@ -1,4 +1,5 @@
-"""Cipher/MAC primitives: known-answer vectors, padding, truncation."""
+"""Cipher/MAC primitives: known-answer vectors, padding, truncation, and the
+persistent per-SA CBC state against a fresh context per call."""
 
 from __future__ import annotations
 
@@ -7,12 +8,18 @@ import hmac as hmac_mod
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesp_lab import crypto
-from qesp_lab.crypto import CipherAlg, IvGenerator, MacAlg
+from qesp_lab.crypto import CipherAlg, CipherState, IvGenerator, MacAlg, MacState
 from qesp_lab.errors import BadBlockAlignment, BadIvLength, BadKeyLength
+
+try:
+    from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
+except ImportError:  # cryptography < 43
+    from cryptography.hazmat.primitives.ciphers.algorithms import TripleDES
 
 # NIST SP 800-38A F.2.1 (CBC-AES128.Encrypt), cross-checked against the
 # openssl CLI before freezing.
@@ -36,6 +43,12 @@ TDES_PT = b"The quick brown "
 TDES_CT = bytes.fromhex("5ba523a59a5109710da06400f058192a")
 
 
+def fresh_cbc(alg: CipherAlg, key: bytes, iv: bytes, data: bytes, decrypt=False) -> bytes:
+    """Reference: a new CBC context under iv for this one call."""
+    algorithm = algorithms.AES(key) if alg is CipherAlg.AES_128_CBC else TripleDES(key)
+    cipher = Cipher(algorithm, modes.CBC(iv))
+    ctx = cipher.decryptor() if decrypt else cipher.encryptor()
+    return ctx.update(data) + ctx.finalize()
 
 class TestPadding:
     @pytest.mark.parametrize("payload_len,trailer,block,expected", [
@@ -74,70 +87,113 @@ class TestPadding:
         assert CipherAlg.AES_128_CBC.effective_block == 16
         assert CipherAlg.TRIPLE_DES_CBC.effective_block == 8
 
+    @pytest.mark.parametrize("alg", list(CipherAlg))
+    def test_state_carries_the_algorithm_constants(self, alg):
+        state = CipherState(alg, bytes(alg.key_len))
+        assert (state.block_size, state.iv_len, state.effective_block) == (
+            alg.block_size, alg.iv_len, alg.effective_block)
+
+
+AES = CipherState(CipherAlg.AES_128_CBC, AES_KEY)
+TDES = CipherState(CipherAlg.TRIPLE_DES_CBC, TDES_KEY)
+
 
 class TestCiphers:
     def test_aes_cbc_known_answer(self):
-        assert crypto.encrypt(CipherAlg.AES_128_CBC, AES_KEY, AES_IV, AES_PT) == AES_CT
-        assert crypto.decrypt(CipherAlg.AES_128_CBC, AES_KEY, AES_IV, AES_CT) == AES_PT
+        assert crypto.encrypt(AES, AES_IV, AES_PT) == AES_CT
+        assert crypto.decrypt(AES, AES_IV, AES_CT) == AES_PT
 
     def test_aes_cbc_single_block(self):
-        assert (crypto.encrypt(CipherAlg.AES_128_CBC, AES_KEY, AES_IV, AES_PT[:16])
-                == AES_CT[:16])
+        assert crypto.encrypt(AES, AES_IV, AES_PT[:16]) == AES_CT[:16]
 
     def test_3des_cbc_known_answer(self):
-        assert crypto.encrypt(CipherAlg.TRIPLE_DES_CBC, TDES_KEY, TDES_IV, TDES_PT) == TDES_CT
-        assert crypto.decrypt(CipherAlg.TRIPLE_DES_CBC, TDES_KEY, TDES_IV, TDES_CT) == TDES_PT
+        assert crypto.encrypt(TDES, TDES_IV, TDES_PT) == TDES_CT
+        assert crypto.decrypt(TDES, TDES_IV, TDES_CT) == TDES_PT
 
     def test_null_is_identity(self):
         data = b"anything at all, any length"
-        assert crypto.encrypt(CipherAlg.NULL, b"", b"", data) == data
-        assert crypto.decrypt(CipherAlg.NULL, b"", b"", data) == data
+        null = CipherState(CipherAlg.NULL, b"")
+        assert crypto.encrypt(null, b"", data) == data
+        assert crypto.decrypt(null, b"", data) == data
 
     @pytest.mark.parametrize("alg,key,iv,pt,ct", [
         (CipherAlg.AES_128_CBC, AES_KEY, AES_IV, AES_PT, AES_CT),
         (CipherAlg.TRIPLE_DES_CBC, TDES_KEY, TDES_IV, TDES_PT, TDES_CT),
     ])
-    def test_kept_algorithm_object_gives_same_answers(self, alg, key, iv, pt, ct):
-        algorithm = crypto.cipher_algorithm(alg, key)
-        for _ in range(2):  # reusable across packets
-            assert crypto.encrypt(alg, key, iv, pt, algorithm) == ct
-            assert crypto.decrypt(alg, key, iv, ct, algorithm) == pt
+    def test_state_gives_same_answers_across_packets(self, alg, key, iv, pt, ct):
+        state = CipherState(alg, key)
+        for _ in range(3):
+            assert crypto.encrypt(state, iv, pt) == ct
+            assert crypto.decrypt(state, iv, ct) == pt
 
-    def test_sa_keeps_its_algorithm_object(self):
+    def test_sa_keeps_its_keyed_state(self):
         from conftest import make_sa
-        assert make_sa(cipher=CipherAlg.NULL).cipher_algorithm is None
-        sa = make_sa(cipher=CipherAlg.AES_128_CBC)
-        assert sa.cipher_algorithm.key == sa.cipher_key
+        sa = make_sa(cipher=CipherAlg.AES_128_CBC, mac=MacAlg.HMAC_SHA1_96)
+        assert sa.cipher_state.alg is sa.cipher
+        assert crypto.encrypt(sa.cipher_state, AES_IV, AES_PT) == fresh_cbc(
+            sa.cipher, sa.cipher_key, AES_IV, AES_PT)
+        assert crypto.compute_icv(sa.mac_state, b"Hi") == hmac_mod.new(
+            sa.mac_key, b"Hi", hashlib.sha1).digest()[:12]
 
     def test_misaligned_plaintext_rejected(self):
         with pytest.raises(BadBlockAlignment):
-            crypto.encrypt(CipherAlg.AES_128_CBC, AES_KEY, AES_IV, b"\x00" * 17)
+            crypto.encrypt(AES, AES_IV, b"\x00" * 17)
 
     def test_bad_key_and_iv_lengths(self):
         with pytest.raises(BadKeyLength):
-            crypto.encrypt(CipherAlg.AES_128_CBC, b"short", AES_IV, AES_PT[:16])
+            CipherState(CipherAlg.AES_128_CBC, b"short")
         with pytest.raises(BadIvLength):
-            crypto.encrypt(CipherAlg.AES_128_CBC, AES_KEY, b"short", AES_PT[:16])
+            crypto.encrypt(AES, b"short", AES_PT[:16])
         with pytest.raises(BadKeyLength):
-            crypto.encrypt(CipherAlg.NULL, b"x", b"", b"data")
+            CipherState(CipherAlg.NULL, b"x")
 
     def test_roundtrip_1000_random_triples_per_algorithm(self):
         rng = random.Random(7)
         for alg in CipherAlg:
             for _ in range(1000):
-                key = rng.randbytes(alg.key_len)
+                state = CipherState(alg, rng.randbytes(alg.key_len))
                 iv = rng.randbytes(alg.iv_len)
                 pt = rng.randbytes(alg.block_size * rng.randint(1, 8))
-                ct = crypto.encrypt(alg, key, iv, pt)
+                ct = crypto.encrypt(state, iv, pt)
                 assert len(ct) == len(pt)
-                assert crypto.decrypt(alg, key, iv, ct) == pt
+                assert crypto.decrypt(state, iv, ct) == pt
 
     @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16),
            st.binary(min_size=16, max_size=64).filter(lambda b: len(b) % 16 == 0))
     @settings(max_examples=50)
     def test_encrypt_decrypt_inverse_property(self, key, iv, pt):
-        ct = crypto.encrypt(CipherAlg.AES_128_CBC, key, iv, pt)
-        assert crypto.decrypt(CipherAlg.AES_128_CBC, key, iv, ct) == pt
+        state = CipherState(CipherAlg.AES_128_CBC, key)
+        ct = crypto.encrypt(state, iv, pt)
+        assert crypto.decrypt(state, iv, ct) == pt
+
+
+class TestPersistentCbcState:
+    """One state across many calls gives what a fresh context per call gives."""
+
+    @pytest.mark.parametrize("alg", [CipherAlg.AES_128_CBC, CipherAlg.TRIPLE_DES_CBC])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interleaved_calls_match_fresh_contexts(self, alg, seed):
+        rng = random.Random(seed)
+        key = rng.randbytes(alg.key_len)
+        state = CipherState(alg, key)
+        block = alg.block_size
+        for _ in range(300):
+            iv = rng.randbytes(alg.iv_len)
+            data = rng.randbytes(block * rng.randint(0, 40))
+            op = rng.randrange(4)
+            if op == 0:
+                assert crypto.encrypt(state, iv, data) == fresh_cbc(alg, key, iv, data)
+            elif op == 1:
+                assert (crypto.decrypt(state, iv, data)
+                        == fresh_cbc(alg, key, iv, data, decrypt=True))
+            elif op == 2:
+                # Rejected before touching the contexts: later calls stay exact.
+                with pytest.raises(BadIvLength):
+                    rng.choice([crypto.encrypt, crypto.decrypt])(state, iv[:-1], data)
+            else:
+                with pytest.raises(BadBlockAlignment):
+                    rng.choice([crypto.encrypt, crypto.decrypt])(
+                        state, iv, data + rng.randbytes(rng.randint(1, block - 1)))
 
 
 class TestIcv:
@@ -149,9 +205,11 @@ class TestIcv:
     ])
     def test_known_vectors_truncated(self, alg, key, data, full_hex):
         """ICV equals the first 12 bytes of the published HMAC output."""
-        icv = crypto.compute_icv(alg, key, data)
+        state = MacState(alg, key)
+        icv = crypto.compute_icv(state, data)
         assert icv == bytes.fromhex(full_hex)[:12]
-        assert crypto.verify_icv(alg, key, data, icv)
+        assert crypto.verify_icv(state, data, icv)
+        assert crypto.compute_icv(state, data) == icv  # the keyed prototype is reusable
 
     def test_truncation_is_prefix_of_full_mac(self):
         rng = random.Random(3)
@@ -161,25 +219,26 @@ class TestIcv:
                 key = rng.randbytes(alg.key_len)
                 data = rng.randbytes(rng.randint(0, 200))
                 full = hmac_mod.new(key, data, mod).digest()
-                assert full.startswith(crypto.compute_icv(alg, key, data))
+                assert full.startswith(crypto.compute_icv(MacState(alg, key), data))
 
     def test_null_mac(self):
-        assert crypto.compute_icv(MacAlg.NULL, b"", b"data") == b""
-        assert crypto.verify_icv(MacAlg.NULL, b"", b"data", b"")
-        assert not crypto.verify_icv(MacAlg.NULL, b"", b"data", b"\x00")
+        null = MacState(MacAlg.NULL, b"")
+        assert crypto.compute_icv(null, b"data") == b""
+        assert crypto.verify_icv(null, b"data", b"")
+        assert not crypto.verify_icv(null, b"data", b"\x00")
 
     def test_flipped_bit_rejected(self):
         rng = random.Random(11)
-        key = rng.randbytes(20)
+        state = MacState(MacAlg.HMAC_SHA1_96, rng.randbytes(20))
         for _ in range(32):
             data = bytearray(rng.randbytes(64))
-            icv = crypto.compute_icv(MacAlg.HMAC_SHA1_96, key, bytes(data))
+            icv = crypto.compute_icv(state, bytes(data))
             data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
-            assert not crypto.verify_icv(MacAlg.HMAC_SHA1_96, key, bytes(data), icv)
+            assert not crypto.verify_icv(state, bytes(data), icv)
 
     def test_bad_key_length(self):
         with pytest.raises(BadKeyLength):
-            crypto.compute_icv(MacAlg.HMAC_SHA1_96, b"short", b"data")
+            MacState(MacAlg.HMAC_SHA1_96, b"short")
 
 
 class TestIvGenerator:

@@ -7,6 +7,8 @@ import hmac
 import itertools
 import random
 import struct
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,48 @@ class TestRoundtrip:
         datagram = make_datagram()
         for _ in range(5):
             assert engine.inbound(db, engine.outbound(sa, datagram)) == datagram
+
+
+class TestSharedSa:
+    def test_concurrent_outbound_matches_fresh_contexts(self):
+        """Threads sharing one SA share its CBC chaining state; serialized per
+        SA, every packet is still the fresh-context CBC of its own IV."""
+        sa = make_sa()  # Q-ESP transport, AES/SHA1
+        threads, per_thread = 4, 150
+        inputs = [[make_datagram(payload_len=rng.randint(0, 1000), rng=rng)
+                   for _ in range(per_thread)]
+                  for rng in (random.Random(t) for t in range(threads))]
+        sent: list[tuple[bytes, bytes]] = []
+        start = threading.Barrier(threads)
+
+        def worker(datagrams):
+            start.wait()
+            out = [(datagram, engine.outbound(sa, datagram)) for datagram in datagrams]
+            sent.extend(out)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            pool = [threading.Thread(target=worker, args=(d,)) for d in inputs]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+
+        assert len(sent) == threads * per_thread
+        sent.sort(key=lambda pair: struct.unpack_from(">I", pair[1], 24))  # by seq
+        receiver = sadb_with(make_sa())
+        for seq, (datagram, packet) in enumerate(sent, start=1):
+            assert struct.unpack_from(">I", packet, 24) == (seq,)
+            segment = datagram[20:]
+            pad_len = -(len(segment) + 1) % 16
+            padded = segment + bytes(range(1, pad_len + 1)) + bytes([pad_len])
+            iv = packet[36:52]
+            assert packet[52:-12] == _oracle_aes_cbc(AES_KEY, iv, padded)
+            assert engine.inbound(receiver, packet) == datagram
 
 
 class TestInboundRejections:

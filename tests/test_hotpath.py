@@ -6,7 +6,7 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_MODES, ALL_VARIANTS, make_sa, sadb_with
@@ -14,13 +14,13 @@ from qesp_lab import classifier, engine, wire
 from qesp_lab.classifier import ClassifierRule, RuleTable
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import MalformedPacket, QespLabError
-from qesp_lab.sadb import Ipv4Net, ProtocolVariant, SaMode, Selector
+from qesp_lab.sadb import FiveTuple, Ipv4Net, ProtocolVariant, SaMode, Selector
 
 SRC = wire.addr_to_int("10.0.0.1")
 DST = wire.addr_to_int("10.0.9.9")
 
 u8, u16, u32 = st.integers(0, 0xFF), st.integers(0, 0xFFFF), st.integers(0, 0xFFFFFFFF)
-protocols = st.sampled_from([wire.IPPROTO_TCP, wire.IPPROTO_UDP, 1]) | u8
+protocols = st.sampled_from([wire.IPPROTO_TCP, wire.IPPROTO_UDP, 1, wire.IPPROTO_QESP]) | u8
 
 
 @st.composite
@@ -130,15 +130,28 @@ class TestAgainstReferences:
                 == outcome(reference_classify_and_remark, table, packet))
 
     @given(tables, datagrams())
+    # A 20-byte datagram of protocol 253: once encapsulated, classified as the
+    # default, while plain classify rejected its missing Q-ESP header.
+    @example(RuleTable(), b"E\x00\x00\x14\x00\x00\x00\x00\x00\xfd\xb9\xee" + bytes(8))
     def test_qesp_clear_header_classifies_like_plain(self, table, packet):
-        """Ports agree, short segments and portless protocols included."""
+        """Ports agree, short segments and portless protocols included.
+
+        The classifier reads one layer: a nested Q-ESP datagram shows inner
+        protocol 253 and no ports, where plain classify reads its own clear
+        header.
+        """
         sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
         encapsulated = outcome(engine.outbound, sa, packet)
-        if encapsulated is MalformedPacket:
-            assert outcome(classifier.classify, table, packet) is MalformedPacket
+        plain = outcome(classifier.classify, table, packet)
+        if encapsulated is MalformedPacket or plain is MalformedPacket:
+            assert encapsulated is plain  # both layers reject it
+        elif packet[9] == wire.IPPROTO_QESP:
+            src, dst = struct.unpack_from(">II", packet, 12)
+            one_layer = FiveTuple(src, dst, wire.IPPROTO_QESP, None, None)
+            assert classifier.extract_fields(encapsulated) == one_layer
+            assert classifier.classify(table, encapsulated) == table.dscp_for(one_layer)
         else:
-            assert (classifier.classify(table, encapsulated)
-                    == outcome(classifier.classify, table, packet))
+            assert classifier.classify(table, encapsulated) == plain
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     @pytest.mark.parametrize("mode", ALL_MODES)
@@ -150,17 +163,21 @@ class TestAgainstReferences:
         sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac,
                      extended_auth=variant is ProtocolVariant.QESP)
         sent = outcome(engine.outbound, sa, packet)
-        short_segment = (packet[9] in (wire.IPPROTO_TCP, wire.IPPROTO_UDP)
-                         and len(packet) < wire.IPV4_HEADER_LEN + 4)
+        body_len = len(packet) - wire.IPV4_HEADER_LEN
+        short_segment = (packet[9] in (wire.IPPROTO_TCP, wire.IPPROTO_UDP) and body_len < 4
+                         or packet[9] == wire.IPPROTO_QESP and body_len < wire.QESP_HEADER_LEN)
         if variant is ProtocolVariant.QESP and short_segment:
             assert sent is MalformedPacket
         else:
             assert engine.inbound(sadb_with(sa), sent) == packet
 
 
-# --- one five-tuple truth: a TCP/UDP segment too short for ports -----------------
+# --- one five-tuple truth: a segment too short for what the classifier reads -----
 
 SHORT_UDP = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_UDP, SRC, DST, b"\x12\x34")
+# A nested Q-ESP datagram with 15 of its 16 clear-header bytes.
+SHORT_QESP = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_QESP, SRC, DST, bytes(15))
+SHORT = pytest.mark.parametrize("short", [SHORT_UDP, SHORT_QESP], ids=["udp", "qesp"])
 
 
 def crafted_qesp(sa, inner: bytes) -> bytes:
@@ -176,26 +193,30 @@ def crafted_qesp(sa, inner: bytes) -> bytes:
 
 
 class TestShortSegmentIsMalformedEverywhere:
-    def test_plain_classify(self):
+    @SHORT
+    def test_plain_classify(self, short):
         with pytest.raises(MalformedPacket):
-            classifier.classify(RuleTable(), SHORT_UDP)
+            classifier.classify(RuleTable(), short)
 
-    def test_five_tuple_of(self):
+    @SHORT
+    def test_five_tuple_of(self, short):
         with pytest.raises(MalformedPacket):
-            engine.five_tuple_of(SHORT_UDP)
+            engine.five_tuple_of(short)
 
+    @SHORT
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_qesp_outbound_consumes_no_sequence_number(self, mode):
+    def test_qesp_outbound_consumes_no_sequence_number(self, mode, short):
         sa = make_sa(mode=mode, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
         with pytest.raises(MalformedPacket):
-            engine.outbound(sa, SHORT_UDP)
+            engine.outbound(sa, short)
         assert sa.seq_next == 1
 
+    @SHORT
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_qesp_decap_cross_check(self, mode):
+    def test_qesp_decap_cross_check(self, mode, short):
         sa = make_sa(mode=mode, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
         with pytest.raises(MalformedPacket):
-            engine.inbound(sadb_with(sa), crafted_qesp(sa, SHORT_UDP))
+            engine.inbound(sadb_with(sa), crafted_qesp(sa, short))
 
     def test_tcp_too(self):
         short_tcp = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_TCP, SRC, DST, b"\x00\x50\x01")
@@ -211,6 +232,31 @@ class TestShortSegmentIsMalformedEverywhere:
         sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
         assert classifier.classify(table, udp) == 46
         assert classifier.classify(table, engine.outbound(sa, udp)) == 46
+
+
+class TestPortlessProtocols:
+    ICMP = wire.pack_ipv4(0, 1, 0, 64, 1, SRC, DST, b"\x08\x00\xf7\xff" + bytes(4))
+
+    def test_five_tuple_of_reads_no_ports(self):
+        ft = engine.five_tuple_of(self.ICMP)
+        assert ft == FiveTuple(SRC, DST, 1, None, None) == classifier.extract_fields(self.ICMP)
+
+    def test_port_constrained_sa_not_picked(self):
+        db = sadb_with(make_sa(spi=0x301, selector=Selector(dst_ports=(0, 0))),
+                       make_sa(spi=0x302))
+        assert db.lookup_outbound(engine.five_tuple_of(self.ICMP)).spi == 0x302
+
+    def test_nested_qesp_is_one_layer(self):
+        inner = engine.outbound(make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL),
+                                wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_UDP, SRC, DST,
+                                               b"\x0f\xa0\x13\xc4"))
+        one_layer = FiveTuple(SRC, DST, wire.IPPROTO_QESP, None, None)
+        assert engine.five_tuple_of(inner) == one_layer
+        outer_sa = make_sa(spi=0x303, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+        outer = engine.outbound(outer_sa, inner)
+        assert classifier.extract_fields(inner) == FiveTuple(SRC, DST, 17, 4000, 5060)
+        assert classifier.extract_fields(outer) == one_layer
+        assert engine.inbound(sadb_with(outer_sa), outer) == inner
 
 
 class TestRemarkInPlace:
