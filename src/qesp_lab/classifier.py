@@ -22,6 +22,12 @@ then read at fixed datagram offsets.  Readability per outer protocol:
 A rule that constrains a port can never match a packet whose ports are
 unavailable, which is exactly how ESP traffic degrades to the default class.
 
+Each RuleTable memoises the DSCP per raw flow key: a known flow costs one dict
+probe, a miss builds the FiveTuple for dscp_for and stores the answer, so the
+memo pays off only when flows repeat.  It is exact (table, rules and selectors
+are frozen, so dscp_for is pure), is emptied at MEMO_LIMIT keys, and takes no
+part in equality, hashing or dataclasses.replace.
+
 Remarking rewrites only the ToS byte (ECN bits kept) and refreshes the header
 checksum over the 20 header bytes; a packet whose ToS already carries the
 chosen DSCP is returned unchanged.
@@ -30,10 +36,10 @@ chosen DSCP is returned unchanged.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import engine, wire
-from .errors import ConfigError, InvalidHeader, MalformedPacket, QespLabError
+from .errors import ConfigError, MalformedPacket, QespLabError
 from .sadb import FiveTuple, Selector
 from .wire import IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN, QESP_HEADER_LEN
 
@@ -42,6 +48,7 @@ from .wire import IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN, QESP_
 _QESP_CLEAR = struct.Struct(">HHB")
 _QESP_CLEAR_AT = IPV4_HEADER_LEN + 8
 _CHECKSUM = struct.Struct(">H")
+MEMO_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,11 @@ class RuleTable:
 
     rules: tuple[ClassifierRule, ...] = ()
     default_dscp: int = 0
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.default_dscp <= 63:
+            raise ConfigError(f"default_dscp out of range: {self.default_dscp}")
 
     def dscp_for(self, ft: FiveTuple) -> int:
         """The first matching rule's DSCP, else the default."""
@@ -67,6 +79,15 @@ class RuleTable:
             if rule.selector.matches(ft):
                 return rule.dscp
         return self.default_dscp
+
+    def _dscp_of_flow(self, key: tuple) -> int:
+        dscp = self._memo.get(key)
+        if dscp is None:
+            dscp = self.dscp_for(FiveTuple(*key))
+            if len(self._memo) >= MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[key] = dscp
+        return dscp
 
 
 def _read_ipv4(packet: bytes) -> tuple[int, ...]:
@@ -76,7 +97,8 @@ def _read_ipv4(packet: bytes) -> tuple[int, ...]:
         raise MalformedPacket(str(exc)) from None
 
 
-def _five_tuple(packet: bytes, fields: tuple[int, ...]) -> FiveTuple:
+def _flow_key(packet: bytes, fields: tuple[int, ...]) -> tuple:
+    """(src, dst, protocol, src_port, dst_port), in FiveTuple field order."""
     protocol, _, src, dst = fields[6:]
     if protocol == IPPROTO_QESP:
         if len(packet) < IPV4_HEADER_LEN + QESP_HEADER_LEN:
@@ -89,22 +111,20 @@ def _five_tuple(packet: bytes, fields: tuple[int, ...]) -> FiveTuple:
         src_port, dst_port = engine.extract_ports(protocol, packet, IPV4_HEADER_LEN)
     else:
         src_port = dst_port = None  # encrypted (ESP) or not a port protocol
-    return FiveTuple(src, dst, protocol, src_port, dst_port)
+    return src, dst, protocol, src_port, dst_port
 
 
 def extract_fields(packet: bytes) -> FiveTuple:
     """The five-tuple a keyless observer reads from one wire datagram."""
-    return _five_tuple(packet, _read_ipv4(packet))
+    return FiveTuple(*_flow_key(packet, _read_ipv4(packet)))
 
 
 def classify(table: RuleTable, packet: bytes) -> int:
     """DSCP for one packet: first matching rule wins, else the default."""
-    return table.dscp_for(extract_fields(packet))
+    return table._dscp_of_flow(_flow_key(packet, _read_ipv4(packet)))
 
 
 def _remark(packet: bytes, tos: int, dscp: int) -> bytes:
-    if not 0 <= dscp <= 63:
-        raise InvalidHeader(f"dscp out of range: {dscp}")
     new_tos = (dscp << 2) | (tos & 0x03)
     if new_tos == tos:
         return packet
@@ -114,13 +134,8 @@ def _remark(packet: bytes, tos: int, dscp: int) -> bytes:
     return bytes(header) + packet[IPV4_HEADER_LEN:]
 
 
-def remark_dscp(packet: bytes, dscp: int) -> bytes:
-    """Rewrite the DSCP bits (ECN untouched) and fix the header checksum."""
-    return _remark(packet, _read_ipv4(packet)[1], dscp)
-
-
 def classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int, bytes]:
     """Classify, then write the chosen DSCP into the packet's ToS byte."""
     fields = _read_ipv4(packet)
-    dscp = table.dscp_for(_five_tuple(packet, fields))
+    dscp = table._dscp_of_flow(_flow_key(packet, fields))
     return dscp, _remark(packet, fields[1], dscp)

@@ -30,10 +30,11 @@ of the ICV; here the ICV comes first, so a forged packet is AuthFailure
 whatever its sequence number, and the replay window only ever advances on
 authenticated traffic.
 
-Each direction validates the outer IPv4 header once (wire.read_ipv4), parses
-the Q-ESP clear header once, and builds outer headers, extended coverage and
-rebuilt datagrams from those validated fields (wire.pack_ipv4); every port
-read goes through extract_ports.
+Each direction validates the outer IPv4 header once (wire.read_ipv4), decap
+validates the Q-ESP clear header once into a field tuple (wire.read_qesp_header,
+whose ports and protocol the cross-check reads), and both build outer headers,
+extended coverage and rebuilt datagrams from those fields (wire.pack_ipv4);
+every port read goes through extract_ports.
 """
 
 from __future__ import annotations
@@ -178,17 +179,17 @@ def _strip_trailer(padded: bytes, trailer_fixed: int) -> bytes:
     return padded[:end - pad_len]
 
 
-def _check_clear_copies(clear: wire.QespHeader, mode: SaMode, plaintext: bytes) -> None:
+def _check_clear_copies(clear_ports: tuple[int, int], clear_protocol: int,
+                        mode: SaMode, plaintext: bytes) -> None:
     """The Q-ESP clear five-tuple copies must equal the decrypted originals."""
-    clear_ports = (clear.src_port, clear.dst_port)
     if mode is SaMode.TRANSPORT:
-        ports = extract_ports(clear.inner_protocol, plaintext)
+        ports = extract_ports(clear_protocol, plaintext)
         if ports != clear_ports:
             raise FiveTupleMismatch(f"clear ports {clear_ports} != inner ports {ports}")
         return
     inner_protocol = wire.read_ipv4(plaintext)[6]
     ports = extract_ports(inner_protocol, plaintext, IPV4_HEADER_LEN)
-    if inner_protocol != clear.inner_protocol or ports != clear_ports:
+    if inner_protocol != clear_protocol or ports != clear_ports:
         raise FiveTupleMismatch("clear five-tuple copies disagree with inner datagram")
 
 
@@ -201,8 +202,7 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     variant, layout = _BY_PROTOCOL[protocol]
     body = datagram[IPV4_HEADER_LEN:]
     if variant is ProtocolVariant.QESP:
-        clear = wire.parse_qesp_header(body)
-        spi, seq = clear.spi, clear.seq
+        spi, seq, src_port, dst_port, inner_protocol, _, _ = wire.read_qesp_header(body)
     else:
         if len(body) < ESP_HEADER_LEN:
             raise Truncated(f"ESP body needs 8 bytes, got {len(body)}")
@@ -236,8 +236,7 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     plaintext = _strip_trailer(padded, layout.trailer_fixed)
 
     if variant is ProtocolVariant.QESP:
-        _check_clear_copies(clear, sa.mode, plaintext)
-        inner_protocol = clear.inner_protocol
+        _check_clear_copies((src_port, dst_port), inner_protocol, sa.mode, plaintext)
     else:
         inner_protocol = padded[-1]  # the next_header tail
         if sa.mode is SaMode.TUNNEL:

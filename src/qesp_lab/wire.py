@@ -31,9 +31,9 @@ those fields inside the ciphertext; it is implemented here as the baseline::
 The trailer difference is deliberate: Q-ESP needs no next-header byte because
 the protocol identifier travels in its clear header.
 
-Neither body is self-describing (the SA that the SPI selects fixes the IV and
-ICV lengths), so engine.inbound splits it by engine.LAYOUTS; this module keeps
-only the Q-ESP header's packer and parser.
+read_qesp_header validates the Q-ESP clear header and returns its raw fields
+as a tuple, as read_ipv4 does.  Neither body is self-describing (the SA sets
+the IV and ICV lengths); engine.inbound splits it by engine.LAYOUTS.
 """
 
 from __future__ import annotations
@@ -209,38 +209,12 @@ def parse_ipv4(b: bytes) -> tuple[Ipv4Header, bytes]:
     return header, b[IPV4_HEADER_LEN:]
 
 
-@dataclass(frozen=True)
-class QespHeader:
-    """Cleartext 16-byte Q-ESP header.
-
-    src_port, dst_port, and inner_protocol are copies of the inner transport
-    values (0/0 when the inner protocol carries no ports); the original
-    transport segment travels intact inside the ciphertext.
-    """
-
-    spi: int
-    seq: int
-    src_port: int
-    dst_port: int
-    inner_protocol: int
-    flags: int = 0
-    reserved: int = 0
-
-    def __post_init__(self) -> None:
-        if self.spi == 0:
-            raise InvalidHeader("spi 0 is reserved for 'no SA'")
-        if self.flags & ~QESP_VALID_FLAGS:
-            raise InvalidHeader(f"undefined flag bits set: 0x{self.flags:02x}")
-        if self.reserved != 0:
-            raise InvalidHeader(f"reserved must be 0, got {self.reserved}")
-
-
 def pack_qesp_header(spi: int, seq: int, src_port: int, dst_port: int,
                      inner_protocol: int, flags: int) -> bytes:
     """Serialize the 16 header bytes: SPI, Seq, SrcPort, DstPort, Proto, Flags, Reserved.
 
     Field ranges are checked here; the engine derives every field from
-    validated state, and parse_qesp_header re-checks the SPI, flag and
+    validated state, and read_qesp_header re-checks the SPI, flag and
     reserved invariants on the receiving side.
     """
     try:
@@ -249,14 +223,24 @@ def pack_qesp_header(spi: int, seq: int, src_port: int, dst_port: int,
         raise InvalidHeader(f"header field out of range: {exc}") from None
 
 
-def parse_qesp_header(b: bytes) -> QespHeader:
-    """Parse a Q-ESP header from the first 16 bytes of b."""
+def read_qesp_header(b: bytes) -> tuple[int, ...]:
+    """The Q-ESP header validator: rejects a short header, SPI 0, undefined
+    flag bits and a nonzero reserved field in the first 16 bytes of b.
+
+    Returns (spi, seq, src_port, dst_port, inner_protocol, flags, reserved);
+    the ports and protocol copy the inner transport values (0/0 if portless).
+    """
     if len(b) < QESP_HEADER_LEN:
         raise Truncated(f"Q-ESP header needs 16 bytes, got {len(b)}")
-    spi, seq, sport, dport, proto, flags, reserved = _QESP_STRUCT.unpack_from(b)
-    # dataclass validation rejects spi==0, bad flags, nonzero reserved
-    return QespHeader(spi=spi, seq=seq, src_port=sport, dst_port=dport,
-                      inner_protocol=proto, flags=flags, reserved=reserved)
+    fields = _QESP_STRUCT.unpack_from(b)
+    spi, _, _, _, _, flags, reserved = fields
+    if spi == 0:
+        raise InvalidHeader("spi 0 is reserved for 'no SA'")
+    if flags & ~QESP_VALID_FLAGS:
+        raise InvalidHeader(f"undefined flag bits set: 0x{flags:02x}")
+    if reserved != 0:
+        raise InvalidHeader(f"reserved must be 0, got {reserved}")
+    return fields
 
 
 # --- packet dump files -------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ from conftest import make_datagram, make_sa
 from qesp_lab import classifier, engine, wire
 from qesp_lab.classifier import ClassifierRule, RuleTable
 from qesp_lab.crypto import CipherAlg, MacAlg
-from qesp_lab.errors import MalformedPacket
+from qesp_lab.errors import ConfigError, MalformedPacket
 from qesp_lab.sadb import Ipv4Net, ProtocolVariant, Selector
 
 EF = 46
@@ -93,6 +94,16 @@ class TestClassification:
         # the rule is maximally permissive, but ESP ports are unavailable
         assert classifier.classify(table, esp_of(udp_datagram)) == 0
         assert classifier.classify(table, udp_datagram) == 30
+
+
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_out_of_range_default_rejected(self, bad):
+        """Checked once when the table is built, as a rule's DSCP is, instead
+        of per packet while remarking."""
+        with pytest.raises(ConfigError, match="default_dscp out of range"):
+            RuleTable(default_dscp=bad)
+        with pytest.raises(ConfigError, match="default_dscp out of range"):
+            replace(VOICE_TABLE, default_dscp=bad)
 
 
 class TestRemarking:

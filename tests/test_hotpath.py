@@ -4,6 +4,7 @@ and one five-tuple truth across engine and classifier."""
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_MODES, ALL_VARIANTS, make_sa, sadb_with
 from qesp_lab import classifier, engine, wire
-from qesp_lab.classifier import ClassifierRule, RuleTable
+from qesp_lab.classifier import MEMO_LIMIT, ClassifierRule, RuleTable
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import MalformedPacket, QespLabError
 from qesp_lab.sadb import FiveTuple, Ipv4Net, ProtocolVariant, SaMode, Selector
@@ -271,3 +272,108 @@ class TestRemarkInPlace:
         assert marked[1] == 46 << 2 | 0x03
         assert marked[:1] + marked[2:10] + marked[12:] == packet[:1] + packet[2:10] + packet[12:]
         assert struct.unpack_from(">H", marked, 10)[0] == reference_checksum(marked)
+
+
+# --- the per-flow DSCP memo -------------------------------------------------------
+
+VOICE = ClassifierRule(Selector(protocol=wire.IPPROTO_UDP, dst_ports=(5060, 5060)), 46)
+ENCAPSULATIONS = [(variant, mode) for variant in ALL_VARIANTS for mode in ALL_MODES]
+PLAIN, TRUNCATED, BAD_CHECKSUM = "plain", "truncated", "bad checksum"
+packet_kinds = st.sampled_from([PLAIN, TRUNCATED, BAD_CHECKSUM, *ENCAPSULATIONS])
+
+
+def null_sa(variant: ProtocolVariant, mode: SaMode):
+    return make_sa(variant=variant, mode=mode, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+
+
+def udp(src_port: int, dst_port: int, tos: int = 0, ident: int = 1) -> bytes:
+    return wire.pack_ipv4(tos, ident, 0, 64, wire.IPPROTO_UDP, SRC, DST,
+                          struct.pack(">HH", src_port, dst_port) + b"payload")
+
+
+@st.composite
+def flow_streams(draw) -> tuple[RuleTable, list[bytes]]:
+    """One table and a stream of packets from a few repeated flows.
+
+    Each packet is a flow's datagram with its own ToS, identification and
+    tail, sent plain, encapsulated by a NULL/NULL Q-ESP or ESP SA in either
+    mode, or made malformed.  Rules that name a flow's source and destination
+    port sit among random ones, so flows differing in one field are told
+    apart.
+    """
+    flows = draw(st.lists(st.tuples(u32, u32, protocols, u16, u16), min_size=1, max_size=4))
+    named = [ClassifierRule(Selector(src_net=Ipv4Net(src, 32), dst_ports=(dport, dport)),
+                            draw(st.integers(0, 63)))
+             for src, _, _, _, dport in flows]
+    mixed = draw(st.permutations(named + draw(st.lists(rules, max_size=3))))
+    table = RuleTable(rules=tuple(mixed), default_dscp=draw(st.integers(0, 63)))
+    sas = {kind: null_sa(*kind) for kind in ENCAPSULATIONS}
+    stream = []
+    for _ in range(draw(st.integers(1, 40))):
+        src, dst, protocol, sport, dport = draw(st.sampled_from(flows))
+        packet = wire.pack_ipv4(draw(u8), draw(u16), 0, 64, protocol, src, dst,
+                                struct.pack(">HH", sport, dport) + draw(st.binary(max_size=24)))
+        kind = draw(packet_kinds)
+        if kind == TRUNCATED:
+            packet = packet[:-1]
+        elif kind == BAD_CHECKSUM:
+            packet = packet[:10] + bytes([packet[10] ^ 0xFF]) + packet[11:]
+        elif kind != PLAIN:
+            packet = outcome(engine.outbound, sas[kind], packet)
+            if not isinstance(packet, bytes):
+                continue  # a Q-ESP datagram too short to nest: not sent
+        stream.append(packet)
+    return table, stream
+
+
+class TestFlowMemo:
+    @given(flow_streams())
+    @settings(max_examples=150, deadline=None)
+    def test_stream_equals_reference(self, table_and_stream):
+        table, stream = table_and_stream
+        for packet in stream:
+            expected = outcome(reference_classify_and_remark, table, packet)
+            assert outcome(classifier.classify_and_remark, table, packet) == expected
+            assert outcome(classifier.classify, table, packet) == (
+                expected[0] if isinstance(expected, tuple) else expected)
+
+    def test_bounded_and_exact_past_the_limit(self):
+        table = RuleTable(rules=(ClassifierRule(Selector(src_ports=(0, 999)), 10), VOICE),
+                          default_dscp=1)
+        flows = [(sport, 5060 if sport % 3 else 80) for sport in range(MEMO_LIMIT + 500)]
+        largest = 0
+        for sport, dport in flows + flows[:1000]:
+            packet = udp(sport, dport)
+            assert (classifier.classify_and_remark(table, packet)
+                    == reference_classify_and_remark(table, packet))
+            largest = max(largest, len(table._memo))
+            assert len(table._memo) <= MEMO_LIMIT
+        assert largest == MEMO_LIMIT
+
+    def test_hit_does_not_walk_the_rules(self, monkeypatch):
+        walked = []
+        dscp_for = RuleTable.dscp_for
+        monkeypatch.setattr(RuleTable, "dscp_for",
+                            lambda self, ft: walked.append(ft) or dscp_for(self, ft))
+        table = RuleTable(rules=(VOICE,))
+        voice = [udp(4000, 5060, tos=tos, ident=tos) for tos in (0, 0xB8, 0x03)]
+        assert [classifier.classify_and_remark(table, p)[0] for p in voice] == [46, 46, 46]
+        # The Q-ESP copy shows the same flow key at its fixed offsets.
+        qesp = engine.outbound(null_sa(ProtocolVariant.QESP, SaMode.TRANSPORT), voice[0])
+        assert classifier.classify(table, voice[1]) == classifier.classify(table, qesp) == 46
+        assert walked == [FiveTuple(SRC, DST, wire.IPPROTO_UDP, 4000, 5060)]
+        assert classifier.classify(table, udp(4000, 80)) == 0
+        assert len(walked) == 2
+
+    def test_warm_memo_keeps_value_semantics(self):
+        """The memo takes no part in equality, hashing, repr or replace()."""
+        warm, fresh = RuleTable((VOICE,), 3), RuleTable((VOICE,), 3)
+        assert classifier.classify(warm, udp(4000, 5060)) == 46
+        assert classifier.classify(warm, udp(4000, 80)) == 3
+        assert len(warm._memo) == 2 and not fresh._memo
+        assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+        assert {fresh: "table"}[warm] == "table"
+        assert replace(warm) == fresh and not replace(warm)._memo
+        lowered = replace(warm, default_dscp=0)
+        assert lowered == RuleTable((VOICE,), 0)
+        assert classifier.classify(lowered, udp(4000, 80)) == 0
