@@ -6,14 +6,17 @@ variants are identity transforms used to isolate encapsulation cost from
 crypto cost in benchmarks, and to make layouts visible in tests.
 
 Block ciphers are delegated to OpenSSL via the `cryptography` package; MACs
-use the stdlib hmac/hashlib.  Padding, truncation, and IV generation are
-implemented here.
+are HMAC (RFC 2104) built here on stdlib hashlib.  Padding, truncation, and
+IV generation are implemented here too.
 
 Keyed state is built once per SA, not per packet: a CipherState holds one
-persistent CBC encryptor and one persistent CBC decryptor, a MacState a keyed
-HMAC prototype that each packet copies.  The persistent CBC contexts give
-byte for byte what a fresh context under the packet's IV would, by two CBC
-identities:
+persistent CBC encryptor and one persistent CBC decryptor, a MacState the
+hash states keyed with K ^ ipad and K ^ opad (RFC 2104 §4), which each packet
+copies and feeds its coverage in place.  SA keys (16/20 B) are shorter than
+the 64-byte block, so RFC 2104's long-key branch cannot occur.
+
+The persistent CBC contexts give byte for byte what a fresh context under
+the packet's IV would, by two CBC identities:
 
 * encrypt — the encryptor chains from its previous output block C, so
   XORing iv ^ C into the first plaintext block makes it start from iv; the
@@ -111,6 +114,11 @@ _MAC_HASH = {
     MacAlg.HMAC_SHA1_96: hashlib.sha1,
 }
 
+# RFC 2104 pads over the 64-byte MD5/SHA-1 block, as translate() tables.
+_HMAC_BLOCK = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
 
 def _check_key(alg: CipherAlg | MacAlg, key: bytes) -> None:
     if len(key) != alg.key_len:
@@ -142,15 +150,19 @@ class CipherState:
 
 
 class MacState:
-    """One SA's keyed MAC: an HMAC prototype, copied per packet, and icv_len."""
+    """One SA's keyed MAC: inner and outer padded-key hash states, and icv_len."""
 
-    __slots__ = ("icv_len", "_prototype")
+    __slots__ = ("icv_len", "_inner", "_outer")
 
     def __init__(self, alg: MacAlg, key: bytes) -> None:
         _check_key(alg, key)
         self.icv_len = alg.icv_len
-        self._prototype = (None if alg is MacAlg.NULL
-                           else hmac.new(key, digestmod=_MAC_HASH[alg]))
+        self._inner = self._outer = None
+        if alg is MacAlg.NULL:
+            return
+        block = key.ljust(_HMAC_BLOCK, b"\0")
+        self._inner = _MAC_HASH[alg](block.translate(_IPAD))
+        self._outer = _MAC_HASH[alg](block.translate(_OPAD))
 
 
 def compute_pad_len(payload_len: int, trailer_fixed: int, effective_block: int) -> int:
@@ -208,19 +220,24 @@ def decrypt(state: CipherState, iv: bytes, ciphertext: bytes) -> bytes:
         return dec.update(iv + ciphertext)[state.block_size:]
 
 
-def compute_icv(state: MacState, data: bytes) -> bytes:
-    """First 12 bytes of the HMAC over data; empty for the NULL MAC."""
-    prototype = state._prototype
-    if prototype is None:
+def compute_icv(state: MacState, data: bytes, prefix: bytes = b"") -> bytes:
+    """First 12 bytes of the HMAC over prefix || data, data hashed where it
+    lies (any contiguous buffer, memoryview included); empty for the NULL MAC."""
+    inner = state._inner
+    if inner is None:
         return b""
-    mac = prototype.copy()
-    mac.update(data)
-    return mac.digest()[:ICV_TRUNC_LEN]
+    inner = inner.copy()
+    inner.update(prefix)
+    inner.update(data)
+    outer = state._outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()[:ICV_TRUNC_LEN]
 
 
-def verify_icv(state: MacState, data: bytes, icv: bytes) -> bool:
-    """Constant-time ICV verification; NULL MAC accepts exactly the empty ICV."""
-    return hmac.compare_digest(compute_icv(state, data), icv)
+def verify_icv(state: MacState, data: bytes, icv: bytes, prefix: bytes = b"") -> bool:
+    """Constant-time ICV verification of prefix || data; NULL MAC accepts
+    exactly the empty ICV."""
+    return hmac.compare_digest(compute_icv(state, data, prefix), icv)
 
 
 class IvGenerator:

@@ -35,6 +35,10 @@ validates the Q-ESP clear header once into a field tuple (wire.read_qesp_header,
 whose ports and protocol the cross-check reads), and both build outer headers,
 extended coverage and rebuilt datagrams from those fields (wire.pack_ipv4);
 every port read goes through extract_ports.
+
+The ICV coverage is hashed in place: the zeroed outer header of extended auth
+goes to the MAC as a separate prefix, and decap passes the covered body as a
+memoryview slice, so neither direction joins or copies the coverage.
 """
 
 from __future__ import annotations
@@ -158,11 +162,9 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
     total = IPV4_HEADER_LEN + len(body) + sa.mac_state.icv_len
     if total > 0xFFFF:
         raise OversizePacket(f"encapsulated datagram would be {total} bytes")
-    if sa.extended_auth:
-        coverage = _ZEROED_OUTER.pack(0x45, total, ident, layout.ip_protocol, src, dst) + body
-    else:
-        coverage = body
-    icv = crypto.compute_icv(sa.mac_state, coverage)
+    prefix = (_ZEROED_OUTER.pack(0x45, total, ident, layout.ip_protocol, src, dst)
+              if sa.extended_auth else b"")
+    icv = crypto.compute_icv(sa.mac_state, body, prefix)
     return wire.pack_ipv4(tos, ident, flags_frag, ttl, layout.ip_protocol, src, dst, body + icv)
 
 
@@ -219,10 +221,10 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     if icv_start <= iv_end:
         raise Truncated(f"{layout.label} packet needs >= {iv_end + icv_len + 1} "
                         f"bytes, got {len(body)}")
-    coverage = body[:icv_start]
-    if sa.extended_auth:
-        coverage = _ZEROED_OUTER.pack(0x45, total, ident, protocol, src, dst) + coverage
-    if not crypto.verify_icv(sa.mac_state, coverage, body[icv_start:]):
+    prefix = (_ZEROED_OUTER.pack(0x45, total, ident, protocol, src, dst)
+              if sa.extended_auth else b"")
+    if not crypto.verify_icv(sa.mac_state, memoryview(body)[:icv_start], body[icv_start:],
+                             prefix):
         raise AuthFailure(f"ICV mismatch on SPI 0x{sa.spi:x}")
     if not sa.replay_check_and_update(seq):
         raise ReplayRejected(f"seq {seq} rejected by replay window")

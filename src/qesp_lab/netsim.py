@@ -5,13 +5,20 @@ protected) -> multi-field classifier remarks DSCP -> bottleneck link with
 per-class strict-priority queues serves or tail-drops -> receiver
 decapsulates -> per-flow stats.
 
-Everything is driven by one event heap ordered by (time, monotonic id), so a
-given (config, seed) always produces byte-identical statistics.  Sources emit
-on a uniformly jittered grid: packet k of a rate-r flow leaves at
+Everything is driven by one event heap ordered by (time, tie-break number),
+so a given (config, seed) always produces byte-identical statistics.  Sources
+emit on a uniformly jittered grid: packet k of a rate-r flow leaves at
 start + (k + u_k)/r with seeded u_k in [0, 1), which keeps packet counts
 exact while breaking the phase lockstep that rigid periodic arrivals show
 under tail drop.  Encapsulation and classification take zero simulated time;
 latency is dequeue completion minus emission.
+
+The schedule is lazy: all jitter is drawn up front, flow by flow, and each
+emission keeps the tie-break number of its flow-major position (completions
+are numbered after all emissions), but the heap holds only each source's next
+emission and the link's one completion.  Pops match a heap of every emission:
+a source's times never fall with k (k + u_k < k + 1; rounding can only tie
+them) and its numbers rise, so its next emission is its least pending one.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import re
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from . import classifier, engine, wire
@@ -108,20 +116,29 @@ class FlowStats:
 
 
 class EventScheduler:
-    """Time-ordered callback heap; ties break by scheduling order."""
+    """Time-ordered callback heap; ties break by scheduling order or reserve()d number."""
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = 0
         self.now = 0.0
 
-    def schedule(self, time: float, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (time, self._counter, fn))
-        self._counter += 1
+    def reserve(self, count: int) -> int:
+        """Set aside count tie-break numbers for later events; returns the first."""
+        first = self._counter
+        self._counter += count
+        return first
+
+    def schedule(self, time: float, fn: Callable[[], None], order: int | None = None) -> None:
+        if order is None:
+            order = self._counter
+            self._counter += 1
+        heapq.heappush(self._heap, (time, order, fn))
 
     def run(self) -> None:
-        while self._heap:
-            time, _, fn = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            time, _, fn = pop(heap)
             self.now = time
             fn()
 
@@ -152,7 +169,7 @@ class PriorityLink:
         self._queues: list[deque[LinkPacket]] = [deque() for _ in range(n_classes)]
         self._scheduler = scheduler
         self._deliver = deliver
-        self._busy = False
+        self._in_service: LinkPacket | None = None
 
     def class_of(self, dscp: int) -> int:
         return self._class_map.get(dscp, 0)
@@ -163,24 +180,23 @@ class PriorityLink:
         if len(queue) >= self._queue_limit:
             return False
         queue.append(packet)
-        if not self._busy:
+        if self._in_service is None:
             self._start_next(now)
         return True
 
     def _start_next(self, now: float) -> None:
         for queue in reversed(self._queues):  # highest class first
             if queue:
-                packet = queue.popleft()
-                self._busy = True
+                packet = self._in_service = queue.popleft()
                 done = now + len(packet.wire) * 8 / self._capacity
-                self._scheduler.schedule(done, lambda p=packet: self._complete(p))
+                self._scheduler.schedule(done, self._complete)
                 return
 
-    def _complete(self, packet: LinkPacket) -> None:
+    def _complete(self) -> None:
         now = self._scheduler.now
-        self._busy = False
+        packet, self._in_service = self._in_service, None
         self._deliver(packet, now)
-        if not self._busy:  # deliver() must not have restarted us
+        if self._in_service is None:  # deliver() must not have restarted us
             self._start_next(now)
 
 
@@ -217,6 +233,9 @@ def plain_datagram_len(source: TrafficSource) -> int:
 class _FlowState:
     source: TrafficSource
     plain_len: int = 0
+    emit_times: list[float] = field(default_factory=list)
+    first_order: int = 0  # tie-break number of emission 0
+    emit_next: Callable[[], None] | None = None
     emitted: int = 0
     offered_packets: int = 0
     delivered_packets: int = 0
@@ -273,6 +292,9 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
         now = scheduler.now
         fl.offered_packets += 1
         fl.emitted += 1
+        if fl.emitted < len(fl.emit_times):
+            scheduler.schedule(fl.emit_times[fl.emitted], fl.emit_next,
+                               fl.first_order + fl.emitted)
         payload = rng.randbytes(fl.source.payload_size)
         plain = build_datagram(fl.source.five_tuple, payload, ident=fl.emitted)
         try:
@@ -295,9 +317,12 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
         stop = fl.source.stop if fl.source.stop is not None else duration
         # epsilon keeps the emission count stable against float rounding
         count = int((stop - fl.source.start) * fl.source.rate_pps + 1e-9)
-        for k in range(count):
-            t = fl.source.start + (k + rng.random()) / fl.source.rate_pps
-            scheduler.schedule(t, lambda f=fl: emit(f))
+        fl.emit_times = [fl.source.start + (k + rng.random()) / fl.source.rate_pps
+                         for k in range(count)]
+        fl.first_order = scheduler.reserve(count)
+        fl.emit_next = partial(emit, fl)
+        if count:
+            scheduler.schedule(fl.emit_times[0], fl.emit_next, fl.first_order)
 
     scheduler.run()
 

@@ -122,7 +122,7 @@ class SecurityAssociation:
     The keyed crypto state is built once, here, not per packet: cipher_state
     holds persistent CBC contexts (see the crypto module for the chaining
     identities that keep their output byte-identical to a fresh context per
-    packet) and mac_state a keyed HMAC prototype.  The sequence, replay, IV
+    packet) and mac_state the keyed HMAC pad states.  The sequence, replay, IV
     and CBC chaining state are serialized per SA, so distinct SAs may be
     processed concurrently.
     """

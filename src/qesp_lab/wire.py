@@ -145,11 +145,11 @@ def _fold(total: int) -> int:
     return ((total & 0xFFFF) + (total >> 16)) ^ 0xFFFF
 
 
-def _checksum(tos: int, total_length: int, ident: int, flags_frag: int, ttl: int,
-              protocol: int, src: int, dst: int) -> int:
-    """ipv4_checksum of the version 4, ihl 5 header holding these fields."""
-    return _fold(0x4500 + tos + total_length + ident + flags_frag + (ttl << 8) + protocol
-                 + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF))
+# read_ipv4 and pack_ipv4 compute ipv4_checksum inline.  As 2**16 == 1
+# (mod 0xFFFF), the folded sum of a total T > 0 is (T - 1) % 0xFFFF + 1, so
+# the addresses are added whole and the checksum is 0xFFFE - (T - 1) % 0xFFFF;
+# 0x44FF is the ver_ihl word 0x4500 (which keeps T > 0) less that 1.  A bare
+# T % 0xFFFF would store 0xFFFF where the checksum is 0x0000.
 
 
 def read_ipv4(b: bytes) -> tuple[int, ...]:
@@ -172,7 +172,9 @@ def read_ipv4(b: bytes) -> tuple[int, ...]:
     if total_length != len(b):
         raise InvalidHeader(
             f"trailing bytes: total_length {total_length}, buffer {len(b)}")
-    if _checksum(tos, total_length, ident, flags_frag, ttl, proto, src, dst) != checksum:
+    # ipv4_checksum of these fields, computed inline (see the note above).
+    if 0xFFFE - (0x44FF + tos + total_length + ident + flags_frag + (ttl << 8) + proto
+                 + src + dst) % 0xFFFF != checksum:
         raise BadChecksum(f"header checksum 0x{checksum:04x} does not verify")
     return fields
 
@@ -183,8 +185,9 @@ def pack_ipv4(tos: int, ident: int, flags_frag: int, ttl: int, protocol: int,
     total_length = IPV4_HEADER_LEN + len(payload)
     if total_length > 0xFFFF:
         raise InvalidHeader(f"payload too long for IPv4: {len(payload)}")
-    try:
-        checksum = _checksum(tos, total_length, ident, flags_frag, ttl, protocol, src, dst)
+    try:  # ipv4_checksum, computed inline as in read_ipv4
+        checksum = 0xFFFE - (0x44FF + tos + total_length + ident + flags_frag + (ttl << 8)
+                             + protocol + src + dst) % 0xFFFF
         header = _IPV4_STRUCT.pack(0x45, tos, total_length, ident, flags_frag, ttl,
                                    protocol, checksum, src, dst)
     except (struct.error, TypeError) as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 
 import pytest
 
@@ -132,6 +133,8 @@ class TestPriority:
 
 @pytest.mark.parametrize("fixture,argv", [
     ("cli_priority_seed1.txt", ["priority", "--seed", "1"]),
+    ("cli_priority_seed2.txt", ["priority", "--seed", "2"]),
+    ("cli_priority_seed7.txt", ["priority", "--seed", "7"]),
     ("cli_throughput_transport.csv", ["throughput", "--sizes", "64,1024", "--duration", "2",
                                       "--seed", "1", "--mode", "transport"]),
     ("cli_throughput_tunnel.csv", ["throughput", "--sizes", "64,1024", "--duration", "2",
@@ -214,16 +217,31 @@ class TestOneShotTools:
         assert main(["decap", "--config", config_file, "--in", str(bad)]) == 4
 
 
+# The timing gates below compare two costs measured in the same process.  A
+# best-of-N over the whole test swings with the machine (the first Cipher and
+# hashlib objects, slow spells on a shared VM), so each gate warms up first,
+# then takes the median of per-pair ratios over short interleaved runs whose
+# order alternates within the pair.
+
+
 class TestBenchCrypto:
     def test_csv_shape_and_null_wins(self, capsys):
-        assert main(["bench-crypto", "--sizes", "256",
-                     "--algs", "null/null,aes-128-cbc/null", "--iters", "30"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "variant,cipher,mac,size,ns_per_packet,mbps"
-        assert len(lines) == 1 + 2 * 2  # two variants x two alg pairs
-        by_key = {tuple(line.split(",")[:3]): float(line.split(",")[4])
-                  for line in lines[1:]}
-        assert by_key[("qesp", "null", "null")] < by_key[("qesp", "aes-128-cbc", "null")]
+        def qesp_costs(algs: str) -> dict[str, float]:
+            assert main(["bench-crypto", "--sizes", "256", "--algs", algs,
+                         "--iters", "30"]) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert lines[0] == "variant,cipher,mac,size,ns_per_packet,mbps"
+            assert len(lines) == 1 + 2 * 2  # two variants x two alg pairs
+            return {line.split(",")[1]: float(line.split(",")[4])
+                    for line in lines[1:] if line.startswith("qesp,")}
+
+        orders = ("null/null,aes-128-cbc/null", "aes-128-cbc/null,null/null")
+        qesp_costs(orders[0])  # warm-up
+        ratios = []
+        for i in range(15):
+            costs = qesp_costs(orders[i % 2])
+            ratios.append(costs["null"] / costs["aes-128-cbc"])
+        assert statistics.median(ratios) < 1, ratios
 
     def test_bad_algs_flag(self, capsys):
         assert main(["bench-crypto", "--algs", "caesar"]) == 3
@@ -234,14 +252,21 @@ class TestBenchCrypto:
         from qesp_lab.crypto import CipherAlg, MacAlg
         from qesp_lab.sadb import ProtocolVariant
 
-        best = {v: float("inf") for v in (ProtocolVariant.QESP, ProtocolVariant.ESP)}
-        for _ in range(10):  # interleave the variants to decorrelate CPU drift
-            for variant in best:
-                best[variant] = min(best[variant], bench_encapsulation(
-                    variant, CipherAlg.AES_128_CBC, MacAlg.HMAC_SHA1_96,
-                    size=1024, iters=300, repeats=1))
-        qesp, esp = best[ProtocolVariant.QESP], best[ProtocolVariant.ESP]
-        assert abs(qesp - esp) / esp <= 0.05, best
+        def cost(variant: ProtocolVariant) -> float:
+            # Best of five 10-packet rounds: a round is short enough to miss
+            # most interruptions, and the best round drops the ones it meets.
+            return bench_encapsulation(variant, CipherAlg.AES_128_CBC, MacAlg.HMAC_SHA1_96,
+                                       size=1024, iters=10, repeats=5)
+
+        variants = (ProtocolVariant.QESP, ProtocolVariant.ESP)
+        for variant in variants:  # warm-up
+            cost(variant)
+        ratios = []
+        for i in range(61):  # many short pairs: the median of 15 longer ones still swung 5 %
+            order = variants if i % 2 == 0 else variants[::-1]
+            costs = {variant: cost(variant) for variant in order}
+            ratios.append(costs[ProtocolVariant.QESP] / costs[ProtocolVariant.ESP])
+        assert abs(statistics.median(ratios) - 1) <= 0.05, ratios
 
 
 class TestExitCodeTable:

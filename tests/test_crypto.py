@@ -209,7 +209,7 @@ class TestIcv:
         icv = crypto.compute_icv(state, data)
         assert icv == bytes.fromhex(full_hex)[:12]
         assert crypto.verify_icv(state, data, icv)
-        assert crypto.compute_icv(state, data) == icv  # the keyed prototype is reusable
+        assert crypto.compute_icv(state, data) == icv  # the keyed state is reusable
 
     def test_truncation_is_prefix_of_full_mac(self):
         rng = random.Random(3)
@@ -239,6 +239,22 @@ class TestIcv:
     def test_bad_key_length(self):
         with pytest.raises(BadKeyLength):
             MacState(MacAlg.HMAC_SHA1_96, b"short")
+
+    @pytest.mark.parametrize("alg,digestmod", [(MacAlg.HMAC_MD5_96, hashlib.md5),
+                                               (MacAlg.HMAC_SHA1_96, hashlib.sha1)])
+    @given(key=st.binary(min_size=20, max_size=20), data=st.binary(max_size=4096),
+           prefix=st.sampled_from([0, 20]).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+           as_view=st.booleans())
+    @settings(max_examples=150)
+    def test_equals_stdlib_hmac(self, alg, digestmod, key, data, prefix, as_view):
+        """compute_icv(state, data, prefix) is the stdlib HMAC of prefix || data,
+        truncated; data may be a memoryview slice, as decap passes it."""
+        key = key[:alg.key_len]
+        expected = hmac_mod.new(key, prefix + data, digestmod).digest()[:12]
+        buf = memoryview(b"<" + data + b">")[1:-1] if as_view else data
+        state = MacState(alg, key)
+        assert crypto.compute_icv(state, buf, prefix) == expected
+        assert crypto.verify_icv(state, buf, expected, prefix)
 
 
 class TestIvGenerator:

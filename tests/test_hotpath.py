@@ -14,7 +14,7 @@ from conftest import ALL_MODES, ALL_VARIANTS, make_sa, sadb_with
 from qesp_lab import classifier, engine, wire
 from qesp_lab.classifier import MEMO_LIMIT, ClassifierRule, RuleTable
 from qesp_lab.crypto import CipherAlg, MacAlg
-from qesp_lab.errors import MalformedPacket, QespLabError
+from qesp_lab.errors import BadChecksum, MalformedPacket, QespLabError
 from qesp_lab.sadb import FiveTuple, Ipv4Net, ProtocolVariant, SaMode, Selector
 
 SRC = wire.addr_to_int("10.0.0.1")
@@ -106,6 +106,29 @@ class TestAgainstReferences:
     @given(st.binary(min_size=20, max_size=20))
     def test_checksum_equals_word_by_word_reference(self, header):
         assert wire.ipv4_checksum(header) == reference_checksum(header)
+
+    # tos, ident, flags_frag, ttl, protocol, src, dst
+    @given(fields=st.tuples(u8, u16, u16, u8, u8, u32, u32), payload=st.binary(max_size=64),
+           stored=st.none() | st.sampled_from([0x0000, 0xFFFF]) | u16)
+    # Header 45000014baeb0000000000000000000000000000: its words sum to 0xFFFF,
+    # so the checksum is 0x0000, and 0xFFFF (the other ones-complement zero)
+    # must not verify in its place.
+    @example(fields=(0, 0xBAEB, 0, 0, 0, 0, 0), payload=b"", stored=None)
+    @example(fields=(0, 0xBAEB, 0, 0, 0, 0, 0), payload=b"", stored=0xFFFF)
+    @settings(max_examples=300)
+    def test_checksum_word_decides_acceptance(self, fields, payload, stored):
+        """pack_ipv4 writes the reference checksum; read_ipv4 accepts a datagram
+        iff its stored checksum word equals the reference."""
+        packet = bytearray(wire.pack_ipv4(*fields, payload))
+        reference = reference_checksum(packet)
+        assert struct.unpack_from(">H", packet, 10)[0] == reference
+        if stored is not None:
+            struct.pack_into(">H", packet, 10, stored)
+        if stored is None or stored == reference:
+            assert wire.read_ipv4(bytes(packet))[7] == reference
+        else:
+            with pytest.raises(BadChecksum):
+                wire.read_ipv4(bytes(packet))
 
     @given(st.one_of(st.binary(max_size=64), datagrams(),
                      st.tuples(datagrams(), st.integers(0, 19), u8).map(

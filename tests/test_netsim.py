@@ -3,10 +3,12 @@ determinism, priority monotonicity."""
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import pytest
 
+from qesp_lab import netsim
 from qesp_lab.classifier import ClassifierRule, RuleTable
 from qesp_lab.config import ExperimentConfig, SaSpec
 from qesp_lab.crypto import CipherAlg, MacAlg
@@ -226,3 +228,44 @@ class TestPriorityMonotonicity:
 class TestHelpers:
     def test_plain_datagram_len(self):
         assert plain_datagram_len(flow("x", 1, 1, 100)) == 128  # 20 + 8 + 100
+
+
+class TestLazySchedule:
+    """The heap holds each source's next emission and the link's completion,
+    and pops events in the order of a schedule holding every emission."""
+
+    def test_heap_bound_and_pop_order(self, monkeypatch):
+        schedulers = []
+
+        class RecordingScheduler(EventScheduler):
+            def __init__(self) -> None:
+                super().__init__()
+                self.pushes, self.peak, self.popped = 0, 0, []
+                schedulers.append(self)
+
+            def schedule(self, time, fn, order=None) -> None:
+                super().schedule(time, fn, order)
+                self.pushes += 1
+                self.peak = max(self.peak, len(self._heap))
+
+            def run(self) -> None:
+                while self._heap:
+                    time, order, fn = heapq.heappop(self._heap)
+                    self.popped.append((time, order))
+                    self.now = time
+                    fn()
+
+        monkeypatch.setattr(netsim, "EventScheduler", RecordingScheduler)
+        sources = [flow("a", 5060, 130, 900), flow("b", 9000, 170, 600, start=0.5),
+                   flow("c", 7000, 90, 1200, stop=3.0)]
+        stats = run_simulation(simple_config(
+            sources, link=LinkConfig(capacity_bps=1_000_000, queue_limit=4), duration=5.0))
+        (scheduler,) = schedulers
+        offered = sum(s.offered_packets for s in stats)
+        delivered = sum(s.delivered_packets for s in stats)
+        assert sum(s.dropped_packets for s in stats) > 0  # the link is congested
+        assert scheduler.peak <= len(sources) + 1
+        assert scheduler.pushes == len(scheduler.popped) == offered + delivered
+        assert all(a < b for a, b in zip(scheduler.popped, scheduler.popped[1:]))
+        # every emission number (flow-major) pops once; completions come after
+        assert sorted(order for _, order in scheduler.popped)[:offered] == list(range(offered))
