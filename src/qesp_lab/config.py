@@ -10,6 +10,7 @@ so repeated runs never share sequence or replay state.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 
 from .classifier import ClassifierRule, RuleTable
@@ -26,6 +27,8 @@ from .sadb import (
     Selector,
 )
 from .wire import addr_to_int
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,9 @@ def _num_field(obj: dict, where: str, key: str, default: float | None = None) ->
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number")
+    # json parses NaN and +-Infinity, and an int may overflow a float
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ConfigError(f"{where}.{key}: expected a finite number")
     return float(value)
 
 

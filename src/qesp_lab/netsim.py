@@ -5,36 +5,39 @@ protected) -> multi-field classifier remarks DSCP -> bottleneck link with
 per-class strict-priority queues serves or tail-drops -> receiver
 decapsulates -> per-flow stats.
 
-Everything is driven by one event heap ordered by (time, tie-break number),
-so a given (config, seed) always produces byte-identical statistics.  Sources
-emit on a uniformly jittered grid: packet k of a rate-r flow leaves at
+Sources emit on a uniformly jittered grid: packet k of a rate-r flow leaves at
 start + (k + u_k)/r with seeded u_k in [0, 1), which keeps packet counts
 exact while breaking the phase lockstep that rigid periodic arrivals show
 under tail drop.  Encapsulation and classification take zero simulated time;
 latency is dequeue completion minus emission.
 
-The schedule is lazy: all jitter is drawn up front, flow by flow, and each
-emission keeps the tie-break number of its flow-major position (completions
-are numbered after all emissions), but the heap holds only each source's next
-emission and the link's one completion.  Pops match a heap of every emission:
-a source's times never fall with k (k + u_k < k + 1; rounding can only tie
-them) and its numbers rise, so its next emission is its least pending one.
+Sources are open loop, so the whole emission schedule is known before the
+run, and the link has at most one completion pending.  run_simulation sorts
+every emission by (time, flow-major number) and walks them in that order,
+first finishing each service whose completion time is < the emission's time;
+at equal times the emission goes first.  That is the order of one event heap
+holding every emission numbered flow by flow and each completion numbered
+after them, so a given (config, seed) always produces byte-identical
+statistics.  The seeded rng draws all jitter, flow by flow, and then one
+payload per flow, which every packet of that flow carries; datagrams differ
+by IP identification (and, when protected, by sequence number and IV).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import re
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TYPE_CHECKING, Callable
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import classifier, engine, wire
 from .errors import ConfigError, QespLabError
-from .sadb import FiveTuple
+from .sadb import FiveTuple, SecurityAssociation
 from .wire import DEFAULT_TTL, IPPROTO_TCP, IPPROTO_UDP
 
 if TYPE_CHECKING:
@@ -73,8 +76,8 @@ class TrafficSource:
 class LinkConfig:
     """Bottleneck link: bits/second, per-class packet limit, DSCP map.
 
-    class_map sends a DSCP to a strict-priority class index (higher index is
-    served first); unmapped DSCPs fall into class 0.
+    class_map sends a DSCP to a strict-priority class index in [0, 63]
+    (higher index is served first); unmapped DSCPs fall into class 0.
     """
 
     capacity_bps: float
@@ -87,7 +90,8 @@ class LinkConfig:
         if self.queue_limit < 1:
             raise ConfigError("link.queue_limit must be >= 1")
         for dscp, cls in self.class_map.items():
-            if not 0 <= dscp <= 63 or cls < 0:
+            # 64 classes give every DSCP its own; the link allocates max + 1 queues
+            if not (0 <= dscp <= 63 and 0 <= cls <= 63):
                 raise ConfigError(f"link.class_map entry {dscp}:{cls} out of range")
 
 
@@ -116,24 +120,20 @@ class FlowStats:
 
 
 class EventScheduler:
-    """Time-ordered callback heap; ties break by scheduling order or reserve()d number."""
+    """Time-ordered callback heap; ties break by scheduling order.
+
+    run_simulation needs no heap (see the module docstring); this is the
+    general event-driven form of the same discipline.
+    """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = 0
         self.now = 0.0
 
-    def reserve(self, count: int) -> int:
-        """Set aside count tie-break numbers for later events; returns the first."""
-        first = self._counter
-        self._counter += count
-        return first
-
-    def schedule(self, time: float, fn: Callable[[], None], order: int | None = None) -> None:
-        if order is None:
-            order = self._counter
-            self._counter += 1
-        heapq.heappush(self._heap, (time, order, fn))
+    def schedule(self, time: float, fn: Callable[[], None]) -> None:
+        heapq.heappush(self._heap, (time, self._counter, fn))
+        self._counter += 1
 
     def run(self) -> None:
         heap, pop = self._heap, heapq.heappop
@@ -143,61 +143,36 @@ class EventScheduler:
             fn()
 
 
-@dataclass
-class LinkPacket:
-    """One packet in flight: who sent it, when, and its wire bytes."""
-
-    flow_id: str
-    emit_time: float
-    wire: bytes
-    dscp: int
-
-
 class PriorityLink:
-    """Work-conserving strict-priority server with per-class FIFO tail drop.
+    """Waiting room of a strict-priority link: per-class FIFO with tail drop.
 
-    Non-preemptive: a packet in service finishes even if a higher class
-    arrives meanwhile.  Service time is wire bits over capacity.
+    The server itself is the caller's: it is work-conserving and
+    non-preemptive, takes dequeue() whenever a service ends, and offers a
+    packet to enqueue() only while a packet is in service (an idle link
+    serves an arrival at once).  Entries are opaque to the link.
     """
 
-    def __init__(self, cfg: LinkConfig, scheduler: EventScheduler,
-                 deliver: Callable[[LinkPacket, float], None]) -> None:
-        self._capacity = cfg.capacity_bps
+    def __init__(self, cfg: LinkConfig) -> None:
         self._queue_limit = cfg.queue_limit
         self._class_map = dict(cfg.class_map)
         n_classes = max(self._class_map.values(), default=0) + 1
-        self._queues: list[deque[LinkPacket]] = [deque() for _ in range(n_classes)]
-        self._scheduler = scheduler
-        self._deliver = deliver
-        self._in_service: LinkPacket | None = None
+        self._queues: list[deque[Any]] = [deque() for _ in range(n_classes)]
+        self._highest_first = self._queues[::-1]
 
-    def class_of(self, dscp: int) -> int:
-        return self._class_map.get(dscp, 0)
-
-    def enqueue(self, packet: LinkPacket, now: float) -> bool:
-        """Accept a packet into its class queue; False means tail-dropped."""
-        queue = self._queues[self.class_of(packet.dscp)]
+    def enqueue(self, entry: Any, dscp: int) -> bool:
+        """Queue an entry in its DSCP's class; False means tail-dropped."""
+        queue = self._queues[self._class_map.get(dscp, 0)]
         if len(queue) >= self._queue_limit:
             return False
-        queue.append(packet)
-        if self._in_service is None:
-            self._start_next(now)
+        queue.append(entry)
         return True
 
-    def _start_next(self, now: float) -> None:
-        for queue in reversed(self._queues):  # highest class first
+    def dequeue(self) -> Any:
+        """Oldest entry of the highest non-empty class, or None when all are empty."""
+        for queue in self._highest_first:
             if queue:
-                packet = self._in_service = queue.popleft()
-                done = now + len(packet.wire) * 8 / self._capacity
-                self._scheduler.schedule(done, self._complete)
-                return
-
-    def _complete(self) -> None:
-        now = self._scheduler.now
-        packet, self._in_service = self._in_service, None
-        self._deliver(packet, now)
-        if self._in_service is None:  # deliver() must not have restarted us
-            self._start_next(now)
+                return queue.popleft()
+        return None
 
 
 def _camel_to_snake(name: str) -> str:
@@ -229,18 +204,14 @@ def plain_datagram_len(source: TrafficSource) -> int:
     return wire.IPV4_HEADER_LEN + transport + source.payload_size
 
 
-@dataclass
+@dataclass(slots=True)
 class _FlowState:
     source: TrafficSource
-    plain_len: int = 0
-    emit_times: list[float] = field(default_factory=list)
-    first_order: int = 0  # tie-break number of emission 0
-    emit_next: Callable[[], None] | None = None
-    emitted: int = 0
+    five_tuple: FiveTuple
+    sa: SecurityAssociation | None
+    payload: bytes = b""
     offered_packets: int = 0
     delivered_packets: int = 0
-    delivered_payload: int = 0
-    delivered_plain: int = 0
     delivered_wire: int = 0
     dropped: int = 0
     drop_reasons: dict[str, int] = field(default_factory=dict)
@@ -254,93 +225,88 @@ class _FlowState:
 def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
     """Run one experiment to completion and return per-flow statistics.
 
-    The event loop drains fully: every emitted packet is either delivered or
+    The run drains fully: every emitted packet is either delivered or
     dropped (with a reason tag) by the time this returns.  Pipeline errors
     never abort the run.
     """
     sadb = config.build_sadb()
     table = config.rules
     rng = random.Random(config.seed)
-    scheduler = EventScheduler()
+    duration = config.duration
+    capacity = config.link.capacity_bps
+    link = PriorityLink(config.link)
 
-    flows = {src.flow_id: _FlowState(src, plain_len=plain_datagram_len(src))
-             for src in config.sources}
-    by_flow = list(flows.values())
-    for fl in by_flow:
-        spi = fl.source.protection_spi
-        if spi is not None and sadb.lookup_by_spi(spi) is None:
-            raise ConfigError(f"source {fl.source.flow_id}: protection SPI "
+    flows = []
+    for src in config.sources:
+        spi = src.protection_spi
+        sa = None if spi is None else sadb.lookup_by_spi(spi)
+        if spi is not None and sa is None:
+            raise ConfigError(f"source {src.flow_id}: protection SPI "
                               f"0x{spi:x} not in the SA list")
+        flows.append(_FlowState(src, src.five_tuple, sa))
 
-    def on_delivered(packet: LinkPacket, now: float) -> None:
-        fl = flows[packet.flow_id]
-        if fl.source.protection_spi is not None:
+    # (time, ident, flow); a stable sort by time keeps equal times flow-major.
+    emissions = []
+    for fl in flows:
+        src = fl.source
+        stop = src.stop if src.stop is not None else duration
+        # epsilon keeps the emission count stable against float rounding
+        count = int((stop - src.start) * src.rate_pps + 1e-9)
+        fl.offered_packets = max(count, 0)
+        emissions += [(src.start + (k + rng.random()) / src.rate_pps, k + 1, fl)
+                      for k in range(count)]
+    for fl in flows:
+        fl.payload = rng.randbytes(fl.source.payload_size)
+    emissions.sort(key=itemgetter(0))
+    emissions.append((math.inf, 0, None))  # drains the link, then ends the walk
+
+    in_service = None  # (flow, emit time, wire bytes) of the packet on the link
+    done = 0.0  # its completion time
+    for now, ident, fl in emissions:
+        while in_service is not None and done < now:
+            owner, emitted_at, sent = in_service
             try:
-                engine.inbound(sadb, packet.wire)
+                if owner.sa is not None:
+                    engine.inbound(sadb, sent)
             except QespLabError as exc:
-                fl.drop(_camel_to_snake(type(exc).__name__))
-                return
-        fl.delivered_packets += 1
-        fl.delivered_payload += fl.source.payload_size
-        fl.delivered_plain += fl.plain_len
-        fl.delivered_wire += len(packet.wire)
-        fl.latency_sum += now - packet.emit_time
-
-    link = PriorityLink(config.link, scheduler, on_delivered)
-
-    def emit(fl: _FlowState) -> None:
-        now = scheduler.now
-        fl.offered_packets += 1
-        fl.emitted += 1
-        if fl.emitted < len(fl.emit_times):
-            scheduler.schedule(fl.emit_times[fl.emitted], fl.emit_next,
-                               fl.first_order + fl.emitted)
-        payload = rng.randbytes(fl.source.payload_size)
-        plain = build_datagram(fl.source.five_tuple, payload, ident=fl.emitted)
-        try:
-            if fl.source.protection_spi is not None:
-                sa = sadb.lookup_by_spi(fl.source.protection_spi)
-                sent = engine.outbound(sa, plain)
+                owner.drop(_camel_to_snake(type(exc).__name__))
             else:
-                sent = plain
+                owner.delivered_packets += 1
+                owner.delivered_wire += len(sent)
+                owner.latency_sum += done - emitted_at
+            in_service = link.dequeue()
+            if in_service is not None:
+                done += len(in_service[2]) * 8 / capacity
+        if fl is None:
+            break
+        plain = build_datagram(fl.five_tuple, fl.payload, ident)
+        try:
+            sent = plain if fl.sa is None else engine.outbound(fl.sa, plain)
             dscp, marked = classifier.classify_and_remark(table, sent)
         except QespLabError as exc:
             fl.drop(_camel_to_snake(type(exc).__name__))
-            return
-        packet = LinkPacket(flow_id=fl.source.flow_id, emit_time=now,
-                            wire=marked, dscp=dscp)
-        if not link.enqueue(packet, now):
+            continue
+        if in_service is None:
+            in_service = (fl, now, marked)
+            done = now + len(marked) * 8 / capacity
+        elif not link.enqueue((fl, now, marked), dscp):
             fl.drop("queue_full")
 
-    duration = config.duration
-    for fl in by_flow:
-        stop = fl.source.stop if fl.source.stop is not None else duration
-        # epsilon keeps the emission count stable against float rounding
-        count = int((stop - fl.source.start) * fl.source.rate_pps + 1e-9)
-        fl.emit_times = [fl.source.start + (k + rng.random()) / fl.source.rate_pps
-                         for k in range(count)]
-        fl.first_order = scheduler.reserve(count)
-        fl.emit_next = partial(emit, fl)
-        if count:
-            scheduler.schedule(fl.emit_times[0], fl.emit_next, fl.first_order)
-
-    scheduler.run()
-
     stats = []
-    for fl in by_flow:
-        delivered = fl.delivered_packets
+    for fl in flows:
+        src, delivered = fl.source, fl.delivered_packets
         stats.append(FlowStats(
-            flow_id=fl.source.flow_id,
+            flow_id=src.flow_id,
             offered_packets=fl.offered_packets,
-            offered_bytes=fl.offered_packets * fl.source.payload_size,
+            offered_bytes=fl.offered_packets * src.payload_size,
             delivered_packets=delivered,
-            delivered_bytes=fl.delivered_payload,
-            delivered_plain_bytes=fl.delivered_plain,
+            delivered_bytes=delivered * src.payload_size,
+            delivered_plain_bytes=delivered * plain_datagram_len(src),
             delivered_wire_bytes=fl.delivered_wire,
             dropped_packets=fl.dropped,
             drop_reasons=dict(fl.drop_reasons),
             mean_latency_s=fl.latency_sum / delivered if delivered else 0.0,
-            throughput_kbps=fl.delivered_payload * 8 / duration / 1000,
+            throughput_kbps=delivered * src.payload_size * 8 / duration / 1000,
             wire_kbps=fl.delivered_wire * 8 / duration / 1000,
         ))
     return stats

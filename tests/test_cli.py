@@ -131,10 +131,17 @@ class TestPriority:
                          "--out", str(tmp_path / "x.csv")]) == 3
 
 
+# TCP, protocol 47, plaintext and start/stop flows; a Q-ESP transport SA shared
+# by two flows in two classes, and a tunnel SA.
+MIXED = FIXTURES / "mixed_priority.json"
+
+
 @pytest.mark.parametrize("fixture,argv", [
     ("cli_priority_seed1.txt", ["priority", "--seed", "1"]),
     ("cli_priority_seed2.txt", ["priority", "--seed", "2"]),
     ("cli_priority_seed7.txt", ["priority", "--seed", "7"]),
+    ("cli_priority_mixed_seed3.txt", ["priority", "--config", str(MIXED), "--seed", "3"]),
+    ("cli_priority_mixed_seed11.txt", ["priority", "--config", str(MIXED), "--seed", "11"]),
     ("cli_throughput_transport.csv", ["throughput", "--sizes", "64,1024", "--duration", "2",
                                       "--seed", "1", "--mode", "transport"]),
     ("cli_throughput_tunnel.csv", ["throughput", "--sizes", "64,1024", "--duration", "2",

@@ -143,3 +143,57 @@ class TestDiagnostics:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/does/not/exist.json")
+
+
+# Every float field of the schema, as (path into the config, field name).
+FLOAT_FIELDS = [((), "duration"), (("link",), "capacity_bps"),
+                (("sources", 0), "rate_pps"), (("sources", 0), "start"),
+                (("sources", 0), "stop")]
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400]
+
+
+def with_number(where: tuple, key: str, value) -> dict:
+    cfg = copy.deepcopy(VALID)
+    obj = cfg
+    for step in where:
+        obj = obj[step]
+    obj[key] = value
+    return cfg
+
+
+class TestFiniteNumbers:
+    """json parses NaN and +-Infinity; no float field may hold one, nor an
+    integer too large for a float."""
+
+    @pytest.mark.parametrize("where,key", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf", "1e400"])
+    def test_rejected_with_field_path(self, where, key, value):
+        with pytest.raises(ConfigError, match=r"\." + key + ": expected a finite number"):
+            parse_config(with_number(where, key, value))
+
+    @pytest.mark.parametrize("where,key", FLOAT_FIELDS)
+    def test_finite_values_still_accepted(self, where, key):
+        assert parse_config(with_number(where, key, 1.5)) is not None
+
+    def test_cli_exits_with_config_code(self, tmp_path, capsys):
+        from qesp_lab.cli import main
+        for where, key in FLOAT_FIELDS:
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(with_number(where, key, float("nan"))))
+            assert "NaN" in path.read_text()
+            assert main(["priority", "--config", str(path)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ConfigError:") and key in err
+
+
+class TestClassIndexBound:
+    def test_index_63_accepted(self):
+        cfg = copy.deepcopy(VALID)
+        cfg["link"]["class_map"] = {"46": 63}
+        assert parse_config(cfg).link.class_map == {46: 63}
+
+    def test_index_64_rejected(self):
+        cfg = copy.deepcopy(VALID)
+        cfg["link"]["class_map"] = {"46": 64}
+        with pytest.raises(ConfigError, match="46:64 out of range"):
+            parse_config(cfg)

@@ -1,38 +1,42 @@
 """Simulator: link discipline against a hand-stepped trace, conservation,
-determinism, priority monotonicity."""
+determinism, priority monotonicity, and run_simulation's merge against an
+event-driven reference."""
 
 from __future__ import annotations
 
 import heapq
 import math
+import random
+from functools import partial
 
 import pytest
 
-from qesp_lab import netsim
+from conftest import FIXTURES
+from qesp_lab import classifier, engine, netsim
 from qesp_lab.classifier import ClassifierRule, RuleTable
-from qesp_lab.config import ExperimentConfig, SaSpec
+from qesp_lab.config import ExperimentConfig, SaSpec, load_config
 from qesp_lab.crypto import CipherAlg, MacAlg
-from qesp_lab.errors import ConfigError
+from qesp_lab.errors import ConfigError, QespLabError
 from qesp_lab.netsim import (
     EventScheduler,
+    FlowStats,
     LinkConfig,
-    LinkPacket,
     PriorityLink,
     TrafficSource,
     plain_datagram_len,
     run_simulation,
 )
 from qesp_lab.sadb import FiveTuple, ProtocolVariant, SaMode, Selector
-from qesp_lab.wire import IPPROTO_UDP, addr_to_int
+from qesp_lab.wire import IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP, addr_to_int
 
 
 def flow(flow_id: str, dst_port: int, rate: float, size: int,
-         spi: int | None = None, **kwargs) -> TrafficSource:
+         spi: int | None = None, protocol: int = IPPROTO_UDP, **kwargs) -> TrafficSource:
     return TrafficSource(
         flow_id=flow_id,
         five_tuple=FiveTuple(src_addr=addr_to_int("10.0.0.1"),
                              dst_addr=addr_to_int("10.0.9.9"),
-                             protocol=IPPROTO_UDP, src_port=4000, dst_port=dst_port),
+                             protocol=protocol, src_port=4000, dst_port=dst_port),
         rate_pps=rate, payload_size=size, protection_spi=spi, **kwargs)
 
 
@@ -50,6 +54,119 @@ def simple_config(sources, link=None, sas=(), rules=RuleTable(), duration=10.0,
         sas=tuple(sas), rules=rules, sources=tuple(sources),
         link=link or LinkConfig(capacity_bps=10e6, queue_limit=64),
         duration=duration, seed=seed)
+
+
+class ReferenceServer:
+    """PriorityLink's queues behind a server whose every completion is an
+    EventScheduler event: the event-driven form of run_simulation's link.
+
+    Entries are tuples whose last item is the wire bytes.
+    """
+
+    def __init__(self, cfg: LinkConfig, scheduler: EventScheduler, deliver) -> None:
+        self.queues = PriorityLink(cfg)
+        self.capacity = cfg.capacity_bps
+        self.scheduler = scheduler
+        self.deliver = deliver
+        self.in_service = None
+
+    def arrive(self, entry, dscp: int, now: float) -> bool:
+        """Serve at once on an idle link, else queue; False means tail-dropped."""
+        if self.in_service is None:
+            self._start(entry, now)
+            return True
+        return self.queues.enqueue(entry, dscp)
+
+    def _start(self, entry, now: float) -> None:
+        self.in_service = entry
+        self.scheduler.schedule(now + len(entry[-1]) * 8 / self.capacity, self._complete)
+
+    def _complete(self) -> None:
+        entry, self.in_service = self.in_service, None
+        now = self.scheduler.now
+        self.deliver(entry, now)
+        following = self.queues.dequeue()
+        if following is not None:
+            self._start(following, now)
+
+
+def reference_run(config: ExperimentConfig, scheduler: EventScheduler | None = None,
+                  rng_class=random.Random) -> list[FlowStats]:
+    """run_simulation's contract, stepped one heap event at a time.
+
+    The rng draws every flow's jitter, flow by flow, then one payload per
+    flow.  Every emission is scheduled up front in flow-major order, so equal
+    times pop flow-major and ahead of any completion (scheduled later).
+    """
+    scheduler = scheduler or EventScheduler()
+    sadb = config.build_sadb()
+    rng = rng_class(config.seed)
+    tallies = {src.flow_id: {"offered": 0, "delivered": 0, "wire": 0, "latency": 0.0,
+                             "reasons": {}} for src in config.sources}
+
+    def drop(flow_id: str, reason: str) -> None:
+        reasons = tallies[flow_id]["reasons"]
+        reasons[reason] = reasons.get(reason, 0) + 1
+
+    def deliver(entry, now: float) -> None:
+        src, emitted_at, sent = entry
+        try:
+            if src.protection_spi is not None:
+                engine.inbound(sadb, sent)
+        except QespLabError as exc:
+            drop(src.flow_id, netsim._camel_to_snake(type(exc).__name__))
+            return
+        tally = tallies[src.flow_id]
+        tally["delivered"] += 1
+        tally["wire"] += len(sent)
+        tally["latency"] += now - emitted_at
+
+    server = ReferenceServer(config.link, scheduler, deliver)
+
+    def emit(src: TrafficSource, payload: bytes, ident: int) -> None:
+        now = scheduler.now
+        plain = netsim.build_datagram(src.five_tuple, payload, ident)
+        try:
+            sent = plain
+            if src.protection_spi is not None:
+                sent = engine.outbound(sadb.lookup_by_spi(src.protection_spi), plain)
+            dscp, marked = classifier.classify_and_remark(config.rules, sent)
+        except QespLabError as exc:
+            drop(src.flow_id, netsim._camel_to_snake(type(exc).__name__))
+            return
+        if not server.arrive((src, now, marked), dscp, now):
+            drop(src.flow_id, "queue_full")
+
+    grids = []
+    for src in config.sources:
+        stop = config.duration if src.stop is None else src.stop
+        count = int((stop - src.start) * src.rate_pps + 1e-9)
+        grids.append([src.start + (k + rng.random()) / src.rate_pps for k in range(count)])
+    payloads = [rng.randbytes(src.payload_size) for src in config.sources]
+    for src, grid, payload in zip(config.sources, grids, payloads):
+        tallies[src.flow_id]["offered"] = len(grid)
+        for k, t in enumerate(grid):
+            scheduler.schedule(t, partial(emit, src, payload, k + 1))
+    scheduler.run()
+
+    stats = []
+    for src in config.sources:
+        tally = tallies[src.flow_id]
+        delivered = tally["delivered"]
+        stats.append(FlowStats(
+            flow_id=src.flow_id,
+            offered_packets=tally["offered"],
+            offered_bytes=tally["offered"] * src.payload_size,
+            delivered_packets=delivered,
+            delivered_bytes=delivered * src.payload_size,
+            delivered_plain_bytes=delivered * plain_datagram_len(src),
+            delivered_wire_bytes=tally["wire"],
+            dropped_packets=sum(tally["reasons"].values()),
+            drop_reasons=tally["reasons"],
+            mean_latency_s=tally["latency"] / delivered if delivered else 0.0,
+            throughput_kbps=delivered * src.payload_size * 8 / config.duration / 1000,
+            wire_kbps=tally["wire"] * 8 / config.duration / 1000))
+    return stats
 
 
 class TestLinkHandSteppedTrace:
@@ -71,16 +188,15 @@ class TestLinkHandSteppedTrace:
     def test_trace(self):
         scheduler = EventScheduler()
         deliveries: list[tuple[str, float]] = []
-        link = PriorityLink(
+        server = ReferenceServer(
             LinkConfig(capacity_bps=8000, queue_limit=1, class_map={46: 1}),
-            scheduler,
-            lambda pkt, now: deliveries.append((pkt.flow_id, now)))
+            scheduler, lambda entry, now: deliveries.append((entry[0], now)))
         accepted: dict[str, bool] = {}
 
         def arrive(name: str, t: float, dscp: int) -> None:
-            pkt = LinkPacket(flow_id=name, emit_time=t, wire=bytes(100), dscp=dscp)
+            entry = (name, t, bytes(100))
             scheduler.schedule(t, lambda: accepted.__setitem__(
-                name, link.enqueue(pkt, scheduler.now)))
+                name, server.arrive(entry, dscp, scheduler.now)))
 
         arrive("A", 0.00, 0)
         arrive("B", 0.02, 0)
@@ -100,10 +216,10 @@ class TestLinkHandSteppedTrace:
     def test_single_packet_service_time(self):
         scheduler = EventScheduler()
         done = []
-        link = PriorityLink(LinkConfig(capacity_bps=8000, queue_limit=4),
-                            scheduler, lambda pkt, now: done.append(now))
-        pkt = LinkPacket(flow_id="x", emit_time=0.0, wire=bytes(250), dscp=0)
-        scheduler.schedule(0.0, lambda: link.enqueue(pkt, scheduler.now))
+        server = ReferenceServer(LinkConfig(capacity_bps=8000, queue_limit=4),
+                                 scheduler, lambda entry, now: done.append(now))
+        entry = ("x", 0.0, bytes(250))
+        scheduler.schedule(0.0, lambda: server.arrive(entry, 0, scheduler.now))
         scheduler.run()
         assert math.isclose(done[0], 250 * 8 / 8000)
 
@@ -111,13 +227,12 @@ class TestLinkHandSteppedTrace:
         """High-class arrival waits for the packet in service to finish."""
         scheduler = EventScheduler()
         deliveries = []
-        link = PriorityLink(LinkConfig(capacity_bps=8000, queue_limit=4,
-                                       class_map={46: 1}),
-                            scheduler, lambda pkt, now: deliveries.append((pkt.flow_id, now)))
-        low = LinkPacket(flow_id="low", emit_time=0.0, wire=bytes(100), dscp=0)
-        high = LinkPacket(flow_id="high", emit_time=0.0, wire=bytes(100), dscp=46)
-        scheduler.schedule(0.00, lambda: link.enqueue(low, scheduler.now))
-        scheduler.schedule(0.01, lambda: link.enqueue(high, scheduler.now))
+        server = ReferenceServer(LinkConfig(capacity_bps=8000, queue_limit=4,
+                                            class_map={46: 1}),
+                                 scheduler, lambda entry, now: deliveries.append((entry[0], now)))
+        low, high = ("low", 0.0, bytes(100)), ("high", 0.0, bytes(100))
+        scheduler.schedule(0.00, lambda: server.arrive(low, 0, scheduler.now))
+        scheduler.schedule(0.01, lambda: server.arrive(high, 46, scheduler.now))
         scheduler.run()
         assert deliveries == [("low", pytest.approx(0.1)), ("high", pytest.approx(0.2))]
 
@@ -230,42 +345,197 @@ class TestHelpers:
         assert plain_datagram_len(flow("x", 1, 1, 100)) == 128  # 20 + 8 + 100
 
 
-class TestLazySchedule:
-    """The heap holds each source's next emission and the link's completion,
-    and pops events in the order of a schedule holding every emission."""
+class RecordingScheduler(EventScheduler):
+    """Counts pushes, tracks the heap's peak size and records every
+    (time, number) the heap pops."""
 
-    def test_heap_bound_and_pop_order(self, monkeypatch):
-        schedulers = []
+    def __init__(self) -> None:
+        super().__init__()
+        self.pushes, self.peak, self.popped = 0, 0, []
 
-        class RecordingScheduler(EventScheduler):
-            def __init__(self) -> None:
-                super().__init__()
-                self.pushes, self.peak, self.popped = 0, 0, []
-                schedulers.append(self)
+    def schedule(self, time, fn) -> None:
+        super().schedule(time, fn)
+        self.pushes += 1
+        self.peak = max(self.peak, len(self._heap))
 
-            def schedule(self, time, fn, order=None) -> None:
-                super().schedule(time, fn, order)
-                self.pushes += 1
-                self.peak = max(self.peak, len(self._heap))
+    def run(self) -> None:
+        while self._heap:
+            time, order, fn = heapq.heappop(self._heap)
+            self.popped.append((time, order))
+            self.now = time
+            fn()
 
-            def run(self) -> None:
-                while self._heap:
-                    time, order, fn = heapq.heappop(self._heap)
-                    self.popped.append((time, order))
-                    self.now = time
-                    fn()
 
-        monkeypatch.setattr(netsim, "EventScheduler", RecordingScheduler)
+class ZeroJitter(random.Random):
+    """Seeded as usual, but every jitter draw is 0: emissions sit on the grid."""
+
+    def random(self) -> float:
+        return 0.0
+
+
+def pipeline_calls(monkeypatch) -> list[tuple[str, bytes]]:
+    """Record in call order every datagram classified (one per emission) and
+    decapsulated (one per protected service end)."""
+    calls = []
+    real_classify, real_inbound = classifier.classify_and_remark, engine.inbound
+
+    def classify(table, datagram):
+        calls.append(("classify", datagram))
+        return real_classify(table, datagram)
+
+    def inbound(sadb, datagram):
+        calls.append(("inbound", datagram))
+        return real_inbound(sadb, datagram)
+
+    monkeypatch.setattr(classifier, "classify_and_remark", classify)
+    monkeypatch.setattr(engine, "inbound", inbound)
+    return calls
+
+
+def matches_reference(config, monkeypatch, rng_class=random.Random):
+    """run_simulation == reference_run, in its statistics and in the order it
+    drives the pipeline; returns the stats and the reference's scheduler."""
+    calls = pipeline_calls(monkeypatch)
+    monkeypatch.setattr(netsim, "random", type("Rng", (), {"Random": rng_class}))
+    stats = run_simulation(config)
+    merged = list(calls)
+    calls.clear()
+    scheduler = RecordingScheduler()
+    assert stats == reference_run(config, scheduler, rng_class)
+    assert merged == calls
+    return stats, scheduler
+
+
+def random_scenario(seed: int) -> ExperimentConfig:
+    """A congested link, staggered sources, TCP/UDP/portless protocols, plain
+    and protected flows, some sharing an SA across classes."""
+    rng = random.Random(seed)
+    sas = [null_sa_spec(0x21, 0), SaSpec(
+        spi=0x22, variant=rng.choice(list(ProtocolVariant)), mode=SaMode.TUNNEL,
+        cipher=CipherAlg.AES_128_CBC, cipher_key=bytes(16), mac=MacAlg.HMAC_MD5_96,
+        mac_key=bytes(16), selector=Selector(), tunnel_src=addr_to_int("192.0.2.1"),
+        tunnel_dst=addr_to_int("192.0.2.2"), iv_seed=seed)]
+    sources = []
+    for i in range(rng.randint(2, 5)):
+        start = rng.choice((0.0, rng.uniform(0, 1)))
+        stop = rng.choice((None, start + rng.uniform(0.5, 2)))
+        sources.append(flow(f"f{i}", rng.choice((5060, 9000, 80)), rng.uniform(20, 150),
+                            rng.randint(16, 1200), spi=rng.choice((None, 0x21, 0x22)),
+                            protocol=rng.choice((IPPROTO_UDP, IPPROTO_TCP, 47)),
+                            start=start, stop=stop))
+    rules = RuleTable(rules=(
+        ClassifierRule(selector=Selector(dst_ports=(5060, 5060)), dscp=46),
+        ClassifierRule(selector=Selector(protocol=IPPROTO_TCP), dscp=10)))
+    link = LinkConfig(capacity_bps=rng.uniform(2e5, 1.5e6), queue_limit=rng.randint(1, 12),
+                      class_map={46: 2, 10: 1})
+    return simple_config(sources, link=link, sas=sas, rules=rules, duration=3.0, seed=seed)
+
+
+class TestAgainstEventDrivenReference:
+    """run_simulation walks the sorted emissions and the link's one pending
+    completion; a heap of every emission and completion must pop the same
+    events in the same order, which shows as the same statistics and the
+    same sequence of classify and decap calls."""
+
+    def test_congested_staggered_sources(self, monkeypatch):
         sources = [flow("a", 5060, 130, 900), flow("b", 9000, 170, 600, start=0.5),
                    flow("c", 7000, 90, 1200, stop=3.0)]
-        stats = run_simulation(simple_config(
-            sources, link=LinkConfig(capacity_bps=1_000_000, queue_limit=4), duration=5.0))
-        (scheduler,) = schedulers
+        stats, scheduler = matches_reference(simple_config(
+            sources, link=LinkConfig(capacity_bps=1_000_000, queue_limit=4), duration=5.0),
+            monkeypatch)
         offered = sum(s.offered_packets for s in stats)
         delivered = sum(s.delivered_packets for s in stats)
         assert sum(s.dropped_packets for s in stats) > 0  # the link is congested
-        assert scheduler.peak <= len(sources) + 1
+        # all emissions go on the heap up front; the link adds at most one completion
+        assert scheduler.peak <= offered + 1
         assert scheduler.pushes == len(scheduler.popped) == offered + delivered
         assert all(a < b for a, b in zip(scheduler.popped, scheduler.popped[1:]))
         # every emission number (flow-major) pops once; completions come after
         assert sorted(order for _, order in scheduler.popped)[:offered] == list(range(offered))
+
+    @pytest.mark.parametrize("variant", list(ProtocolVariant))
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_mixed_traffic_fixture(self, variant, seed, monkeypatch):
+        """TCP, protocol 47, plaintext flows, start/stop windows, Q-ESP
+        transport and a tunnel SA, and two flows on one SA in two classes."""
+        cfg = load_config(str(FIXTURES / "mixed_priority.json"))
+        stats, _ = matches_reference(cfg.with_variant(variant).with_seed(seed), monkeypatch)
+        assert sum(s.dropped_packets for s in stats) > 0
+
+    def test_shared_sa_reordered_into_replay_drops(self, monkeypatch):
+        """Two flows on one SA in different classes: the low class waits so
+        long that its sequence numbers fall out of the replay window."""
+        rules = RuleTable(rules=(ClassifierRule(
+            selector=Selector(dst_ports=(5060, 5060)), dscp=46),))
+        sas = [null_sa_spec(0x31, 0)]
+        sources = [flow("high", 5060, 110, 1000, spi=0x31), flow("low", 9000, 60, 1000, spi=0x31)]
+        cfg = simple_config(sources, sas=sas, rules=rules, duration=3.0, link=LinkConfig(
+            capacity_bps=1_000_000, queue_limit=100, class_map={46: 1}))
+        stats, _ = matches_reference(cfg, monkeypatch)
+        assert stats[1].drop_reasons.get("replay_rejected", 0) > 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_scenarios(self, seed, monkeypatch):
+        matches_reference(random_scenario(seed), monkeypatch)
+
+    def test_exact_ties_put_the_emission_first(self, monkeypatch):
+        """Zero jitter: plaintext UDP, 1000 B datagrams, 128 pps each on 1.024
+        Mbps, so service time is 1/128 s and every completion after the first
+        lands exactly on an emission.  The emissions go first, so at t = 1/128
+        both arrivals find the one queue slot taken (A1 and B1 drop); from
+        then on A_k takes the slot just freed and B_k drops.  Completion
+        first would serve B0 at once and deliver every A.
+        """
+        sources = [flow("A", 5060, 128, 972), flow("B", 9000, 128, 972)]
+        cfg = simple_config(sources, duration=1.0,
+                            link=LinkConfig(capacity_bps=1_024_000, queue_limit=1))
+        a, b = matches_reference(cfg, monkeypatch, ZeroJitter)[0]
+        assert (a.offered_packets, a.delivered_packets, a.drop_reasons) == (128, 127,
+                                                                            {"queue_full": 1})
+        assert a.mean_latency_s == 1 / 128  # exact: every A waits one service
+        assert (b.offered_packets, b.delivered_packets, b.drop_reasons) == (128, 1,
+                                                                            {"queue_full": 127})
+        assert b.mean_latency_s == 2 / 128  # B0 waits behind A0
+
+    def test_equal_times_across_flows_pop_flow_major(self, monkeypatch):
+        """Zero jitter, rates 128, 64 and 32 pps: A_2k, B_k and C_k/2 share a
+        time, and flow order (not packet number) decides which takes the one
+        queue slot: A always does, after B0 took it at t = 0."""
+        sources = [flow("A", 5060, 128, 972), flow("B", 9000, 64, 972),
+                   flow("C", 7000, 32, 972)]
+        cfg = simple_config(sources, duration=1.0,
+                            link=LinkConfig(capacity_bps=1_024_000, queue_limit=1))
+        a, b, c = matches_reference(cfg, monkeypatch, ZeroJitter)[0]
+        assert (a.delivered_packets, b.delivered_packets, c.delivered_packets) == (127, 1, 0)
+
+
+class TestPayloads:
+    def test_one_payload_per_flow_drawn_after_the_jitter(self, monkeypatch):
+        """The rng draws every flow's jitter, then one payload per flow, so a
+        plaintext protocol-253 source shows the classifier one Q-ESP clear
+        header (its first 16 payload bytes) on every packet."""
+        sources = [flow("x", 0, 50, 40, protocol=IPPROTO_QESP),
+                   flow("y", 0, 30, 24, protocol=IPPROTO_QESP)]
+        calls = pipeline_calls(monkeypatch)
+        run_simulation(simple_config(sources, duration=2.0, seed=5))
+        rng = random.Random(5)
+        for _ in range(100 + 60):
+            rng.random()
+        expected = {40: rng.randbytes(40), 24: rng.randbytes(24)}
+        seen: dict[int, set[bytes]] = {}
+        for _, datagram in calls:
+            seen.setdefault(len(datagram) - 20, set()).add(datagram[20:])
+        assert seen == {size: {payload} for size, payload in expected.items()}
+
+    def test_datagrams_differ_by_identification(self, monkeypatch):
+        calls = pipeline_calls(monkeypatch)
+        run_simulation(simple_config([flow("f", 5060, 50, 100)], duration=1.0))
+        assert [int.from_bytes(d[4:6], "big") for _, d in calls] == list(range(1, 51))
+        assert len({d[20:] for _, d in calls}) == 1
+
+
+def test_stop_before_start_offers_nothing():
+    stats = run_simulation(simple_config([flow("late", 5060, 50, 100, start=3.0, stop=1.0),
+                                          flow("f", 9000, 50, 100)], duration=4.0))
+    assert (stats[0].offered_packets, stats[0].dropped_packets) == (0, 0)
+    assert stats[1].offered_packets == 200
