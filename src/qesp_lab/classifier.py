@@ -28,8 +28,9 @@ memo pays off only when flows repeat.  It is exact (table, rules and selectors
 are frozen, so dscp_for is pure), is emptied at MEMO_LIMIT keys, and takes no
 part in equality, hashing or dataclasses.replace.
 
-Remarking rewrites only the ToS byte (ECN bits kept) and refreshes the header
-checksum over the 20 header bytes; a packet whose ToS already carries the
+Remarking repacks the header with wire.pack_ipv4 from the fields read_ipv4
+returned, with only the DSCP bits of the ToS byte changed (ECN bits kept), so
+the packer derives the new checksum; a packet whose ToS already carries the
 chosen DSCP is returned unchanged.
 """
 
@@ -47,7 +48,6 @@ from .wire import IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN, QESP_
 # and Proto at datagram offsets 28-32.
 _QESP_CLEAR = struct.Struct(">HHB")
 _QESP_CLEAR_AT = IPV4_HEADER_LEN + 8
-_CHECKSUM = struct.Struct(">H")
 MEMO_LIMIT = 4096
 
 
@@ -124,18 +124,17 @@ def classify(table: RuleTable, packet: bytes) -> int:
     return table._dscp_of_flow(_flow_key(packet, _read_ipv4(packet)))
 
 
-def _remark(packet: bytes, tos: int, dscp: int) -> bytes:
+def _remark(packet: bytes, fields: tuple[int, ...], dscp: int) -> bytes:
+    _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = fields
     new_tos = (dscp << 2) | (tos & 0x03)
     if new_tos == tos:
         return packet
-    header = bytearray(packet[:IPV4_HEADER_LEN])
-    header[1] = new_tos
-    _CHECKSUM.pack_into(header, 10, wire.ipv4_checksum(header))
-    return bytes(header) + packet[IPV4_HEADER_LEN:]
+    return wire.pack_ipv4(new_tos, ident, flags_frag, ttl, protocol, src, dst,
+                          packet[IPV4_HEADER_LEN:])
 
 
 def classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int, bytes]:
     """Classify, then write the chosen DSCP into the packet's ToS byte."""
     fields = _read_ipv4(packet)
     dscp = table._dscp_of_flow(_flow_key(packet, fields))
-    return dscp, _remark(packet, fields[1], dscp)
+    return dscp, _remark(packet, fields, dscp)

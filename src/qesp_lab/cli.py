@@ -279,6 +279,8 @@ def bench_encapsulation(variant: ProtocolVariant, cipher: CipherAlg, mac: MacAlg
 
 
 def cmd_bench_crypto(args: argparse.Namespace) -> int:
+    if args.iters < 1:
+        raise ConfigError(f"--iters: must be >= 1, got {args.iters}")
     sizes = _parse_sizes(args.sizes)
     pairs = _parse_algs(args.algs)
     lines = ["variant,cipher,mac,size,ns_per_packet,mbps"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .classifier import ClassifierRule, RuleTable
 from .crypto import CipherAlg, MacAlg
 from .errors import ConfigError, QespLabError
-from .netsim import LinkConfig, TrafficSource
+from .netsim import LinkConfig, TrafficSource, check_positive
 from .sadb import (
     FiveTuple,
     Ipv4Net,
@@ -72,6 +72,9 @@ class ExperimentConfig:
     duration: float
     seed: int
     output: str | None = None
+
+    def __post_init__(self) -> None:
+        check_positive(self.duration, "duration")
 
     def build_sadb(self) -> Sadb:
         sadb = Sadb()
@@ -328,9 +331,6 @@ def parse_config(obj, where: str = "config") -> ExperimentConfig:
     flow_ids = [s.flow_id for s in sources]
     if len(set(flow_ids)) != len(flow_ids):
         raise ConfigError(f"{where}.sources: duplicate flow_id values")
-    duration = _num_field(obj, where, "duration")
-    if duration <= 0:
-        raise ConfigError(f"{where}.duration: must be > 0")
     output = None
     if "output" in obj:
         output = _str_field(obj, where, "output")
@@ -339,7 +339,7 @@ def parse_config(obj, where: str = "config") -> ExperimentConfig:
         rules=parse_rules(obj.get("rules", {}), f"{where}.rules"),
         sources=sources,
         link=parse_link(obj.get("link"), f"{where}.link"),
-        duration=duration,
+        duration=_num_field(obj, where, "duration"),
         seed=_int_field(obj, where, "seed", default=0),
         output=output)
 

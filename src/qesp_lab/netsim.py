@@ -44,6 +44,15 @@ if TYPE_CHECKING:
     from .config import ExperimentConfig
 
 MAX_PAYLOAD_SIZE = 65000
+# run_simulation holds every emission in memory, so a run may offer at most
+# this many packets over all its sources.
+MAX_PACKETS_PER_RUN = 2 ** 20
+
+
+def check_positive(value: float, what: str) -> None:
+    """Reject a rate, duration or capacity that is not finite and > 0."""
+    if not 0 < value < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"{what} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +74,7 @@ class TrafficSource:
     protection_spi: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_pps <= 0:
-            raise ConfigError(f"source {self.flow_id}: rate must be > 0")
+        check_positive(self.rate_pps, f"source {self.flow_id}: rate_pps")
         if not 1 <= self.payload_size <= MAX_PAYLOAD_SIZE:
             raise ConfigError(
                 f"source {self.flow_id}: payload_size must be in [1, {MAX_PAYLOAD_SIZE}]")
@@ -85,8 +93,7 @@ class LinkConfig:
     class_map: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.capacity_bps <= 0:
-            raise ConfigError("link.capacity_bps must be > 0")
+        check_positive(self.capacity_bps, "link.capacity_bps")
         if self.queue_limit < 1:
             raise ConfigError("link.queue_limit must be >= 1")
         for dscp, cls in self.class_map.items():
@@ -245,16 +252,23 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
                               f"0x{spi:x} not in the SA list")
         flows.append(_FlowState(src, src.five_tuple, sa))
 
+    for fl in flows:
+        src = fl.source
+        stop = src.stop if src.stop is not None else duration
+        # epsilon keeps the count stable against float rounding; the clamp
+        # keeps int() off a product that overflowed to +-inf
+        expected = min(max((stop - src.start) * src.rate_pps, 0.0), MAX_PACKETS_PER_RUN + 1)
+        fl.offered_packets = int(expected + 1e-9)
+    if sum(fl.offered_packets for fl in flows) > MAX_PACKETS_PER_RUN:
+        raise ConfigError(f"the sources offer more than {MAX_PACKETS_PER_RUN} packets "
+                          f"in one run; lower rate_pps or duration")
+
     # (time, ident, flow); a stable sort by time keeps equal times flow-major.
     emissions = []
     for fl in flows:
         src = fl.source
-        stop = src.stop if src.stop is not None else duration
-        # epsilon keeps the emission count stable against float rounding
-        count = int((stop - src.start) * src.rate_pps + 1e-9)
-        fl.offered_packets = max(count, 0)
         emissions += [(src.start + (k + rng.random()) / src.rate_pps, k + 1, fl)
-                      for k in range(count)]
+                      for k in range(fl.offered_packets)]
     for fl in flows:
         fl.payload = rng.randbytes(fl.source.payload_size)
     emissions.sort(key=itemgetter(0))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .crypto import CipherAlg, CipherState, IvGenerator, MacAlg, MacState
 from .errors import ConfigError, DuplicateSpi, SequenceExhausted
-from .wire import addr_to_int, int_to_addr
+from .wire import addr_to_int
 
 REPLAY_WINDOW = 64
 SEQ_MAX = 0xFFFFFFFF
@@ -46,10 +46,6 @@ class FiveTuple:
     src_port: int | None = 0
     dst_port: int | None = 0
 
-    def __str__(self) -> str:
-        return (f"{int_to_addr(self.src_addr)}:{self.src_port} -> "
-                f"{int_to_addr(self.dst_addr)}:{self.dst_port} proto {self.protocol}")
-
 
 @dataclass(frozen=True)
 class Ipv4Net:
@@ -74,9 +70,6 @@ class Ipv4Net:
 
     def contains(self, addr: int) -> bool:
         return (addr ^ self.addr) & self.mask == 0
-
-    def __str__(self) -> str:
-        return f"{int_to_addr(self.addr)}/{self.prefix}"
 
 
 ANY_NET = Ipv4Net(0, 0)
@@ -226,9 +219,3 @@ class Sadb:
             if sa.selector.matches(ft):
                 return sa
         return None
-
-    def __len__(self) -> int:
-        return len(self._ordered)
-
-    def __iter__(self):
-        return iter(self._ordered)

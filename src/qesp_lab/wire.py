@@ -4,12 +4,11 @@ All multi-byte fields are big-endian.  Encoders are deterministic; parsers
 are total (any byte string yields a value or a QespLabError subclass) and
 satisfy parse(encode(x)) == x for every valid x.
 
-IPv4 has one validator and one packer, shared by every layer's per-packet
-path.  read_ipv4 checks a datagram (length accounting, version 4, ihl 5,
-header checksum) with a single struct unpack and returns the raw header
-fields; pack_ipv4 builds a header from fields, deriving total_length and the
-checksum.  parse_ipv4/encode_ipv4 are the Ipv4Header views of the same two
-functions, so no second validation path exists.
+IPv4 has one validator and one packer, shared by every layer.  read_ipv4
+checks a datagram (length accounting, version 4, ihl 5, header checksum) with
+a single struct unpack and returns the raw header fields; pack_ipv4 builds a
+header from fields, deriving total_length and the checksum.  The header
+checksum rule is written in these two functions only.
 
 Q-ESP layout (IP protocol 253)::
 
@@ -38,10 +37,7 @@ the IV and ICV lengths); engine.inbound splits it by engine.LAYOUTS.
 
 from __future__ import annotations
 
-import io
 import struct
-from dataclasses import dataclass, replace
-from typing import BinaryIO, Iterable
 
 from .errors import (
     BadChecksum,
@@ -67,7 +63,6 @@ QESP_FLAG_EXTENDED_AUTH = 0x01
 QESP_VALID_FLAGS = 0x01
 
 _IPV4_STRUCT = struct.Struct(">BBHHHBBHII")
-_IPV4_WORDS = struct.Struct(">10H")
 _QESP_STRUCT = struct.Struct(">IIHHBBH")
 
 
@@ -92,64 +87,13 @@ def int_to_addr(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-@dataclass(frozen=True)
-class Ipv4Header:
-    """IPv4 header without options (ihl fixed at 5).
-
-    total_length and checksum are derived on encode; the values stored here
-    reflect the wire for parsed headers and are ignored by encode_ipv4().
-    Numeric field ranges are enforced by struct packing at serialization
-    time, keeping per-packet construction cheap.
-    """
-
-    src_addr: int
-    dst_addr: int
-    protocol: int
-    tos_dscp: int = 0
-    identification: int = 0
-    flags_frag: int = 0
-    ttl: int = DEFAULT_TTL
-    total_length: int = 0
-    checksum: int = 0
-    version: int = 4
-    ihl: int = 5
-
-    def __post_init__(self) -> None:
-        if self.version != 4:
-            raise InvalidHeader(f"version must be 4, got {self.version}")
-        if self.ihl != 5:
-            raise UnsupportedOptions(f"ihl must be 5, got {self.ihl}")
-
-    @property
-    def dscp(self) -> int:
-        """Differentiated Services code point (high 6 bits of the ToS byte)."""
-        return self.tos_dscp >> 2
-
-    def with_dscp(self, dscp: int) -> "Ipv4Header":
-        """Header with the DSCP bits replaced, ECN bits untouched."""
-        if not 0 <= dscp <= 63:
-            raise InvalidHeader(f"dscp out of range: {dscp}")
-        return replace(self, tos_dscp=(dscp << 2) | (self.tos_dscp & 0x03))
-
-
-def ipv4_checksum(header_bytes: bytes) -> int:
-    """Ones-complement sum of the ten 16-bit words of a 20-byte header,
-    the checksum word taken as zero."""
-    words = _IPV4_WORDS.unpack_from(header_bytes)
-    return _fold(sum(words) - words[5])
-
-
-def _fold(total: int) -> int:
-    # At most nine 16-bit words: two end-around carries always suffice.
-    total = (total & 0xFFFF) + (total >> 16)
-    return ((total & 0xFFFF) + (total >> 16)) ^ 0xFFFF
-
-
-# read_ipv4 and pack_ipv4 compute ipv4_checksum inline.  As 2**16 == 1
-# (mod 0xFFFF), the folded sum of a total T > 0 is (T - 1) % 0xFFFF + 1, so
-# the addresses are added whole and the checksum is 0xFFFE - (T - 1) % 0xFFFF;
-# 0x44FF is the ver_ihl word 0x4500 (which keeps T > 0) less that 1.  A bare
-# T % 0xFFFF would store 0xFFFF where the checksum is 0x0000.
+# The header checksum (RFC 791, RFC 1071) is the ones-complement of the
+# ones-complement sum of the ten 16-bit header words, the checksum word taken
+# as zero.  As 2**16 == 1 (mod 0xFFFF), the folded sum of a total T > 0 is
+# (T - 1) % 0xFFFF + 1, so the addresses are added whole and the checksum is
+# 0xFFFE - (T - 1) % 0xFFFF; 0x44FF is the ver_ihl word 0x4500 (which keeps
+# T > 0) less that 1.  A bare T % 0xFFFF would store 0xFFFF where the checksum
+# is 0x0000.
 
 
 def read_ipv4(b: bytes) -> tuple[int, ...]:
@@ -172,7 +116,7 @@ def read_ipv4(b: bytes) -> tuple[int, ...]:
     if total_length != len(b):
         raise InvalidHeader(
             f"trailing bytes: total_length {total_length}, buffer {len(b)}")
-    # ipv4_checksum of these fields, computed inline (see the note above).
+    # the header checksum of these fields (see the note above)
     if 0xFFFE - (0x44FF + tos + total_length + ident + flags_frag + (ttl << 8) + proto
                  + src + dst) % 0xFFFF != checksum:
         raise BadChecksum(f"header checksum 0x{checksum:04x} does not verify")
@@ -185,7 +129,7 @@ def pack_ipv4(tos: int, ident: int, flags_frag: int, ttl: int, protocol: int,
     total_length = IPV4_HEADER_LEN + len(payload)
     if total_length > 0xFFFF:
         raise InvalidHeader(f"payload too long for IPv4: {len(payload)}")
-    try:  # ipv4_checksum, computed inline as in read_ipv4
+    try:  # the header checksum, as in read_ipv4
         checksum = 0xFFFE - (0x44FF + tos + total_length + ident + flags_frag + (ttl << 8)
                              + protocol + src + dst) % 0xFFFF
         header = _IPV4_STRUCT.pack(0x45, tos, total_length, ident, flags_frag, ttl,
@@ -193,23 +137,6 @@ def pack_ipv4(tos: int, ident: int, flags_frag: int, ttl: int, protocol: int,
     except (struct.error, TypeError) as exc:
         raise InvalidHeader(f"header field out of range: {exc}") from None
     return header + payload
-
-
-def encode_ipv4(h: Ipv4Header, payload: bytes) -> bytes:
-    """Serialize header plus payload, recomputing total_length and checksum."""
-    return pack_ipv4(h.tos_dscp, h.identification, h.flags_frag, h.ttl, h.protocol,
-                     h.src_addr, h.dst_addr, payload)
-
-
-def parse_ipv4(b: bytes) -> tuple[Ipv4Header, bytes]:
-    """Parse one IPv4 datagram; verifies length accounting and checksum."""
-    (_, tos, total_length, ident, flags_frag, ttl, proto, checksum,
-     src, dst) = read_ipv4(b)
-    header = Ipv4Header(
-        src_addr=src, dst_addr=dst, protocol=proto, tos_dscp=tos,
-        identification=ident, flags_frag=flags_frag, ttl=ttl,
-        total_length=total_length, checksum=checksum)
-    return header, b[IPV4_HEADER_LEN:]
 
 
 def pack_qesp_header(spi: int, seq: int, src_port: int, dst_port: int,
@@ -244,48 +171,3 @@ def read_qesp_header(b: bytes) -> tuple[int, ...]:
     if reserved != 0:
         raise InvalidHeader(f"reserved must be 0, got {reserved}")
     return fields
-
-
-# --- packet dump files -------------------------------------------------------
-#
-# Fixture format: a sequence of records, each a u32 big-endian length followed
-# by that many raw IPv4 datagram bytes.  Golden fixtures store the stream as
-# whitespace-insensitive hex in tests/fixtures/*.hex.
-
-def write_packet_dump(f: BinaryIO, packets: Iterable[bytes]) -> None:
-    for pkt in packets:
-        f.write(struct.pack(">I", len(pkt)))
-        f.write(pkt)
-
-
-def read_packet_dump(f: BinaryIO) -> list[bytes]:
-    packets = []
-    while True:
-        head = f.read(4)
-        if not head:
-            return packets
-        if len(head) < 4:
-            raise Truncated("dump record length field cut short")
-        (length,) = struct.unpack(">I", head)
-        body = f.read(length)
-        if len(body) < length:
-            raise Truncated(f"dump record needs {length} bytes, got {len(body)}")
-        packets.append(body)
-
-
-def packets_to_hex(packets: Iterable[bytes]) -> str:
-    """Render a packet dump stream as line-wrapped hex."""
-    buf = io.BytesIO()
-    write_packet_dump(buf, packets)
-    raw = buf.getvalue().hex()
-    return "\n".join(raw[i:i + 64] for i in range(0, len(raw), 64)) + "\n"
-
-
-def packets_from_hex(text: str) -> list[bytes]:
-    """Parse a whitespace-insensitive hex packet dump stream."""
-    compact = "".join(text.split())
-    try:
-        raw = bytes.fromhex(compact)
-    except ValueError as exc:
-        raise Truncated(f"invalid hex in packet dump: {exc}") from None
-    return read_packet_dump(io.BytesIO(raw))

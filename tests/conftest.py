@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from qesp_lab import wire
+import oracle
+from qesp_lab import netsim, wire
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.sadb import (
     ProtocolVariant,
@@ -62,10 +63,10 @@ def make_datagram(protocol=wire.IPPROTO_UDP, payload_len=100,
                               5 << 4, 0x10, 8192, 0, 0) + body
     else:
         segment = rng.randbytes(payload_len)
-    header = wire.Ipv4Header(
-        src_addr=wire.addr_to_int(src), dst_addr=wire.addr_to_int(dst),
-        protocol=protocol, tos_dscp=tos_dscp, ttl=ttl, identification=ident)
-    return wire.encode_ipv4(header, segment)
+    header = oracle.Header(
+        src=wire.addr_to_int(src), dst=wire.addr_to_int(dst),
+        protocol=protocol, tos=tos_dscp, ttl=ttl, identification=ident)
+    return oracle.encode(header, segment)
 
 
 ALL_CIPHERS = tuple(CipherAlg)
@@ -77,3 +78,19 @@ ALL_MODES = (SaMode.TRANSPORT, SaMode.TUNNEL)
 @pytest.fixture
 def udp_datagram() -> bytes:
     return make_datagram()
+
+
+class JitterDrawn(Exception):
+    """run_simulation asked for its first jitter draw."""
+
+
+class _NoDraws(random.Random):
+    def random(self) -> float:
+        raise JitterDrawn
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """run_simulation raises JitterDrawn at its first jitter draw, so a test can
+    show that a run was refused before it built any emission."""
+    monkeypatch.setattr(netsim, "random", type("Rng", (), {"Random": _NoDraws}))

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import oracle
 from conftest import (
     ALL_CIPHERS,
     ALL_MACS,
@@ -23,7 +24,7 @@ from conftest import (
 from test_classifier import random_plain_packet, random_rule
 from test_sadb import ReplayOracle
 
-from qesp_lab import classifier, cli, config, crypto, engine, netsim, wire
+from qesp_lab import classifier, cli, config, crypto, engine, netsim
 from qesp_lab.classifier import ClassifierRule, RuleTable
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import AuthFailure, InvalidHeader, UnknownSpi
@@ -140,8 +141,8 @@ def test_03_tamper_suite():
         for mode in ALL_MODES:
             sa = make_sa(mode=mode, cipher=cipher, mac=mac, extended_auth=True)
             out = engine.outbound(sa, datagram)
-            header, body = wire.parse_ipv4(out)
-            remarked = wire.encode_ipv4(header.with_dscp(rng.randrange(64)), body)
+            header, body = oracle.parse(out)
+            remarked = oracle.encode(header.with_dscp(rng.randrange(64)), body)
             engine.inbound(sadb_with(make_sa(
                 mode=mode, cipher=cipher, mac=mac, extended_auth=True,
             )), remarked)

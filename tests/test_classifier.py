@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import pytest
 
+import oracle
 from conftest import make_datagram, make_sa
-from qesp_lab import classifier, engine, wire
+from qesp_lab import classifier, engine
 from qesp_lab.classifier import ClassifierRule, RuleTable
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import ConfigError, MalformedPacket
@@ -110,7 +111,7 @@ class TestRemarking:
     def test_remark_sets_dscp_and_checksum(self, udp_datagram):
         dscp, marked = classifier.classify_and_remark(VOICE_TABLE, udp_datagram)
         assert dscp == EF
-        header, _ = wire.parse_ipv4(marked)  # checksum verified by parse
+        header, _ = oracle.parse(marked)  # checksum verified by parse
         assert header.dscp == EF
 
     def test_remark_survives_extended_auth(self, udp_datagram):

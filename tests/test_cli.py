@@ -7,8 +7,9 @@ import statistics
 
 import pytest
 
+import oracle
 from conftest import FIXTURES, make_datagram
-from qesp_lab import cli, wire
+from qesp_lab import cli
 from qesp_lab.cli import main
 
 CLI_CONFIG = {
@@ -81,6 +82,25 @@ class TestThroughput:
         for line in out.read_text().splitlines()[1:]:
             size, _, goodput = line.split(",")[:3]
             assert float(goodput) == pytest.approx(int(size) * 0.8)
+
+
+class TestSimulationFlags:
+    """Flags that reach the simulator go through the same checks as a config file."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--duration", "0"), ("--duration", "-1"), ("--duration", "nan"),
+        ("--duration", "inf"), ("--pps", "0"), ("--pps", "-5"), ("--pps", "nan"),
+        ("--pps", "inf")])
+    def test_not_finite_and_positive(self, flag, value, capsys, no_draws):
+        assert main(["throughput", "--sizes", "64", flag, value]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError:") and "must be finite and > 0" in err
+
+    @pytest.mark.parametrize("flags", [["--pps", "1e300"], ["--duration", "1e300"],
+                                       ["--pps", "1e300", "--duration", "1e300"]])
+    def test_unbounded_run_refused(self, flags, capsys, no_draws):
+        assert main(["throughput", "--sizes", "64", *flags]) == 3
+        assert "packets in one run" in capsys.readouterr().err
 
 
 class TestPriority:
@@ -200,7 +220,7 @@ class TestOneShotTools:
 
     def test_classify_golden_fixture(self, tmp_path, config_file, capsys):
         """The recorded Q-ESP packet classifies to EF under the voice rule."""
-        _, golden_out = wire.packets_from_hex(
+        _, golden_out = oracle.dump_from_hex(
             (FIXTURES / "qesp_transport_aes128_sha1.hex").read_text())
         pkt = tmp_path / "golden.hex"
         pkt.write_text(golden_out.hex())
@@ -210,7 +230,7 @@ class TestOneShotTools:
                         "src_port=4000 dst_port=5060 dscp=46")
 
     def test_classify_esp_shows_no_ports(self, tmp_path, config_file, capsys):
-        _, golden_out = wire.packets_from_hex(
+        _, golden_out = oracle.dump_from_hex(
             (FIXTURES / "esp_transport_aes128_sha1.hex").read_text())
         pkt = tmp_path / "esp.hex"
         pkt.write_text(golden_out.hex())
@@ -252,6 +272,12 @@ class TestBenchCrypto:
 
     def test_bad_algs_flag(self, capsys):
         assert main(["bench-crypto", "--algs", "caesar"]) == 3
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_iters_below_one(self, iters, capsys):
+        assert main(["bench-crypto", "--sizes", "64", "--algs", "null/null",
+                     "--iters", iters]) == 3
+        assert "--iters: must be >= 1" in capsys.readouterr().err
 
     def test_variant_parity_at_equal_algorithms(self):
         """Q-ESP and ESP encapsulation cost stays within 5% at equal algs."""

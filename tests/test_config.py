@@ -10,6 +10,7 @@ import pytest
 from qesp_lab.config import load_config, parse_config
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import ConfigError
+from qesp_lab.netsim import run_simulation
 from qesp_lab.sadb import ProtocolVariant, SaMode
 
 VALID = {
@@ -184,6 +185,22 @@ class TestFiniteNumbers:
             assert main(["priority", "--config", str(path)]) == 3
             err = capsys.readouterr().err
             assert err.startswith("error: ConfigError:") and key in err
+
+
+class TestPositiveNumbers:
+    @pytest.mark.parametrize("where,key", [((), "duration"), (("sources", 0), "rate_pps")])
+    @pytest.mark.parametrize("value", [0, -1.5])
+    def test_zero_and_negative_rejected(self, where, key, value):
+        with pytest.raises(ConfigError, match=key + " must be finite and > 0"):
+            parse_config(with_number(where, key, value))
+
+    @pytest.mark.parametrize("where,key", [((), "duration"), (("sources", 0), "rate_pps")])
+    def test_huge_but_finite_parses_and_is_refused_at_run_time(self, where, key, no_draws):
+        """Parsing accepts any finite positive number; the per-run packet
+        ceiling refuses the run before it builds a single emission."""
+        cfg = parse_config(with_number(where, key, 1e300))
+        with pytest.raises(ConfigError, match="packets in one run"):
+            run_simulation(cfg)
 
 
 class TestClassIndexBound:

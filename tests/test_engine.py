@@ -9,6 +9,7 @@ import random
 import struct
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+import oracle
 from conftest import (
     ALL_CIPHERS,
     ALL_MACS,
@@ -173,14 +175,14 @@ class TestGoldenFixtures:
         produced = engine.outbound(sa, GOLDEN_INPUT)
         assert produced == golden_expected(name)
 
-        recorded_in, recorded_out = wire.packets_from_hex(
+        recorded_in, recorded_out = oracle.dump_from_hex(
             (FIXTURES / f"{name}.hex").read_text())
         assert recorded_in == GOLDEN_INPUT
         assert produced == recorded_out
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_fixture_decapsulates_to_input(self, name):
-        recorded_in, recorded_out = wire.packets_from_hex(
+        recorded_in, recorded_out = oracle.dump_from_hex(
             (FIXTURES / f"{name}.hex").read_text())
         db = sadb_with(golden_sa(name))
         assert engine.inbound(db, recorded_out) == recorded_in
@@ -422,29 +424,25 @@ class TestDscpHandling:
         sa = make_sa(variant=variant, mode=mode)
         datagram = make_datagram(tos_dscp=46 << 2)
         out = engine.outbound(sa, datagram)
-        assert wire.parse_ipv4(out)[0].dscp == 46
+        assert oracle.parse(out)[0].dscp == 46
 
     def test_remark_in_transit_survives_extended_coverage(self, udp_datagram):
         """A router rewriting DSCP (and checksum) must not break the ICV."""
         sa = make_sa(extended_auth=True)
         db = sadb_with(sa)
         out = engine.outbound(sa, udp_datagram)
-        header, body = wire.parse_ipv4(out)
-        remarked = wire.encode_ipv4(header.with_dscp(46), body)
+        header, body = oracle.parse(out)
+        remarked = oracle.encode(header.with_dscp(46), body)
         rebuilt = engine.inbound(db, remarked)
-        assert wire.parse_ipv4(rebuilt)[0].dscp == 46  # remark sticks, decap succeeds
+        assert oracle.parse(rebuilt)[0].dscp == 46  # remark sticks, decap succeeds
 
     def test_immutable_field_rewrite_fails_extended_coverage(self, udp_datagram):
         """Extended coverage pins the addresses even with a fixed checksum."""
         sa = make_sa(extended_auth=True)
         db = sadb_with(sa)
         out = engine.outbound(sa, udp_datagram)
-        header, body = wire.parse_ipv4(out)
-        rerouted = wire.encode_ipv4(
-            wire.Ipv4Header(src_addr=header.src_addr ^ 1, dst_addr=header.dst_addr,
-                            protocol=header.protocol, tos_dscp=header.tos_dscp,
-                            identification=header.identification, ttl=header.ttl),
-            body)
+        header, body = oracle.parse(out)
+        rerouted = oracle.encode(replace(header, src=header.src ^ 1), body)
         with pytest.raises(AuthFailure):
             engine.inbound(db, rerouted)
 
@@ -452,8 +450,8 @@ class TestDscpHandling:
         sa = make_sa(extended_auth=False)
         db = sadb_with(sa)
         out = engine.outbound(sa, udp_datagram)
-        header, body = wire.parse_ipv4(out)
-        remarked = wire.encode_ipv4(header.with_dscp(12), body)
+        header, body = oracle.parse(out)
+        remarked = oracle.encode(header.with_dscp(12), body)
         engine.inbound(db, remarked)  # must not raise
 
 

@@ -1,5 +1,6 @@
-"""Per-packet path: the IPv4 validator/packer against independent references,
-and one five-tuple truth across engine and classifier."""
+"""Per-packet path: the IPv4 validator/packer against the RFC 791 oracle and
+other independent references, and one five-tuple truth across engine and
+classifier."""
 
 from __future__ import annotations
 
@@ -10,11 +11,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import ALL_MODES, ALL_VARIANTS, make_sa, sadb_with
 from qesp_lab import classifier, engine, wire
 from qesp_lab.classifier import MEMO_LIMIT, ClassifierRule, RuleTable
 from qesp_lab.crypto import CipherAlg, MacAlg
-from qesp_lab.errors import BadChecksum, MalformedPacket, QespLabError
+from qesp_lab.errors import (
+    BadChecksum,
+    InvalidHeader,
+    MalformedPacket,
+    QespLabError,
+    Truncated,
+    UnsupportedOptions,
+)
 from qesp_lab.sadb import FiveTuple, Ipv4Net, ProtocolVariant, SaMode, Selector
 
 SRC = wire.addr_to_int("10.0.0.1")
@@ -24,12 +33,35 @@ u8, u16, u32 = st.integers(0, 0xFF), st.integers(0, 0xFFFF), st.integers(0, 0xFF
 protocols = st.sampled_from([wire.IPPROTO_TCP, wire.IPPROTO_UDP, 1, wire.IPPROTO_QESP]) | u8
 
 
+def oracle_header(tos, ident, flags_frag, ttl, protocol, src, dst) -> oracle.Header:
+    """The oracle's view of pack_ipv4's header arguments."""
+    return oracle.Header(src=src, dst=dst, protocol=protocol, tos=tos, identification=ident,
+                         flags=flags_frag >> 13, fragment_offset=flags_frag & 0x1FFF, ttl=ttl)
+
+
+# pack_ipv4's header arguments: tos, ident, flags_frag, ttl, protocol, src, dst
+header_fields = st.tuples(u8, u16, u16, u8, protocols, u32, u32)
+# Its words sum to 0xFFFF, so the checksum is 0x0000 and 0xFFFF (the other
+# ones-complement zero) must not verify in its place.
+ZERO_SUM = ((0, 0xBAEB, 0, 0, 0, 0, 0), b"")
+
+
 @st.composite
-def datagrams(draw) -> bytes:
-    header = wire.Ipv4Header(
-        src_addr=draw(u32), dst_addr=draw(u32), protocol=draw(protocols),
-        tos_dscp=draw(u8), identification=draw(u16), flags_frag=draw(u16), ttl=draw(u8))
-    return wire.encode_ipv4(header, draw(st.binary(max_size=2000)))
+def packer_inputs(draw, max_payload: int = 64) -> tuple[tuple[int, ...], bytes]:
+    """(header arguments, payload); half of them have checksum 0x0000."""
+    fields, payload = draw(header_fields), draw(st.binary(max_size=max_payload))
+    if draw(st.booleans()):
+        # With identification 0 the checksum c makes the words sum to 0xFFFF - c,
+        # so identification c makes them sum to 0xFFFF.
+        with_ident_0 = oracle.encode(oracle_header(fields[0], 0, *fields[2:]), payload)
+        fields = (fields[0], oracle.checksum(with_ident_0), *fields[2:])
+    return fields, payload
+
+
+def datagrams() -> st.SearchStrategy[bytes]:
+    """Valid datagrams, built by the oracle."""
+    return packer_inputs(max_payload=2000).map(
+        lambda inputs: oracle.encode(oracle_header(*inputs[0]), inputs[1]))
 
 
 port_ranges = st.none() | st.tuples(u16, u16).map(lambda p: (min(p), max(p)))
@@ -54,26 +86,16 @@ def outcome(fn, *args):
 
 # --- independent references ---------------------------------------------------
 
-def reference_checksum(header: bytes) -> int:
-    total = 0
-    for i in range(0, 20, 2):
-        if i != 10:
-            total += int.from_bytes(header[i:i + 2], "big")
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
-
-
 def reference_in_net(net: Ipv4Net, addr: int) -> bool:
     mask = (0xFFFFFFFF << (32 - net.prefix)) & 0xFFFFFFFF
     return addr & mask == net.addr & mask
 
 
 def reference_classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int, bytes]:
-    """Parse into an Ipv4Header, match field by field, re-encode with_dscp."""
+    """Parse with the oracle, match field by field, re-encode with_dscp."""
     try:
-        header, payload = wire.parse_ipv4(packet)
-    except QespLabError as exc:
+        header, payload = oracle.parse(packet)
+    except oracle.Rejected as exc:
         raise MalformedPacket(str(exc)) from None
     protocol, ports = header.protocol, (None, None)
     if protocol in (wire.IPPROTO_TCP, wire.IPPROTO_UDP):
@@ -89,39 +111,42 @@ def reference_classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int,
     dscp = table.default_dscp
     for rule in table.rules:
         sel = rule.selector
-        if (reference_in_net(sel.src_net, header.src_addr)
-                and reference_in_net(sel.dst_net, header.dst_addr)
+        if (reference_in_net(sel.src_net, header.src)
+                and reference_in_net(sel.dst_net, header.dst)
                 and sel.protocol in (None, protocol)
                 and all(want is None or (port is not None and want[0] <= port <= want[1])
                         for want, port in ((sel.src_ports, ports[0]),
                                            (sel.dst_ports, ports[1])))):
             dscp = rule.dscp
             break
-    return dscp, wire.encode_ipv4(header.with_dscp(dscp), payload)
+    return dscp, oracle.encode(header.with_dscp(dscp), payload)
 
 
 # --- differential properties ----------------------------------------------------
 
-class TestAgainstReferences:
-    @given(st.binary(min_size=20, max_size=20))
-    def test_checksum_equals_word_by_word_reference(self, header):
-        assert wire.ipv4_checksum(header) == reference_checksum(header)
+# The wire error class for each reason the oracle rejects a datagram.
+READ_IPV4_ERRORS = {"short": Truncated, "version": InvalidHeader, "ihl": UnsupportedOptions,
+                    "truncated": Truncated, "trailing": InvalidHeader,
+                    "checksum": BadChecksum}
 
-    # tos, ident, flags_frag, ttl, protocol, src, dst
-    @given(fields=st.tuples(u8, u16, u16, u8, u8, u32, u32), payload=st.binary(max_size=64),
-           stored=st.none() | st.sampled_from([0x0000, 0xFFFF]) | u16)
-    # Header 45000014baeb0000000000000000000000000000: its words sum to 0xFFFF,
-    # so the checksum is 0x0000, and 0xFFFF (the other ones-complement zero)
-    # must not verify in its place.
-    @example(fields=(0, 0xBAEB, 0, 0, 0, 0, 0), payload=b"", stored=None)
-    @example(fields=(0, 0xBAEB, 0, 0, 0, 0, 0), payload=b"", stored=0xFFFF)
+
+class TestAgainstReferences:
+    @given(packer_inputs())
+    @example(ZERO_SUM)
     @settings(max_examples=300)
-    def test_checksum_word_decides_acceptance(self, fields, payload, stored):
-        """pack_ipv4 writes the reference checksum; read_ipv4 accepts a datagram
-        iff its stored checksum word equals the reference."""
-        packet = bytearray(wire.pack_ipv4(*fields, payload))
-        reference = reference_checksum(packet)
-        assert struct.unpack_from(">H", packet, 10)[0] == reference
+    def test_packer_equals_oracle(self, inputs):
+        fields, payload = inputs
+        assert wire.pack_ipv4(*fields, payload) == oracle.encode(oracle_header(*fields), payload)
+
+    @given(inputs=packer_inputs(), stored=st.none() | st.sampled_from([0x0000, 0xFFFF]) | u16)
+    @example(inputs=ZERO_SUM, stored=None)
+    @example(inputs=ZERO_SUM, stored=0xFFFF)
+    @settings(max_examples=300)
+    def test_checksum_word_decides_acceptance(self, inputs, stored):
+        """read_ipv4 accepts an oracle-built datagram iff its stored checksum
+        word equals the oracle's checksum."""
+        packet = bytearray(oracle.encode(oracle_header(*inputs[0]), inputs[1]))
+        reference = oracle.checksum(packet)
         if stored is not None:
             struct.pack_into(">H", packet, 10, stored)
         if stored is None or stored == reference:
@@ -133,19 +158,22 @@ class TestAgainstReferences:
     @given(st.one_of(st.binary(max_size=64), datagrams(),
                      st.tuples(datagrams(), st.integers(0, 19), u8).map(
                          lambda t: t[0][:t[1]] + bytes([t[2]]) + t[0][t[1] + 1:])))
+    @example(oracle.encode(oracle_header(*ZERO_SUM[0]), b""))
+    @example(bytes.fromhex("45000014baeb00000000ffff0000000000000000"))
     @settings(max_examples=300)
-    def test_validator_agrees_with_parse_ipv4(self, blob):
-        """Same error class from both, and the same fields when both accept."""
-        parsed, fields = outcome(wire.parse_ipv4, blob), outcome(wire.read_ipv4, blob)
-        if isinstance(fields, tuple):
-            header, payload = parsed
-            assert fields[1:] == (header.tos_dscp, header.total_length,
-                                  header.identification, header.flags_frag, header.ttl,
-                                  header.protocol, header.checksum,
-                                  header.src_addr, header.dst_addr)
-            assert payload == blob[wire.IPV4_HEADER_LEN:]
+    def test_validator_agrees_with_oracle(self, blob):
+        """read_ipv4 accepts what the oracle accepts, with the same fields, and
+        rejects the rest with the error class of the oracle's reason."""
+        fields = outcome(wire.read_ipv4, blob)
+        try:
+            header, payload = oracle.parse(blob)
+        except oracle.Rejected as exc:
+            assert fields is READ_IPV4_ERRORS[exc.reason]
         else:
-            assert parsed is fields
+            assert fields == (0x45, header.tos, header.total_length, header.identification,
+                              header.flags_frag, header.ttl, header.protocol, header.checksum,
+                              header.src, header.dst)
+            assert payload == blob[wire.IPV4_HEADER_LEN:]
 
     @given(tables, datagrams())
     @settings(max_examples=300)
@@ -294,7 +322,7 @@ class TestRemarkInPlace:
         _, marked = classifier.classify_and_remark(RuleTable(default_dscp=46), packet)
         assert marked[1] == 46 << 2 | 0x03
         assert marked[:1] + marked[2:10] + marked[12:] == packet[:1] + packet[2:10] + packet[12:]
-        assert struct.unpack_from(">H", marked, 10)[0] == reference_checksum(marked)
+        assert struct.unpack_from(">H", marked, 10)[0] == oracle.checksum(marked)
 
 
 # --- the per-flow DSCP memo -------------------------------------------------------

@@ -11,7 +11,7 @@ from functools import partial
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, JitterDrawn
 from qesp_lab import classifier, engine, netsim
 from qesp_lab.classifier import ClassifierRule, RuleTable
 from qesp_lab.config import ExperimentConfig, SaSpec, load_config
@@ -311,6 +311,50 @@ class TestRunSimulation:
             flow("bad", 5060, 0, 300)
         with pytest.raises(ConfigError):
             flow("bad", 5060, 10, 0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rates_durations_capacities_finite_and_positive(self, bad):
+        """Checked by the objects themselves, so the config file and the CLI
+        (which builds them directly) share one check."""
+        with pytest.raises(ConfigError, match="rate_pps must be finite and > 0"):
+            flow("bad", 5060, bad, 300)
+        with pytest.raises(ConfigError, match="duration must be finite and > 0"):
+            simple_config([flow("f", 5060, 10, 300)], duration=bad)
+        with pytest.raises(ConfigError, match="capacity_bps must be finite and > 0"):
+            LinkConfig(capacity_bps=bad, queue_limit=1)
+
+
+class TestPacketCeiling:
+    """A run may offer at most MAX_PACKETS_PER_RUN packets over all its
+    sources; beyond that it is refused before any emission is built."""
+
+    LIMIT = netsim.MAX_PACKETS_PER_RUN
+
+    def test_at_the_ceiling_the_run_starts(self, no_draws):
+        with pytest.raises(JitterDrawn):
+            run_simulation(simple_config([flow("f", 5060, self.LIMIT, 100)], duration=1.0))
+
+    def test_just_above_is_refused(self, no_draws):
+        with pytest.raises(ConfigError, match=f"more than {self.LIMIT} packets"):
+            run_simulation(simple_config([flow("f", 5060, self.LIMIT + 1, 100)],
+                                         duration=1.0))
+
+    def test_sources_count_together(self, no_draws):
+        half = self.LIMIT // 2
+        sources = [flow("a", 5060, half, 100), flow("b", 9000, half + 1, 100)]
+        with pytest.raises(ConfigError, match=f"more than {self.LIMIT} packets"):
+            run_simulation(simple_config(sources, duration=1.0))
+
+    @pytest.mark.parametrize("rate,duration", [(1e300, 10.0), (50.0, 1e300), (1e300, 1e300)])
+    def test_huge_products_are_refused(self, no_draws, rate, duration):
+        """rate x duration may overflow to inf; the count must not reach int()."""
+        with pytest.raises(ConfigError, match=f"more than {self.LIMIT} packets"):
+            run_simulation(simple_config([flow("f", 5060, rate, 100)], duration=duration))
+
+    def test_huge_negative_span_offers_nothing(self):
+        late = flow("late", 5060, 1e300, 100, start=1e308, stop=-1e308)
+        stats = run_simulation(simple_config([late, flow("f", 9000, 50, 100)], duration=1.0))
+        assert (stats[0].offered_packets, stats[1].offered_packets) == (0, 50)
 
 
 class TestPriorityMonotonicity:
