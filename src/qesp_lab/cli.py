@@ -21,11 +21,12 @@ import gc
 import os
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 
 from . import classifier, engine
 from .classifier import RuleTable
-from .config import ExperimentConfig, SaSpec, load_config
+from .config import ExperimentConfig, load_config
 from .crypto import CipherAlg, MacAlg
 from .errors import (
     AuthFailure,
@@ -44,7 +45,7 @@ from .errors import (
     UnsupportedOptions,
 )
 from .netsim import FlowStats, LinkConfig, TrafficSource, build_datagram, run_simulation
-from .sadb import FiveTuple, ProtocolVariant, SaMode, Selector
+from .sadb import FiveTuple, ProtocolVariant, SaMode, SecurityAssociation, Selector
 from .wire import IPPROTO_UDP, int_to_addr
 
 
@@ -116,9 +117,12 @@ def _read_hex_file(path: str) -> bytes:
 def _write_out(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -154,7 +158,7 @@ _SWEEP_MAC_KEYS = {
 def _sweep_config(size: int, variant: ProtocolVariant, cipher: CipherAlg, mac: MacAlg,
                   mode: SaMode, pps: float, duration: float, seed: int) -> ExperimentConfig:
     """One protected flow on an uncongested link."""
-    sa = SaSpec(
+    sa = SecurityAssociation(
         spi=0x101, variant=variant, mode=mode, cipher=cipher,
         cipher_key=bytes.fromhex(_SWEEP_CIPHER_KEYS[cipher]),
         mac=mac, mac_key=bytes.fromhex(_SWEEP_MAC_KEYS[mac]),
@@ -252,7 +256,7 @@ def bench_encapsulation(variant: ProtocolVariant, cipher: CipherAlg, mac: MacAlg
     GC is paused around the timed loop (as timeit does) so allocation debt
     from the surrounding process does not land inside the measurement.
     """
-    spec = SaSpec(
+    template = SecurityAssociation(
         spi=0x200, variant=variant, mode=SaMode.TRANSPORT, cipher=cipher,
         cipher_key=bytes.fromhex(_SWEEP_CIPHER_KEYS[cipher]),
         mac=mac, mac_key=bytes.fromhex(_SWEEP_MAC_KEYS[mac]),
@@ -266,7 +270,7 @@ def bench_encapsulation(variant: ProtocolVariant, cipher: CipherAlg, mac: MacAlg
     gc.disable()
     try:
         for _ in range(repeats):
-            sa = spec.build()
+            sa = replace(template)
             start = time.perf_counter_ns()
             for _ in range(iters):
                 engine.outbound(sa, datagram)

@@ -2,9 +2,9 @@
 
 The schema is documented in docs/config.md.  Validation is strict: unknown
 keys are rejected, and every diagnostic names the offending field by path
-(e.g. "link.capacity_bps").  SAs are kept as immutable descriptions here;
-build_sadb() materializes fresh stateful SecurityAssociation objects per run
-so repeated runs never share sequence or replay state.
+(e.g. "link.capacity_bps").  The config's SecurityAssociation objects are
+templates that no run touches: build_sadb() gives each run fresh copies, so
+repeated runs never share sequence, replay or IV state.
 """
 
 from __future__ import annotations
@@ -32,40 +32,8 @@ _FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
-class SaSpec:
-    """Declarative SA description; turned into a live SA by build()."""
-
-    spi: int
-    variant: ProtocolVariant
-    mode: SaMode
-    cipher: CipherAlg
-    cipher_key: bytes
-    mac: MacAlg
-    mac_key: bytes
-    selector: Selector
-    extended_auth: bool = False
-    tunnel_src: int | None = None
-    tunnel_dst: int | None = None
-    iv_seed: int = 0
-
-    def build(self) -> SecurityAssociation:
-        return SecurityAssociation(
-            spi=self.spi, variant=self.variant, mode=self.mode,
-            cipher=self.cipher, cipher_key=self.cipher_key,
-            mac=self.mac, mac_key=self.mac_key, selector=self.selector,
-            extended_auth=self.extended_auth,
-            tunnel_src=self.tunnel_src, tunnel_dst=self.tunnel_dst,
-            iv_seed=self.iv_seed)
-
-    def with_variant(self, variant: ProtocolVariant) -> "SaSpec":
-        """Same SA re-keyed to another protocol variant (for A/B runs)."""
-        extended = self.extended_auth and variant is ProtocolVariant.QESP
-        return replace(self, variant=variant, extended_auth=extended)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    sas: tuple[SaSpec, ...]
+    sas: tuple[SecurityAssociation, ...]
     rules: RuleTable
     sources: tuple[TrafficSource, ...]
     link: LinkConfig
@@ -75,15 +43,23 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_positive(self.duration, "duration")
+        for src in self.sources:
+            if src.stop is not None and not src.stop <= self.duration:
+                raise ConfigError(f"source {src.flow_id}: stop {src.stop} is after "
+                                  f"duration {self.duration}")
 
     def build_sadb(self) -> Sadb:
         sadb = Sadb()
-        for spec in self.sas:
-            sadb.add_sa(spec.build())
+        for sa in self.sas:
+            sadb.add_sa(replace(sa))
         return sadb
 
     def with_variant(self, variant: ProtocolVariant) -> "ExperimentConfig":
-        return replace(self, sas=tuple(s.with_variant(variant) for s in self.sas))
+        """Every SA re-keyed to another protocol variant (for A/B runs)."""
+        qesp = variant is ProtocolVariant.QESP
+        return replace(self, sas=tuple(replace(sa, variant=variant,
+                                               extended_auth=sa.extended_auth and qesp)
+                                       for sa in self.sas))
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed)
@@ -208,44 +184,37 @@ def parse_selector(obj, where: str) -> Selector:
                     dst_ports=_ports(obj.get("dst_ports"), f"{where}.dst_ports"))
 
 
-def parse_sa(obj, where: str) -> SaSpec:
+def parse_sa(obj, where: str) -> SecurityAssociation:
     obj = _expect_mapping(obj, where)
     _take(obj, where, {"spi": True, "variant": True, "mode": True,
                        "cipher": True, "cipher_key_hex": False,
                        "mac": True, "mac_key_hex": False,
                        "extended_auth": False, "selector": True,
                        "tunnel": False, "iv_seed": False})
-    mode = _enum(obj, where, "mode", SaMode)
     tunnel_src = tunnel_dst = None
     if "tunnel" in obj:
         tunnel = _expect_mapping(obj["tunnel"], f"{where}.tunnel")
         _take(tunnel, f"{where}.tunnel", {"src": True, "dst": True})
         tunnel_src = _addr(tunnel, f"{where}.tunnel", "src")
         tunnel_dst = _addr(tunnel, f"{where}.tunnel", "dst")
-    elif mode is SaMode.TUNNEL:
-        raise ConfigError(f"{where}.tunnel: missing required field")
     extended = obj.get("extended_auth", False)
     if not isinstance(extended, bool):
         raise ConfigError(f"{where}.extended_auth: expected a boolean")
-    try:
-        spec = SaSpec(
-            spi=_int_field(obj, where, "spi", lo=1, hi=0xFFFFFFFF),
-            variant=_enum(obj, where, "variant", ProtocolVariant),
-            mode=mode,
-            cipher=_enum(obj, where, "cipher", CipherAlg),
-            cipher_key=_hex_key(obj, where, "cipher_key_hex"),
-            mac=_enum(obj, where, "mac", MacAlg),
-            mac_key=_hex_key(obj, where, "mac_key_hex"),
-            selector=parse_selector(obj.get("selector"), f"{where}.selector"),
-            extended_auth=extended,
-            tunnel_src=tunnel_src, tunnel_dst=tunnel_dst,
-            iv_seed=_int_field(obj, where, "iv_seed", default=0),
-        )
-        spec.build()  # surface key-length/mode violations at load time
-        return spec
+    params = dict(
+        spi=_int_field(obj, where, "spi"),
+        variant=_enum(obj, where, "variant", ProtocolVariant),
+        mode=_enum(obj, where, "mode", SaMode),
+        cipher=_enum(obj, where, "cipher", CipherAlg),
+        cipher_key=_hex_key(obj, where, "cipher_key_hex"),
+        mac=_enum(obj, where, "mac", MacAlg),
+        mac_key=_hex_key(obj, where, "mac_key_hex"),
+        selector=parse_selector(obj.get("selector"), f"{where}.selector"),
+        extended_auth=extended,
+        tunnel_src=tunnel_src, tunnel_dst=tunnel_dst,
+        iv_seed=_int_field(obj, where, "iv_seed", default=0))
+    try:  # the SA checks its own SPI range, tunnel endpoints and key lengths
+        return SecurityAssociation(**params)
     except QespLabError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{where}: {exc}") from None
 
 

@@ -62,7 +62,8 @@ class TrafficSource:
     payload_size is the transport payload in bytes; the synthesized datagram
     adds the IP header and a UDP (8 B) or TCP (20 B) header around it.
     protection_spi names the SA the sender runs the flow through, or None
-    for plaintext.
+    for plaintext.  The source emits within [start, stop], stop defaulting
+    to the run's duration; ExperimentConfig keeps stop within the run.
     """
 
     flow_id: str
@@ -75,6 +76,8 @@ class TrafficSource:
 
     def __post_init__(self) -> None:
         check_positive(self.rate_pps, f"source {self.flow_id}: rate_pps")
+        if not self.start >= 0:  # NaN fails too
+            raise ConfigError(f"source {self.flow_id}: start must be >= 0, got {self.start}")
         if not 1 <= self.payload_size <= MAX_PAYLOAD_SIZE:
             raise ConfigError(
                 f"source {self.flow_id}: payload_size must be in [1, {MAX_PAYLOAD_SIZE}]")

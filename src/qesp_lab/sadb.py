@@ -107,10 +107,15 @@ class Selector:
 
 @dataclass
 class SecurityAssociation:
-    """One direction of one protected flow.
+    """One direction of one protected flow: one SAD entry.
 
-    seq_next only ever increases and is never reused; replay_highest tracks
-    the greatest authenticated sequence number seen inbound.
+    The constructor takes the SA's parameters only.  Its state (seq_next,
+    the replay window, the IV stream and the keyed crypto contexts) is always
+    built fresh, so dataclasses.replace(sa) yields a new SA with the same
+    parameters and none of sa's state: configs keep SAs as templates and give
+    each run such copies.  seq_next only ever increases and is never reused;
+    replay_highest tracks the greatest authenticated sequence number seen
+    inbound.
 
     The keyed crypto state is built once, here, not per packet: cipher_state
     holds persistent CBC contexts (see the crypto module for the chaining
@@ -132,13 +137,13 @@ class SecurityAssociation:
     tunnel_src: int | None = None
     tunnel_dst: int | None = None
     iv_seed: int = 0
-    seq_next: int = 1
-    replay_highest: int = 0
-    replay_bitmap: int = 0
+    seq_next: int = field(default=1, init=False)
+    replay_highest: int = field(default=0, init=False)
+    replay_bitmap: int = field(default=0, init=False)
     cipher_state: CipherState = field(init=False, repr=False, compare=False)
     mac_state: MacState = field(init=False, repr=False, compare=False)
-    _iv_gen: IvGenerator = field(init=False, repr=False)
-    _lock: threading.Lock = field(init=False, repr=False)
+    _iv_gen: IvGenerator = field(init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.spi <= 0xFFFFFFFF:
@@ -198,24 +203,23 @@ class SecurityAssociation:
 
 
 class Sadb:
-    """SA registry: insertion-ordered for selectors, indexed by SPI inbound."""
+    """SA registry indexed by SPI; the dict's insertion order is the
+    selectors' first-match order."""
 
     def __init__(self) -> None:
         self._by_spi: dict[int, SecurityAssociation] = {}
-        self._ordered: list[SecurityAssociation] = []
 
     def add_sa(self, sa: SecurityAssociation) -> None:
         if sa.spi in self._by_spi:
             raise DuplicateSpi(f"SPI 0x{sa.spi:x} already registered")
         self._by_spi[sa.spi] = sa
-        self._ordered.append(sa)
 
     def lookup_by_spi(self, spi: int) -> SecurityAssociation | None:
         return self._by_spi.get(spi)
 
     def lookup_outbound(self, ft: FiveTuple) -> SecurityAssociation | None:
         """First SA (insertion order) whose selector matches; None = bypass."""
-        for sa in self._ordered:
+        for sa in self._by_spi.values():
             if sa.selector.matches(ft):
                 return sa
         return None

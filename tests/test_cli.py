@@ -151,6 +151,26 @@ class TestPriority:
                          "--out", str(tmp_path / "x.csv")]) == 3
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be opened is a config error (exit 3), as an
+    unreadable input is, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [["priority"], ["throughput", "--sizes", "64",
+                                                     "--duration", "1"]])
+    def test_out_flag(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: cannot write") and str(out) in err
+
+    def test_config_output_key(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**CLI_CONFIG, "output": str(out)}))
+        assert main(["priority", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ConfigError: cannot write")
+
+
 # TCP, protocol 47, plaintext and start/stop flows; a Q-ESP transport SA shared
 # by two flows in two classes, and a tunnel SA.
 MIXED = FIXTURES / "mixed_priority.json"

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
+from conftest import make_datagram
+from qesp_lab import engine
 from qesp_lab.config import load_config, parse_config
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import ConfigError
@@ -67,6 +70,21 @@ class TestParsing:
         first.next_seq()
         assert cfg.build_sadb().lookup_by_spi(257).seq_next == 1
 
+        # the config's SAs are templates: using one leaks nothing into a run
+        datagram = make_datagram()
+        template = cfg.sas[0]
+        for _ in range(3):
+            engine.outbound(template, datagram)
+        built = cfg.build_sadb().lookup_by_spi(257)
+        assert built is not template and built.seq_next == 1
+        unused = parse_config(VALID).build_sadb().lookup_by_spi(257)
+        assert engine.outbound(built, datagram) == engine.outbound(unused, datagram)
+        with pytest.raises(ValueError):
+            replace(template, seq_next=5)  # state is never copied into an SA
+        assert parse_config(VALID) == parse_config(VALID)
+        assert (parse_config(VALID).with_variant(ProtocolVariant.ESP)
+                == parse_config(VALID).with_variant(ProtocolVariant.ESP))
+
     def test_with_variant_flips_all_sas(self):
         cfg = parse_config(VALID).with_variant(ProtocolVariant.ESP)
         assert cfg.sas[0].variant is ProtocolVariant.ESP
@@ -110,7 +128,14 @@ class TestDiagnostics:
     def test_tunnel_mode_requires_endpoints(self):
         cfg = copy.deepcopy(VALID)
         cfg["sas"][0]["mode"] = "tunnel"
-        with pytest.raises(ConfigError, match="tunnel"):
+        with pytest.raises(ConfigError, match=r"config\.sas\[0\].*tunnel"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("spi", [0, 2 ** 32])
+    def test_spi_range_names_the_sa(self, spi):
+        cfg = copy.deepcopy(VALID)
+        cfg["sas"][0]["spi"] = spi
+        with pytest.raises(ConfigError, match=r"config\.sas\[0\].*spi"):
             parse_config(cfg)
 
     def test_duplicate_spi_rejected(self):
@@ -201,6 +226,26 @@ class TestPositiveNumbers:
         cfg = parse_config(with_number(where, key, 1e300))
         with pytest.raises(ConfigError, match="packets in one run"):
             run_simulation(cfg)
+
+
+class TestSourceWindow:
+    """A source emits within [0, duration]: packets outside the run would be
+    counted as offered and divided by the run's duration."""
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ConfigError, match="start must be >= 0"):
+            parse_config(with_number(("sources", 0), "start", -0.5))
+
+    def test_stop_after_duration_rejected(self):
+        with pytest.raises(ConfigError, match="stop 2.5 is after duration 2.0"):
+            parse_config(with_number(("sources", 0), "stop", VALID["duration"] + 0.5))
+
+    def test_cli_exits_with_config_code(self, tmp_path, capsys):
+        from qesp_lab.cli import main
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(with_number(("sources", 0), "stop", 5.0)))
+        assert main(["priority", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ConfigError:")
 
 
 class TestClassIndexBound:

@@ -14,7 +14,7 @@ import pytest
 from conftest import FIXTURES, JitterDrawn
 from qesp_lab import classifier, engine, netsim
 from qesp_lab.classifier import ClassifierRule, RuleTable
-from qesp_lab.config import ExperimentConfig, SaSpec, load_config
+from qesp_lab.config import ExperimentConfig, load_config
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import ConfigError, QespLabError
 from qesp_lab.netsim import (
@@ -26,7 +26,7 @@ from qesp_lab.netsim import (
     plain_datagram_len,
     run_simulation,
 )
-from qesp_lab.sadb import FiveTuple, ProtocolVariant, SaMode, Selector
+from qesp_lab.sadb import FiveTuple, ProtocolVariant, SaMode, SecurityAssociation, Selector
 from qesp_lab.wire import IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP, addr_to_int
 
 
@@ -41,11 +41,11 @@ def flow(flow_id: str, dst_port: int, rate: float, size: int,
 
 
 def null_sa_spec(spi: int, dst_port: int,
-                 variant: ProtocolVariant = ProtocolVariant.QESP) -> SaSpec:
-    return SaSpec(spi=spi, variant=variant, mode=SaMode.TRANSPORT,
-                  cipher=CipherAlg.NULL, cipher_key=b"",
-                  mac=MacAlg.NULL, mac_key=b"",
-                  selector=Selector(dst_ports=(dst_port, dst_port)))
+                 variant: ProtocolVariant = ProtocolVariant.QESP) -> SecurityAssociation:
+    return SecurityAssociation(spi=spi, variant=variant, mode=SaMode.TRANSPORT,
+                               cipher=CipherAlg.NULL, cipher_key=b"",
+                               mac=MacAlg.NULL, mac_key=b"",
+                               selector=Selector(dst_ports=(dst_port, dst_port)))
 
 
 def simple_config(sources, link=None, sas=(), rules=RuleTable(), duration=10.0,
@@ -312,6 +312,22 @@ class TestRunSimulation:
         with pytest.raises(ConfigError):
             flow("bad", 5060, 10, 0)
 
+    @pytest.mark.parametrize("start", [-0.5, -math.inf, math.nan])
+    def test_start_before_the_run_rejected(self, start):
+        with pytest.raises(ConfigError, match="start must be >= 0"):
+            flow("early", 5060, 10, 100, start=start)
+
+    @pytest.mark.parametrize("stop", [1.5, math.inf, math.nan])
+    def test_stop_after_the_run_rejected(self, stop):
+        """Throughput divides by duration, so emissions after it would inflate it."""
+        with pytest.raises(ConfigError, match="is after duration 1.0"):
+            simple_config([flow("late", 5060, 10, 100, stop=stop)], duration=1.0)
+
+    def test_window_edges_accepted(self):
+        stats = run_simulation(simple_config([flow("f", 5060, 10, 100, start=0.0, stop=1.0)],
+                                             duration=1.0))
+        assert stats[0].offered_packets == 10
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_rates_durations_capacities_finite_and_positive(self, bad):
         """Checked by the objects themselves, so the config file and the CLI
@@ -454,7 +470,7 @@ def random_scenario(seed: int) -> ExperimentConfig:
     """A congested link, staggered sources, TCP/UDP/portless protocols, plain
     and protected flows, some sharing an SA across classes."""
     rng = random.Random(seed)
-    sas = [null_sa_spec(0x21, 0), SaSpec(
+    sas = [null_sa_spec(0x21, 0), SecurityAssociation(
         spi=0x22, variant=rng.choice(list(ProtocolVariant)), mode=SaMode.TUNNEL,
         cipher=CipherAlg.AES_128_CBC, cipher_key=bytes(16), mac=MacAlg.HMAC_MD5_96,
         mac_key=bytes(16), selector=Selector(), tunnel_src=addr_to_int("192.0.2.1"),
