@@ -4,17 +4,17 @@ The classifier models active admission control at a link ingress: it reads
 whatever five-tuple fields are readable from the packet itself (no keys) and
 remarks the DSCP bits accordingly.
 
-Each packet's IPv4 header is validated once (wire.read_ipv4); the fields are
-then read at fixed datagram offsets.  Readability per outer protocol:
+Every read goes through wire: the IPv4 header is validated once
+(wire.read_ipv4), and a header that does not read raises the wire's
+MalformedPacket subclass, the same class SA selection, encap and decap raise
+for it.  Readability per outer protocol:
 
-* plain TCP/UDP — ports at offset 20 (engine.extract_ports, so a segment too
-  short for ports is MalformedPacket here as in the engine);
-* Q-ESP (253)   — ports and inner protocol from the clear header at fixed
-  offsets 28-32 of the datagram; ports unavailable when the inner protocol
-  is neither TCP nor UDP, exactly as for the plain datagram.  One layer
-  only: a well-formed nested Q-ESP datagram shows inner protocol 253 and no
-  ports, not the nested clear header.  A body shorter than the 16-byte clear
-  header is MalformedPacket, here as in the engine;
+* plain TCP/UDP — ports at offset 20 (wire.extract_ports);
+* Q-ESP (253)   — ports and inner protocol from the validated clear header
+  (wire.read_qesp_header at offset 20); ports unavailable when the inner
+  protocol is neither TCP nor UDP, exactly as for the plain datagram.  One
+  layer only: a well-formed nested Q-ESP datagram shows inner protocol 253
+  and no ports, not the nested clear header;
 * ESP (50)      — ports unavailable (encrypted); protocol reported as 50 so
   rules may still match on the ESP protocol number itself;
 * anything else — ports unavailable.
@@ -36,18 +36,13 @@ chosen DSCP is returned unchanged.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
-from . import engine, wire
-from .errors import ConfigError, MalformedPacket, QespLabError
+from . import wire
+from .errors import ConfigError
 from .sadb import FiveTuple, Selector
-from .wire import IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN, QESP_HEADER_LEN
+from .wire import IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN
 
-# Clear copies in the Q-ESP header (after its SPI and Seq): SrcPort, DstPort
-# and Proto at datagram offsets 28-32.
-_QESP_CLEAR = struct.Struct(">HHB")
-_QESP_CLEAR_AT = IPV4_HEADER_LEN + 8
 MEMO_LIMIT = 4096
 
 
@@ -90,25 +85,15 @@ class RuleTable:
         return dscp
 
 
-def _read_ipv4(packet: bytes) -> tuple[int, ...]:
-    try:
-        return wire.read_ipv4(packet)
-    except QespLabError as exc:
-        raise MalformedPacket(str(exc)) from None
-
-
 def _flow_key(packet: bytes, fields: tuple[int, ...]) -> tuple:
     """(src, dst, protocol, src_port, dst_port), in FiveTuple field order."""
     protocol, _, src, dst = fields[6:]
     if protocol == IPPROTO_QESP:
-        if len(packet) < IPV4_HEADER_LEN + QESP_HEADER_LEN:
-            raise MalformedPacket(
-                f"Q-ESP header truncated: {len(packet) - IPV4_HEADER_LEN} bytes")
-        src_port, dst_port, protocol = _QESP_CLEAR.unpack_from(packet, _QESP_CLEAR_AT)
+        _, _, src_port, dst_port, protocol, _, _ = wire.read_qesp_header(packet, IPV4_HEADER_LEN)
         if protocol != IPPROTO_TCP and protocol != IPPROTO_UDP:
             src_port = dst_port = None  # the 0/0 copies of a portless protocol
     elif protocol == IPPROTO_TCP or protocol == IPPROTO_UDP:
-        src_port, dst_port = engine.extract_ports(protocol, packet, IPV4_HEADER_LEN)
+        src_port, dst_port = wire.extract_ports(protocol, packet, IPV4_HEADER_LEN)
     else:
         src_port = dst_port = None  # encrypted (ESP) or not a port protocol
     return src, dst, protocol, src_port, dst_port
@@ -116,12 +101,12 @@ def _flow_key(packet: bytes, fields: tuple[int, ...]) -> tuple:
 
 def extract_fields(packet: bytes) -> FiveTuple:
     """The five-tuple a keyless observer reads from one wire datagram."""
-    return FiveTuple(*_flow_key(packet, _read_ipv4(packet)))
+    return FiveTuple(*_flow_key(packet, wire.read_ipv4(packet)))
 
 
 def classify(table: RuleTable, packet: bytes) -> int:
     """DSCP for one packet: first matching rule wins, else the default."""
-    return table._dscp_of_flow(_flow_key(packet, _read_ipv4(packet)))
+    return table._dscp_of_flow(_flow_key(packet, wire.read_ipv4(packet)))
 
 
 def _remark(packet: bytes, fields: tuple[int, ...], dscp: int) -> bytes:
@@ -135,6 +120,6 @@ def _remark(packet: bytes, fields: tuple[int, ...], dscp: int) -> bytes:
 
 def classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int, bytes]:
     """Classify, then write the chosen DSCP into the packet's ToS byte."""
-    fields = _read_ipv4(packet)
+    fields = wire.read_ipv4(packet)
     dscp = table._dscp_of_flow(_flow_key(packet, fields))
     return dscp, _remark(packet, fields, dscp)

@@ -135,9 +135,7 @@ def _hex_key(obj: dict, where: str, key: str) -> bytes:
         raise ConfigError(f"{where}.{key}: invalid hex string") from None
 
 
-def _enum(obj: dict, where: str, key: str, enum_cls, default=None):
-    if key not in obj and default is not None:
-        return default
+def _enum(obj: dict, where: str, key: str, enum_cls):
     text = _str_field(obj, where, key)
     try:
         return enum_cls(text)

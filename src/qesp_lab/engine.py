@@ -33,8 +33,11 @@ authenticated traffic.
 Each direction validates the outer IPv4 header once (wire.read_ipv4), decap
 validates the Q-ESP clear header once into a field tuple (wire.read_qesp_header,
 whose ports and protocol the cross-check reads), and both build outer headers,
-extended coverage and rebuilt datagrams from those fields (wire.pack_ipv4);
-every port read goes through extract_ports.
+extended coverage and rebuilt datagrams from those fields (wire.pack_ipv4).
+Every port read (Q-ESP outbound, five_tuple_of, the decap cross-check) goes
+through wire.extract_ports, which also validates a nested Q-ESP header, so
+these reject a malformed segment with the same MalformedPacket subclass as
+the classifier does.
 
 The ICV coverage is hashed in place: the zeroed outer header of extended auth
 goes to the MAC as a separate prefix, and decap passes the covered body as a
@@ -54,7 +57,6 @@ from .errors import (
     BadPadding,
     FiveTupleMismatch,
     InvalidHeader,
-    MalformedPacket,
     OversizePacket,
     ReplayRejected,
     Truncated,
@@ -93,32 +95,12 @@ LAYOUTS = {
 }
 _BY_PROTOCOL = {layout.ip_protocol: (variant, layout) for variant, layout in LAYOUTS.items()}
 
-_PORTS = struct.Struct(">HH")
 _ESP_HEADER = struct.Struct(">II")
 # Extended coverage: the outer header with its mutable fields (ToS,
 # flags_frag, TTL, checksum) read as zero, so in-transit DSCP remarking, TTL
 # decrement and checksum rewrites do not break the ICV.  Packs ver_ihl,
 # total_length, identification, protocol, src, dst.
 _ZEROED_OUTER = struct.Struct(">BxHH3xBxxII")
-
-
-def extract_ports(protocol: int, data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Source/destination ports of the segment at data[offset:]; (0, 0) when portless.
-
-    TCP and UDP both start with the two 16-bit ports.  Every other protocol
-    reports 0/0, the values a Q-ESP clear header carries for it;
-    five_tuple_of and the classifier read those as no ports (None).  What the
-    classifier rejects is malformed at every layer: a TCP or UDP segment too
-    short to carry both ports, and a Q-ESP segment shorter than its clear
-    header.
-    """
-    if protocol != IPPROTO_TCP and protocol != IPPROTO_UDP:
-        if protocol == IPPROTO_QESP and len(data) - offset < QESP_HEADER_LEN:
-            raise MalformedPacket(f"Q-ESP header truncated: {len(data) - offset} bytes")
-        return 0, 0
-    if len(data) - offset < 4:
-        raise MalformedPacket(f"transport segment too short for ports: {len(data) - offset}")
-    return _PORTS.unpack_from(data, offset)
 
 
 def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
@@ -135,7 +117,7 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
     qesp = sa.variant is ProtocolVariant.QESP
     if qesp:
         # Read before a sequence number is spent on a malformed segment.
-        src_port, dst_port = extract_ports(protocol, datagram, IPV4_HEADER_LEN)
+        src_port, dst_port = wire.extract_ports(protocol, datagram, IPV4_HEADER_LEN)
 
     if sa.mode is SaMode.TRANSPORT:
         plaintext = datagram[IPV4_HEADER_LEN:]
@@ -185,12 +167,12 @@ def _check_clear_copies(clear_ports: tuple[int, int], clear_protocol: int,
                         mode: SaMode, plaintext: bytes) -> None:
     """The Q-ESP clear five-tuple copies must equal the decrypted originals."""
     if mode is SaMode.TRANSPORT:
-        ports = extract_ports(clear_protocol, plaintext)
+        ports = wire.extract_ports(clear_protocol, plaintext)
         if ports != clear_ports:
             raise FiveTupleMismatch(f"clear ports {clear_ports} != inner ports {ports}")
         return
     inner_protocol = wire.read_ipv4(plaintext)[6]
-    ports = extract_ports(inner_protocol, plaintext, IPV4_HEADER_LEN)
+    ports = wire.extract_ports(inner_protocol, plaintext, IPV4_HEADER_LEN)
     if inner_protocol != clear_protocol or ports != clear_ports:
         raise FiveTupleMismatch("clear five-tuple copies disagree with inner datagram")
 
@@ -274,7 +256,7 @@ def five_tuple_of(datagram: bytes) -> FiveTuple:
     reads a portless protocol, so no port-constrained selector matches them.
     """
     protocol, _, src, dst = wire.read_ipv4(datagram)[6:]
-    src_port, dst_port = extract_ports(protocol, datagram, IPV4_HEADER_LEN)
+    src_port, dst_port = wire.extract_ports(protocol, datagram, IPV4_HEADER_LEN)
     if protocol != IPPROTO_TCP and protocol != IPPROTO_UDP:
         src_port = dst_port = None
     return FiveTuple(src_addr=src, dst_addr=dst, protocol=protocol,

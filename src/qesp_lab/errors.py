@@ -3,6 +3,11 @@
 Every failure raised by this package derives from QespLabError, so callers
 (and the simulator's drop accounting) can catch one base class.  Parsers are
 total: arbitrary input bytes may only ever raise these, never anything else.
+
+Every header read fails with a MalformedPacket subclass that names the
+reason (Truncated, InvalidHeader, BadChecksum, UnsupportedOptions), so the
+classifier, SA selection, encap and decap reject a packet with the same class
+and the CLI maps them all to one exit code.
 """
 
 
@@ -12,24 +17,24 @@ class QespLabError(Exception):
 
 # --- wire format ---
 
-class Truncated(QespLabError):
+class MalformedPacket(QespLabError):
+    """A header cannot be read; the subclasses below name the reason."""
+
+
+class Truncated(MalformedPacket):
     """Input buffer is shorter than the structure it claims to contain."""
 
 
-class InvalidHeader(QespLabError):
+class InvalidHeader(MalformedPacket):
     """A header field violates the format's invariants."""
 
 
-class BadChecksum(QespLabError):
+class BadChecksum(MalformedPacket):
     """IPv4 header checksum does not verify."""
 
 
-class UnsupportedOptions(QespLabError):
+class UnsupportedOptions(MalformedPacket):
     """IPv4 header carries options (ihl != 5), which this lab does not model."""
-
-
-class MalformedPacket(QespLabError):
-    """Packet cannot be classified (unparseable at the layer inspected)."""
 
 
 # --- crypto ---

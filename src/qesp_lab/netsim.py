@@ -207,13 +207,6 @@ def build_datagram(ft: FiveTuple, payload: bytes, ident: int = 0) -> bytes:
                           ft.dst_addr, segment)
 
 
-def plain_datagram_len(source: TrafficSource) -> int:
-    """Length of the flow's synthesized datagram before any encapsulation."""
-    ft = source.five_tuple
-    transport = 8 if ft.protocol == IPPROTO_UDP else 20 if ft.protocol == IPPROTO_TCP else 0
-    return wire.IPV4_HEADER_LEN + transport + source.payload_size
-
-
 @dataclass(slots=True)
 class _FlowState:
     source: TrafficSource
@@ -312,13 +305,14 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
     stats = []
     for fl in flows:
         src, delivered = fl.source, fl.delivered_packets
+        plain_len = len(build_datagram(fl.five_tuple, fl.payload)) if delivered else 0
         stats.append(FlowStats(
             flow_id=src.flow_id,
             offered_packets=fl.offered_packets,
             offered_bytes=fl.offered_packets * src.payload_size,
             delivered_packets=delivered,
             delivered_bytes=delivered * src.payload_size,
-            delivered_plain_bytes=delivered * plain_datagram_len(src),
+            delivered_plain_bytes=delivered * plain_len,
             delivered_wire_bytes=fl.delivered_wire,
             dropped_packets=fl.dropped,
             drop_reasons=dict(fl.drop_reasons),

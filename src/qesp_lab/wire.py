@@ -30,9 +30,15 @@ those fields inside the ciphertext; it is implemented here as the baseline::
 The trailer difference is deliberate: Q-ESP needs no next-header byte because
 the protocol identifier travels in its clear header.
 
-read_qesp_header validates the Q-ESP clear header and returns its raw fields
-as a tuple, as read_ipv4 does.  Neither body is self-describing (the SA sets
-the IV and ICV lengths); engine.inbound splits it by engine.LAYOUTS.
+Every IPv4 and Q-ESP header read and every port read in the package goes
+through this module, and every read failure is a MalformedPacket subclass
+(errors module).  read_qesp_header validates a Q-ESP clear header in place at
+an offset and returns its raw fields as a tuple, as read_ipv4 does; it serves
+decap, the classifier, and extract_ports, which reads the ports of any
+transport segment.  So the classifier, SA selection, encap and decap reject
+the same Q-ESP headers with the same class.  Neither body is self-describing
+(the SA sets the IV and ICV lengths); engine.inbound splits it by
+engine.LAYOUTS.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ QESP_VALID_FLAGS = 0x01
 
 _IPV4_STRUCT = struct.Struct(">BBHHHBBHII")
 _QESP_STRUCT = struct.Struct(">IIHHBBH")
+_PORTS = struct.Struct(">HH")
 
 
 def addr_to_int(dotted: str) -> int:
@@ -153,16 +160,16 @@ def pack_qesp_header(spi: int, seq: int, src_port: int, dst_port: int,
         raise InvalidHeader(f"header field out of range: {exc}") from None
 
 
-def read_qesp_header(b: bytes) -> tuple[int, ...]:
+def read_qesp_header(b: bytes, offset: int = 0) -> tuple[int, ...]:
     """The Q-ESP header validator: rejects a short header, SPI 0, undefined
-    flag bits and a nonzero reserved field in the first 16 bytes of b.
+    flag bits and a nonzero reserved field in the 16 bytes at b[offset:].
 
     Returns (spi, seq, src_port, dst_port, inner_protocol, flags, reserved);
     the ports and protocol copy the inner transport values (0/0 if portless).
     """
-    if len(b) < QESP_HEADER_LEN:
-        raise Truncated(f"Q-ESP header needs 16 bytes, got {len(b)}")
-    fields = _QESP_STRUCT.unpack_from(b)
+    if len(b) - offset < QESP_HEADER_LEN:
+        raise Truncated(f"Q-ESP header needs 16 bytes, got {len(b) - offset}")
+    fields = _QESP_STRUCT.unpack_from(b, offset)
     spi, _, _, _, _, flags, reserved = fields
     if spi == 0:
         raise InvalidHeader("spi 0 is reserved for 'no SA'")
@@ -171,3 +178,21 @@ def read_qesp_header(b: bytes) -> tuple[int, ...]:
     if reserved != 0:
         raise InvalidHeader(f"reserved must be 0, got {reserved}")
     return fields
+
+
+def extract_ports(protocol: int, data: bytes, offset: int = 0) -> tuple[int, int]:
+    """Source/destination ports of the segment at data[offset:]; (0, 0) when portless.
+
+    TCP and UDP both start with the two 16-bit ports; a segment too short to
+    carry both is Truncated.  Every other protocol reports 0/0, the values a
+    Q-ESP clear header carries for it; the callers read those as no ports
+    (None).  A Q-ESP segment is read one layer deep: its clear header must
+    validate, and it too reports 0/0.
+    """
+    if protocol == IPPROTO_TCP or protocol == IPPROTO_UDP:
+        if len(data) - offset < 4:
+            raise Truncated(f"transport segment too short for ports: {len(data) - offset}")
+        return _PORTS.unpack_from(data, offset)
+    if protocol == IPPROTO_QESP:
+        read_qesp_header(data, offset)
+    return 0, 0

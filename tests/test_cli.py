@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import statistics
+from importlib import resources
 
 import pytest
 
@@ -11,6 +12,7 @@ import oracle
 from conftest import FIXTURES, make_datagram
 from qesp_lab import cli
 from qesp_lab.cli import main
+from qesp_lab.errors import BadChecksum, InvalidHeader, Truncated, UnsupportedOptions
 
 CLI_CONFIG = {
     "duration": 1.0,
@@ -258,6 +260,14 @@ class TestOneShotTools:
         line = capsys.readouterr().out.strip()
         assert "protocol=50 src_port=- dst_port=- dscp=0" in line
 
+    def test_classify_rejects_reserved_set(self, capsys):
+        """A Q-ESP voice packet whose clear header has reserved = 1: decap
+        rejects the header, so the classifier does not mark it EF either."""
+        bundled = str(resources.files("qesp_lab").joinpath("data/priority.json"))
+        assert main(["classify", "--config", bundled,
+                     "--in", str(FIXTURES / "qesp_reserved_set.hex")]) == 4
+        assert capsys.readouterr().err.startswith("error: InvalidHeader: reserved must be 0")
+
     def test_malformed_hex_input(self, tmp_path, config_file, capsys):
         bad = tmp_path / "bad.hex"
         bad.write_text("zz not hex")
@@ -325,5 +335,11 @@ class TestBenchCrypto:
 class TestExitCodeTable:
     def test_codes_are_distinct_per_error_kind(self):
         codes = [code for _, code in cli.EXIT_CODES]
-        # parse-level kinds intentionally share 4; everything else is unique
+        # one row per code: every header read failure is a MalformedPacket (4)
         assert sorted(set(codes)) == [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+
+    def test_one_row_per_code(self):
+        codes = [code for _, code in cli.EXIT_CODES]
+        assert len(codes) == len(set(codes))
+        for kind in (Truncated, InvalidHeader, BadChecksum, UnsupportedOptions):
+            assert cli.exit_code_for(kind("x")) == 4

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ import oracle
 from conftest import ALL_MODES, ALL_VARIANTS, make_sa, sadb_with
 from qesp_lab import classifier, engine, wire
 from qesp_lab.classifier import MEMO_LIMIT, ClassifierRule, RuleTable
+from qesp_lab.config import load_config
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import (
     BadChecksum,
@@ -91,20 +93,41 @@ def reference_in_net(net: Ipv4Net, addr: int) -> bool:
     return addr & mask == net.addr & mask
 
 
+# The wire error class for each reason the oracle rejects a datagram.
+READ_IPV4_ERRORS = {"short": Truncated, "version": InvalidHeader, "ihl": UnsupportedOptions,
+                    "truncated": Truncated, "trailing": InvalidHeader,
+                    "checksum": BadChecksum}
+
+
+def reference_segment_error(protocol: int, segment: bytes) -> type | None:
+    """The wire error class for a transport segment a port reader must
+    reject, else None: a TCP/UDP segment too short for both ports, or a
+    Q-ESP clear header that is short, names SPI 0 (RFC 4303 §2.1), sets a
+    flag other than bit 0 (extended auth) or a nonzero reserved field."""
+    if protocol in (wire.IPPROTO_TCP, wire.IPPROTO_UDP):
+        return Truncated if len(segment) < 4 else None
+    if protocol == wire.IPPROTO_QESP:
+        if len(segment) < 16:
+            return Truncated
+        spi, _, _, _, _, flags, reserved = struct.unpack(">IIHHBBH", segment[:16])
+        if spi == 0 or flags & 0xFE or reserved:
+            return InvalidHeader
+    return None
+
+
 def reference_classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int, bytes]:
     """Parse with the oracle, match field by field, re-encode with_dscp."""
     try:
         header, payload = oracle.parse(packet)
     except oracle.Rejected as exc:
-        raise MalformedPacket(str(exc)) from None
+        raise READ_IPV4_ERRORS[exc.reason](str(exc)) from None
     protocol, ports = header.protocol, (None, None)
+    error = reference_segment_error(protocol, payload)
+    if error is not None:
+        raise error(f"protocol {protocol} segment rejected")
     if protocol in (wire.IPPROTO_TCP, wire.IPPROTO_UDP):
-        if len(payload) < 4:
-            raise MalformedPacket("segment too short for ports")
         ports = struct.unpack(">HH", payload[:4])
     elif protocol == wire.IPPROTO_QESP:
-        if len(payload) < wire.QESP_HEADER_LEN:
-            raise MalformedPacket("Q-ESP header truncated")
         *ports, protocol = struct.unpack(">HHB", payload[8:13])
         if protocol not in (wire.IPPROTO_TCP, wire.IPPROTO_UDP):
             ports = (None, None)
@@ -123,12 +146,6 @@ def reference_classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int,
 
 
 # --- differential properties ----------------------------------------------------
-
-# The wire error class for each reason the oracle rejects a datagram.
-READ_IPV4_ERRORS = {"short": Truncated, "version": InvalidHeader, "ihl": UnsupportedOptions,
-                    "truncated": Truncated, "trailing": InvalidHeader,
-                    "checksum": BadChecksum}
-
 
 class TestAgainstReferences:
     @given(packer_inputs())
@@ -195,8 +212,8 @@ class TestAgainstReferences:
         sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
         encapsulated = outcome(engine.outbound, sa, packet)
         plain = outcome(classifier.classify, table, packet)
-        if encapsulated is MalformedPacket or plain is MalformedPacket:
-            assert encapsulated is plain  # both layers reject it
+        if isinstance(encapsulated, type) or isinstance(plain, type):
+            assert encapsulated is plain  # both layers reject it, with one class
         elif packet[9] == wire.IPPROTO_QESP:
             src, dst = struct.unpack_from(">II", packet, 12)
             one_layer = FiveTuple(src, dst, wire.IPPROTO_QESP, None, None)
@@ -215,11 +232,11 @@ class TestAgainstReferences:
         sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac,
                      extended_auth=variant is ProtocolVariant.QESP)
         sent = outcome(engine.outbound, sa, packet)
-        body_len = len(packet) - wire.IPV4_HEADER_LEN
-        short_segment = (packet[9] in (wire.IPPROTO_TCP, wire.IPPROTO_UDP) and body_len < 4
-                         or packet[9] == wire.IPPROTO_QESP and body_len < wire.QESP_HEADER_LEN)
-        if variant is ProtocolVariant.QESP and short_segment:
-            assert sent is MalformedPacket
+        # Q-ESP outbound reads the ports: a short segment or an invalid
+        # nested Q-ESP header is rejected, as the classifier rejects it.
+        error = reference_segment_error(packet[9], packet[wire.IPV4_HEADER_LEN:])
+        if variant is ProtocolVariant.QESP and error is not None:
+            assert sent is error
         else:
             assert engine.inbound(sadb_with(sa), sent) == packet
 
@@ -279,7 +296,7 @@ class TestShortSegmentIsMalformedEverywhere:
 
     def test_four_byte_segment_still_has_ports(self):
         udp = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_UDP, SRC, DST, b"\x0f\xa0\x13\xc4")
-        assert engine.extract_ports(wire.IPPROTO_UDP, udp, wire.IPV4_HEADER_LEN) == (4000, 5060)
+        assert wire.extract_ports(wire.IPPROTO_UDP, udp, wire.IPV4_HEADER_LEN) == (4000, 5060)
         table = RuleTable(rules=(ClassifierRule(Selector(dst_ports=(5060, 5060)), 46),))
         sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
         assert classifier.classify(table, udp) == 46
@@ -428,3 +445,70 @@ class TestFlowMemo:
         lowered = replace(warm, default_dscp=0)
         assert lowered == RuleTable((VOICE,), 0)
         assert classifier.classify(lowered, udp(4000, 80)) == 0
+
+
+# --- one Q-ESP header rule: a clear header decap rejects, no layer reads --------
+
+BUNDLED = load_config(str(resources.files("qesp_lab").joinpath("data/priority.json")))
+ACCEPTED = "accepted"
+qesp_mutations = st.one_of(
+    st.just(("none", None)),
+    st.just(("spi", 0)),
+    st.sampled_from([1 << bit for bit in range(1, 8)]).map(lambda bit: ("flags", bit)),
+    st.integers(1, 0xFFFF).map(lambda reserved: ("reserved", reserved)),
+    st.integers(0, wire.QESP_HEADER_LEN - 1).map(lambda n: ("truncate", n)))
+
+
+def mutated_qesp(datagram: bytes, field: str, value: int | None) -> bytes:
+    """A Q-ESP datagram with one clear-header field changed, or cut to value
+    header bytes; the oracle re-encodes the IPv4 header, so its checksum holds."""
+    header, body = oracle.parse(datagram)
+    if field == "truncate":
+        body = body[:value]
+    elif field == "spi":
+        body = bytes(4) + body[4:]
+    elif field == "flags":
+        body = body[:13] + bytes([body[13] | value]) + body[14:]
+    elif field == "reserved":
+        body = body[:14] + value.to_bytes(2, "big") + body[16:]
+    return oracle.encode(header, body)
+
+
+def verdict(fn, *args):
+    """ACCEPTED, or the QespLabError subclass fn raised."""
+    result = outcome(fn, *args)
+    return result if isinstance(result, type) else ACCEPTED
+
+
+class TestQespHeaderRuleEverywhere:
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @given(mutation=qesp_mutations, extended_auth=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_classify_select_nest_and_decap_agree(self, mode, mutation, extended_auth):
+        """classify, five_tuple_of, Q-ESP outbound of the datagram as a nested
+        one, and inbound all accept it or all raise one MalformedPacket subclass."""
+        sa = make_sa(mode=mode, extended_auth=extended_auth)
+        packet = mutated_qesp(engine.outbound(sa, udp(4000, 5060)), *mutation)
+        outer_sa = make_sa(spi=0x303, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+        verdicts = {verdict(classifier.classify, BUNDLED.rules, packet),
+                    verdict(engine.five_tuple_of, packet),
+                    verdict(engine.outbound, outer_sa, packet),
+                    verdict(engine.inbound, sadb_with(sa), packet)}
+        field = mutation[0]
+        expected = (ACCEPTED if field == "none" else
+                    Truncated if field == "truncate" else InvalidHeader)
+        assert verdicts == {expected}
+
+    @pytest.mark.parametrize("field,value", [("spi", 0), ("flags", 0x80), ("reserved", 1)])
+    def test_voice_with_invalid_clear_header_is_not_marked(self, field, value):
+        """Each of these voice packets was once marked EF (46) by classify
+        under the bundled voice rule while decap rejected it."""
+        sadb = BUNDLED.build_sadb()
+        voice = engine.outbound(sadb.lookup_by_spi(257), udp(4000, 5060))
+        assert classifier.classify(BUNDLED.rules, voice) == 46
+        packet = mutated_qesp(voice, field, value)
+        with pytest.raises(InvalidHeader):
+            classifier.classify(BUNDLED.rules, packet)
+        with pytest.raises(InvalidHeader):
+            engine.inbound(sadb, packet)
+        assert engine.inbound(sadb, voice) == udp(4000, 5060)

@@ -23,7 +23,6 @@ from qesp_lab.netsim import (
     LinkConfig,
     PriorityLink,
     TrafficSource,
-    plain_datagram_len,
     run_simulation,
 )
 from qesp_lab.sadb import FiveTuple, ProtocolVariant, SaMode, SecurityAssociation, Selector
@@ -153,13 +152,14 @@ def reference_run(config: ExperimentConfig, scheduler: EventScheduler | None = N
     for src in config.sources:
         tally = tallies[src.flow_id]
         delivered = tally["delivered"]
+        transport_len = {IPPROTO_UDP: 8, IPPROTO_TCP: 20}.get(src.five_tuple.protocol, 0)
         stats.append(FlowStats(
             flow_id=src.flow_id,
             offered_packets=tally["offered"],
             offered_bytes=tally["offered"] * src.payload_size,
             delivered_packets=delivered,
             delivered_bytes=delivered * src.payload_size,
-            delivered_plain_bytes=delivered * plain_datagram_len(src),
+            delivered_plain_bytes=delivered * (20 + transport_len + src.payload_size),
             delivered_wire_bytes=tally["wire"],
             dropped_packets=sum(tally["reasons"].values()),
             drop_reasons=tally["reasons"],
@@ -402,7 +402,13 @@ class TestPriorityMonotonicity:
 
 class TestHelpers:
     def test_plain_datagram_len(self):
-        assert plain_datagram_len(flow("x", 1, 1, 100)) == 128  # 20 + 8 + 100
+        """delivered_plain_bytes counts each delivered datagram as built:
+        20 B of IPv4, a UDP (8 B) or TCP (20 B) header, and the payload."""
+        sources = [flow("udp", 1, 5, 100), flow("tcp", 2, 5, 100, protocol=IPPROTO_TCP),
+                   flow("icmp", 3, 5, 100, protocol=1)]
+        stats = run_simulation(simple_config(sources, duration=2.0))
+        assert [s.delivered_packets for s in stats] == [10, 10, 10]
+        assert [s.delivered_plain_bytes for s in stats] == [1280, 1400, 1200]
 
 
 class RecordingScheduler(EventScheduler):
