@@ -192,7 +192,7 @@ def cmd_priority(args: argparse.Namespace) -> int:
     lines = ["run," + ",".join(FLOW_STATS_COLUMNS)]
     summaries = []
     for variant in (ProtocolVariant.QESP, ProtocolVariant.ESP):
-        run_cfg = cfg.with_variant(variant).with_seed(seed)
+        run_cfg = replace(cfg.with_variant(variant), seed=seed)
         run_stats = run_simulation(run_cfg)
         for stats in run_stats:
             lines.append(f"{variant.value},{_flow_stats_row(stats)}")
@@ -306,7 +306,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     packet = _read_hex_file(args.infile)
     fields = classifier.extract_fields(packet)
-    dscp = classifier.classify(cfg.rules, packet)
+    dscp = cfg.rules.dscp_for(fields)
     ports = (("-" if fields.src_port is None else str(fields.src_port)),
              ("-" if fields.dst_port is None else str(fields.dst_port)))
     print(f"src={int_to_addr(fields.src_addr)} dst={int_to_addr(fields.dst_addr)} "

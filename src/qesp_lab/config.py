@@ -1,10 +1,14 @@
 """Experiment configuration: strict JSON schema -> validated objects.
 
 The schema is documented in docs/config.md.  Validation is strict: unknown
-keys are rejected, and every diagnostic names the offending field by path
-(e.g. "link.capacity_bps").  The config's SecurityAssociation objects are
-templates that no run touches: build_sadb() gives each run fresh copies, so
-repeated runs never share sequence, replay or IV state.
+keys are rejected.  The parse_* functions check JSON shape (keys, types,
+finiteness, enum names, hex and address syntax) and name the offending field
+("config.link.capacity_bps: missing required field").  Each value range is
+checked once, by the constructor of the object that owns the value; _build
+prefixes its error with that object's path ("config.link: queue_limit must
+be >= 1, got 0").  The config's SecurityAssociation objects are templates
+that no run touches: build_sadb() gives each run fresh copies, so repeated
+runs never share sequence, replay or IV state.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .crypto import CipherAlg, MacAlg
 from .errors import ConfigError, QespLabError
 from .netsim import LinkConfig, TrafficSource, check_positive
 from .sadb import (
+    ANY_NET,
     FiveTuple,
     Ipv4Net,
     ProtocolVariant,
@@ -26,7 +31,7 @@ from .sadb import (
     SecurityAssociation,
     Selector,
 )
-from .wire import addr_to_int
+from .wire import addr_to_int, parse_decimal
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -61,8 +66,13 @@ class ExperimentConfig:
                                                extended_auth=sa.extended_auth and qesp)
                                        for sa in self.sas))
 
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=seed)
+
+def _build(where: str, cls, **fields):
+    """cls(**fields), with the constructor's error prefixed by the object's path."""
+    try:
+        return cls(**fields)
+    except QespLabError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _expect_mapping(obj, where: str) -> dict:
@@ -71,8 +81,9 @@ def _expect_mapping(obj, where: str) -> dict:
     return obj
 
 
-def _take(obj: dict, where: str, allowed: dict[str, bool]) -> dict:
-    """Enforce required/optional keys; rejects anything unknown."""
+def _take(obj, where: str, allowed: dict[str, bool]) -> dict:
+    """obj as a JSON object with the allowed keys: all required ones, no unknown one."""
+    obj = _expect_mapping(obj, where)
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
@@ -151,21 +162,17 @@ def _ports(value, where: str) -> tuple[int, int] | None:
         value = [value, value]
     if (isinstance(value, list) and len(value) == 2
             and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
-        lo, hi = value
-        if not (0 <= lo <= hi <= 65535):
-            raise ConfigError(f"{where}: port range [{lo}, {hi}] not well-ordered")
-        return lo, hi
+        return tuple(value)
     raise ConfigError(f'{where}: expected "any", a port, or [lo, hi]')
 
 
 def parse_selector(obj, where: str) -> Selector:
-    obj = _expect_mapping(obj, where)
-    _take(obj, where, {"src": False, "dst": False, "protocol": False,
-                       "src_ports": False, "dst_ports": False})
+    obj = _take(obj, where, {"src": False, "dst": False, "protocol": False,
+                             "src_ports": False, "dst_ports": False})
 
     def net(key: str) -> Ipv4Net:
         if key not in obj:
-            return Ipv4Net(0, 0)
+            return ANY_NET
         try:
             return Ipv4Net.parse(_str_field(obj, where, key))
         except (ValueError, QespLabError) as exc:
@@ -177,112 +184,101 @@ def parse_selector(obj, where: str) -> Selector:
     if protocol is not None and (isinstance(protocol, bool) or not isinstance(protocol, int)
                                  or not 0 <= protocol <= 255):
         raise ConfigError(f'{where}.protocol: expected "any" or an integer 0-255')
-    return Selector(src_net=net("src"), dst_net=net("dst"), protocol=protocol,
-                    src_ports=_ports(obj.get("src_ports"), f"{where}.src_ports"),
-                    dst_ports=_ports(obj.get("dst_ports"), f"{where}.dst_ports"))
+    return _build(where, Selector, src_net=net("src"), dst_net=net("dst"), protocol=protocol,
+                  src_ports=_ports(obj.get("src_ports"), f"{where}.src_ports"),
+                  dst_ports=_ports(obj.get("dst_ports"), f"{where}.dst_ports"))
 
 
 def parse_sa(obj, where: str) -> SecurityAssociation:
-    obj = _expect_mapping(obj, where)
-    _take(obj, where, {"spi": True, "variant": True, "mode": True,
-                       "cipher": True, "cipher_key_hex": False,
-                       "mac": True, "mac_key_hex": False,
-                       "extended_auth": False, "selector": True,
-                       "tunnel": False, "iv_seed": False})
+    obj = _take(obj, where, {"spi": True, "variant": True, "mode": True,
+                             "cipher": True, "cipher_key_hex": False,
+                             "mac": True, "mac_key_hex": False,
+                             "extended_auth": False, "selector": True,
+                             "tunnel": False, "iv_seed": False})
     tunnel_src = tunnel_dst = None
     if "tunnel" in obj:
-        tunnel = _expect_mapping(obj["tunnel"], f"{where}.tunnel")
-        _take(tunnel, f"{where}.tunnel", {"src": True, "dst": True})
+        tunnel = _take(obj["tunnel"], f"{where}.tunnel", {"src": True, "dst": True})
         tunnel_src = _addr(tunnel, f"{where}.tunnel", "src")
         tunnel_dst = _addr(tunnel, f"{where}.tunnel", "dst")
     extended = obj.get("extended_auth", False)
     if not isinstance(extended, bool):
         raise ConfigError(f"{where}.extended_auth: expected a boolean")
-    params = dict(
-        spi=_int_field(obj, where, "spi"),
-        variant=_enum(obj, where, "variant", ProtocolVariant),
-        mode=_enum(obj, where, "mode", SaMode),
-        cipher=_enum(obj, where, "cipher", CipherAlg),
-        cipher_key=_hex_key(obj, where, "cipher_key_hex"),
-        mac=_enum(obj, where, "mac", MacAlg),
-        mac_key=_hex_key(obj, where, "mac_key_hex"),
-        selector=parse_selector(obj.get("selector"), f"{where}.selector"),
-        extended_auth=extended,
-        tunnel_src=tunnel_src, tunnel_dst=tunnel_dst,
-        iv_seed=_int_field(obj, where, "iv_seed", default=0))
-    try:  # the SA checks its own SPI range, tunnel endpoints and key lengths
-        return SecurityAssociation(**params)
-    except QespLabError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return _build(where, SecurityAssociation,
+                  spi=_int_field(obj, where, "spi"),
+                  variant=_enum(obj, where, "variant", ProtocolVariant),
+                  mode=_enum(obj, where, "mode", SaMode),
+                  cipher=_enum(obj, where, "cipher", CipherAlg),
+                  cipher_key=_hex_key(obj, where, "cipher_key_hex"),
+                  mac=_enum(obj, where, "mac", MacAlg),
+                  mac_key=_hex_key(obj, where, "mac_key_hex"),
+                  selector=parse_selector(obj.get("selector"), f"{where}.selector"),
+                  extended_auth=extended,
+                  tunnel_src=tunnel_src, tunnel_dst=tunnel_dst,
+                  iv_seed=_int_field(obj, where, "iv_seed", default=0))
 
 
 def parse_rules(obj, where: str) -> RuleTable:
-    obj = _expect_mapping(obj, where)
-    _take(obj, where, {"rules": False, "default_dscp": False})
+    obj = _take(obj, where, {"rules": False, "default_dscp": False})
     entries = obj.get("rules", [])
     if not isinstance(entries, list):
         raise ConfigError(f"{where}.rules: expected a list")
     rules = []
     for i, entry in enumerate(entries):
         entry_where = f"{where}.rules[{i}]"
-        entry = _expect_mapping(entry, entry_where)
-        _take(entry, entry_where, {"selector": True, "dscp": True})
-        rules.append(ClassifierRule(
-            selector=parse_selector(entry["selector"], f"{entry_where}.selector"),
-            dscp=_int_field(entry, entry_where, "dscp", lo=0, hi=63)))
-    return RuleTable(rules=tuple(rules),
-                     default_dscp=_int_field(obj, where, "default_dscp", lo=0, hi=63, default=0))
+        entry = _take(entry, entry_where, {"selector": True, "dscp": True})
+        rules.append(_build(entry_where, ClassifierRule,
+                            selector=parse_selector(entry["selector"], f"{entry_where}.selector"),
+                            dscp=_int_field(entry, entry_where, "dscp")))
+    return _build(where, RuleTable, rules=tuple(rules),
+                  default_dscp=_int_field(obj, where, "default_dscp", default=0))
 
 
 def parse_source(obj, where: str) -> TrafficSource:
-    obj = _expect_mapping(obj, where)
-    _take(obj, where, {"flow_id": True, "src": True, "dst": True, "protocol": True,
-                       "src_port": False, "dst_port": False, "rate_pps": True,
-                       "payload_size": True, "start": False, "stop": False,
-                       "protection": False})
-    five_tuple = FiveTuple(
-        src_addr=_addr(obj, where, "src"),
-        dst_addr=_addr(obj, where, "dst"),
-        protocol=_int_field(obj, where, "protocol", lo=0, hi=255),
-        src_port=_int_field(obj, where, "src_port", lo=0, hi=65535, default=0),
-        dst_port=_int_field(obj, where, "dst_port", lo=0, hi=65535, default=0))
+    obj = _take(obj, where, {"flow_id": True, "src": True, "dst": True, "protocol": True,
+                             "src_port": False, "dst_port": False, "rate_pps": True,
+                             "payload_size": True, "start": False, "stop": False,
+                             "protection": False})
+    five_tuple = _build(where, FiveTuple,
+                        src_addr=_addr(obj, where, "src"),
+                        dst_addr=_addr(obj, where, "dst"),
+                        protocol=_int_field(obj, where, "protocol", lo=0, hi=255),
+                        src_port=_int_field(obj, where, "src_port", lo=0, hi=65535, default=0),
+                        dst_port=_int_field(obj, where, "dst_port", lo=0, hi=65535, default=0))
     protection = obj.get("protection")
     if protection is not None:
         protection = _int_field(obj, where, "protection", lo=1, hi=0xFFFFFFFF)
     stop = None
     if "stop" in obj:
         stop = _num_field(obj, where, "stop")
-    return TrafficSource(
-        flow_id=_str_field(obj, where, "flow_id"),
-        five_tuple=five_tuple,
-        rate_pps=_num_field(obj, where, "rate_pps"),
-        payload_size=_int_field(obj, where, "payload_size", lo=1),
-        start=_num_field(obj, where, "start", default=0.0),
-        stop=stop,
-        protection_spi=protection)
+    return _build(where, TrafficSource,
+                  flow_id=_str_field(obj, where, "flow_id"),
+                  five_tuple=five_tuple,
+                  rate_pps=_num_field(obj, where, "rate_pps"),
+                  payload_size=_int_field(obj, where, "payload_size"),
+                  start=_num_field(obj, where, "start", default=0.0),
+                  stop=stop,
+                  protection_spi=protection)
 
 
 def parse_link(obj, where: str) -> LinkConfig:
-    obj = _expect_mapping(obj, where)
-    _take(obj, where, {"capacity_bps": True, "queue_limit": True, "class_map": False})
+    obj = _take(obj, where, {"capacity_bps": True, "queue_limit": True, "class_map": False})
     class_map = {}
-    raw_map = obj.get("class_map", {})
-    raw_map = _expect_mapping(raw_map, f"{where}.class_map")
-    for key, value in raw_map.items():
-        if not key.isdigit():
-            raise ConfigError(f"{where}.class_map: key {key!r} is not a DSCP value")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}.class_map.{key}: expected an integer class index")
-        class_map[int(key)] = value
-    return LinkConfig(capacity_bps=_num_field(obj, where, "capacity_bps"),
-                      queue_limit=_int_field(obj, where, "queue_limit", lo=1),
-                      class_map=class_map)
+    raw_map = _expect_mapping(obj.get("class_map", {}), f"{where}.class_map")
+    for key in raw_map:
+        try:
+            dscp = parse_decimal(key)
+        except ValueError:
+            raise ConfigError(f"{where}.class_map: key {key!r} is not a DSCP value") from None
+        if dscp in class_map:
+            raise ConfigError(f"{where}.class_map: key {key!r} repeats DSCP {dscp}")
+        class_map[dscp] = _int_field(raw_map, f"{where}.class_map", key)
+    return _build(where, LinkConfig, capacity_bps=_num_field(obj, where, "capacity_bps"),
+                  queue_limit=_int_field(obj, where, "queue_limit"), class_map=class_map)
 
 
 def parse_config(obj, where: str = "config") -> ExperimentConfig:
-    obj = _expect_mapping(obj, where)
-    _take(obj, where, {"sas": False, "rules": False, "sources": True, "link": True,
-                       "duration": True, "seed": False, "output": False})
+    obj = _take(obj, where, {"sas": False, "rules": False, "sources": True, "link": True,
+                             "duration": True, "seed": False, "output": False})
     sas_raw = obj.get("sas", [])
     if not isinstance(sas_raw, list):
         raise ConfigError(f"{where}.sas: expected a list")
@@ -301,14 +297,14 @@ def parse_config(obj, where: str = "config") -> ExperimentConfig:
     output = None
     if "output" in obj:
         output = _str_field(obj, where, "output")
-    return ExperimentConfig(
-        sas=sas,
-        rules=parse_rules(obj.get("rules", {}), f"{where}.rules"),
-        sources=sources,
-        link=parse_link(obj.get("link"), f"{where}.link"),
-        duration=_num_field(obj, where, "duration"),
-        seed=_int_field(obj, where, "seed", default=0),
-        output=output)
+    return _build(where, ExperimentConfig,
+                  sas=sas,
+                  rules=parse_rules(obj.get("rules", {}), f"{where}.rules"),
+                  sources=sources,
+                  link=parse_link(obj.get("link"), f"{where}.link"),
+                  duration=_num_field(obj, where, "duration"),
+                  seed=_int_field(obj, where, "seed", default=0),
+                  output=output)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -318,6 +314,6 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, over int()'s digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return parse_config(raw)

@@ -75,12 +75,12 @@ class TrafficSource:
     protection_spi: int | None = None
 
     def __post_init__(self) -> None:
-        check_positive(self.rate_pps, f"source {self.flow_id}: rate_pps")
+        check_positive(self.rate_pps, "rate_pps")
         if not self.start >= 0:  # NaN fails too
-            raise ConfigError(f"source {self.flow_id}: start must be >= 0, got {self.start}")
+            raise ConfigError(f"start must be >= 0, got {self.start}")
         if not 1 <= self.payload_size <= MAX_PAYLOAD_SIZE:
-            raise ConfigError(
-                f"source {self.flow_id}: payload_size must be in [1, {MAX_PAYLOAD_SIZE}]")
+            raise ConfigError(f"payload_size must be in [1, {MAX_PAYLOAD_SIZE}], "
+                              f"got {self.payload_size}")
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,13 @@ class LinkConfig:
     class_map: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        check_positive(self.capacity_bps, "link.capacity_bps")
+        check_positive(self.capacity_bps, "capacity_bps")
         if self.queue_limit < 1:
-            raise ConfigError("link.queue_limit must be >= 1")
+            raise ConfigError(f"queue_limit must be >= 1, got {self.queue_limit}")
         for dscp, cls in self.class_map.items():
             # 64 classes give every DSCP its own; the link allocates max + 1 queues
             if not (0 <= dscp <= 63 and 0 <= cls <= 63):
-                raise ConfigError(f"link.class_map entry {dscp}:{cls} out of range")
+                raise ConfigError(f"class_map entry {dscp}:{cls} out of range")
 
 
 @dataclass(frozen=True)

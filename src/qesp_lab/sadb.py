@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .crypto import CipherAlg, CipherState, IvGenerator, MacAlg, MacState
 from .errors import ConfigError, DuplicateSpi, SequenceExhausted
-from .wire import addr_to_int
+from .wire import addr_to_int, parse_decimal
 
 REPLAY_WINDOW = 64
 SEQ_MAX = 0xFFFFFFFF
@@ -64,9 +64,8 @@ class Ipv4Net:
     def parse(cls, text: str) -> "Ipv4Net":
         if text == "any":
             return cls(0, 0)
-        addr_part, _, prefix_part = text.partition("/")
-        prefix = int(prefix_part) if prefix_part else 32
-        return cls(addr_to_int(addr_part), prefix)
+        addr_part, slash, prefix_part = text.partition("/")
+        return cls(addr_to_int(addr_part), parse_decimal(prefix_part) if slash else 32)
 
     def contains(self, addr: int) -> bool:
         return (addr ^ self.addr) & self.mask == 0
@@ -90,8 +89,8 @@ class Selector:
 
     def __post_init__(self) -> None:
         for name, ports in (("src_ports", self.src_ports), ("dst_ports", self.dst_ports)):
-            if ports is not None and ports[0] > ports[1]:
-                raise ConfigError(f"{name} range not well-ordered: {ports}")
+            if ports is not None and not 0 <= ports[0] <= ports[1] <= 65535:
+                raise ConfigError(f"{name} range not well-ordered in 0..65535: {ports}")
 
     def matches(self, ft: FiveTuple) -> bool:
         if self.protocol is not None and self.protocol != ft.protocol:
@@ -153,7 +152,7 @@ class SecurityAssociation:
         if self.variant is ProtocolVariant.ESP and self.extended_auth:
             raise ConfigError("extended_auth is a Q-ESP feature; ESP never covers the outer header")
         if self.mode is SaMode.TUNNEL and (self.tunnel_src is None or self.tunnel_dst is None):
-            raise ConfigError(f"tunnel-mode SA 0x{self.spi:x} needs tunnel src and dst")
+            raise ConfigError("tunnel mode needs tunnel src and dst")
         self._iv_gen = IvGenerator(self.iv_seed)
         self._lock = threading.Lock()
 

@@ -73,6 +73,13 @@ _QESP_STRUCT = struct.Struct(">IIHHBBH")
 _PORTS = struct.Struct(">HH")
 
 
+def parse_decimal(text: str) -> int:
+    """Parse an ASCII decimal number; int() alone also takes "+8", " 8", "1_0" and "٨"."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return int(text)
+
+
 def addr_to_int(dotted: str) -> int:
     """Parse a dotted-quad IPv4 address into a 32-bit integer."""
     parts = dotted.split(".")
@@ -80,9 +87,7 @@ def addr_to_int(dotted: str) -> int:
         raise ValueError(f"not a dotted-quad IPv4 address: {dotted!r}")
     value = 0
     for part in parts:
-        if not part.isdigit():
-            raise ValueError(f"not a dotted-quad IPv4 address: {dotted!r}")
-        octet = int(part)
+        octet = parse_decimal(part)
         if octet > 255:
             raise ValueError(f"octet out of range in {dotted!r}")
         value = (value << 8) | octet

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -186,7 +187,7 @@ def test_05_priority_control_over_20_seeds():
     ESP both flows within 10% of equal share.  Stable for seeds 1-20."""
     bundled = config.load_config(cli._bundled_priority_config())
     for seed in range(1, 21):
-        cfg = bundled.with_seed(seed)
+        cfg = replace(bundled, seed=seed)
         qesp_stats = {s.flow_id: s for s in netsim.run_simulation(
             cfg.with_variant(ProtocolVariant.QESP))}
         voice = qesp_stats["voice"]

@@ -10,7 +10,7 @@ import pytest
 
 import oracle
 from conftest import FIXTURES, make_datagram
-from qesp_lab import cli
+from qesp_lab import cli, wire
 from qesp_lab.cli import main
 from qesp_lab.errors import BadChecksum, InvalidHeader, Truncated, UnsupportedOptions
 
@@ -240,13 +240,19 @@ class TestOneShotTools:
         capsys.readouterr()
         assert main(["decap", "--config", config_file, "--in", str(enc)]) == 0
 
-    def test_classify_golden_fixture(self, tmp_path, config_file, capsys):
-        """The recorded Q-ESP packet classifies to EF under the voice rule."""
+    def test_classify_golden_fixture(self, tmp_path, config_file, capsys, monkeypatch):
+        """The recorded Q-ESP packet classifies to EF under the voice rule,
+        from one read of each header."""
         _, golden_out = oracle.dump_from_hex(
             (FIXTURES / "qesp_transport_aes128_sha1.hex").read_text())
         pkt = tmp_path / "golden.hex"
         pkt.write_text(golden_out.hex())
+        reads = []
+        for name in ("read_ipv4", "read_qesp_header"):
+            read = getattr(wire, name)
+            monkeypatch.setattr(wire, name, lambda *a, _n=name, _r=read: reads.append(_n) or _r(*a))
         assert main(["classify", "--config", config_file, "--in", str(pkt)]) == 0
+        assert reads == ["read_ipv4", "read_qesp_header"]
         line = capsys.readouterr().out.strip()
         assert line == ("src=10.0.0.1 dst=10.0.9.9 protocol=17 "
                         "src_port=4000 dst_port=5060 dscp=46")

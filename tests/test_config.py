@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -161,10 +162,33 @@ class TestDiagnostics:
             parse_config([1, 2, 3])
 
     def test_bad_json_file(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{nope")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_config(str(path))
+        # a syntax error, an integer past int()'s digit limit, bytes that are not UTF-8
+        for content in (b"{nope", b"[" + b"1" * 5000 + b"]", b"\xff{}"):
+            path = tmp_path / "broken.json"
+            path.write_bytes(content)
+            with pytest.raises(ConfigError, match="not valid JSON"):
+                load_config(str(path))
+
+    @pytest.mark.parametrize("class_map,message", [
+        ({"\u00b2": 1}, "key '\u00b2' is not a DSCP value"),  # isdigit() but not int()
+        ({"\u0664\u0666": 1}, "key '\u0664\u0666' is not a DSCP value"),  # int() reads 46
+        ({"046": 1, "46": 0}, "key '46' repeats DSCP 46")], ids=["superscript", "arabic", "repeat"])
+    def test_class_map_keys_are_ascii_decimal_once_each(self, class_map, message):
+        cfg = copy.deepcopy(VALID)
+        cfg["link"]["class_map"] = class_map
+        with pytest.raises(ConfigError, match="^" + re.escape(f"config.link.class_map: {message}")):
+            parse_config(cfg)
+        cfg["link"]["class_map"] = {"046": 1}
+        assert parse_config(cfg).link.class_map == {46: 1}
+
+    def test_class_map_key_exits_with_config_code(self, tmp_path, capsys):
+        from qesp_lab.cli import main
+        cfg = copy.deepcopy(VALID)
+        cfg["link"]["class_map"] = {"\u00b2": 1}
+        path = tmp_path / "superscript.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["priority", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ConfigError: config.link.class_map:")
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -259,3 +283,47 @@ class TestClassIndexBound:
         cfg["link"]["class_map"] = {"46": 64}
         with pytest.raises(ConfigError, match="46:64 out of range"):
             parse_config(cfg)
+
+
+# Every value whose range a constructor checks, as (path to the owning object,
+# key, bad JSON value, the same value as the object holds it).
+OWNED_VALUES = [
+    (("rules", "rules", 0), "dscp", -1, -1),
+    (("rules", "rules", 0), "dscp", 64, 64),
+    (("rules",), "default_dscp", 64, 64),
+    (("link",), "queue_limit", 0, 0),
+    (("sources", 0), "payload_size", 0, 0),
+    (("sources", 0), "payload_size", 65001, 65001),
+    (("sas", 0, "selector"), "dst_ports", [90, 10], (90, 10)),
+    (("sas", 0, "selector"), "dst_ports", [0, 65536], (0, 65536)),
+    (("link",), "class_map", {"46": 64}, {46: 64}),
+    (("sources", 0), "rate_pps", 0, 0.0),
+    (("link",), "capacity_bps", 0, 0.0),
+    ((), "duration", 0, 0.0),
+]
+# A path component repeated after the object path names a location twice.
+LOCATION = re.compile(r"config|link|source|rules|sas\b|selector")
+
+
+class TestConstructorsOwnValues:
+    """parse_* checks JSON shape; each value range is checked by its object's
+    constructor alone, and parse_config only prefixes the object's path."""
+
+    @pytest.mark.parametrize("where,key,value,held", OWNED_VALUES,
+                             ids=[f"{key}={value}" for _, key, value, _ in OWNED_VALUES])
+    def test_constructor_error_gets_the_object_path(self, where, key, value, held):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(with_number(where, key, value))
+        prefix = "config" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}"
+                                    for s in where) + ": "
+        message = str(parsed.value)
+        assert message.startswith(prefix)
+        assert not LOCATION.search(message[len(prefix):])
+
+        owner = parse_config(VALID)
+        for step in where:
+            owner = owner[step] if isinstance(step, int) else getattr(owner, step)
+        with pytest.raises(ConfigError) as direct:
+            replace(owner, **{key: held})
+        assert type(direct.value) is type(parsed.value)
+        assert message == prefix + str(direct.value)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -280,8 +281,8 @@ class TestRunSimulation:
     def test_seed_changes_interleaving(self):
         cfg = simple_config([flow("a", 5060, 100, 500), flow("b", 9000, 140, 700)],
                             link=LinkConfig(capacity_bps=800_000, queue_limit=8))
-        a = run_simulation(cfg.with_seed(1))
-        b = run_simulation(cfg.with_seed(2))
+        a = run_simulation(replace(cfg, seed=1))
+        b = run_simulation(replace(cfg, seed=2))
         assert a != b  # drop pattern shifts with emission jitter
 
     def test_protected_flow_decapsulates(self):
@@ -525,7 +526,7 @@ class TestAgainstEventDrivenReference:
         """TCP, protocol 47, plaintext flows, start/stop windows, Q-ESP
         transport and a tunnel SA, and two flows on one SA in two classes."""
         cfg = load_config(str(FIXTURES / "mixed_priority.json"))
-        stats, _ = matches_reference(cfg.with_variant(variant).with_seed(seed), monkeypatch)
+        stats, _ = matches_reference(replace(cfg.with_variant(variant), seed=seed), monkeypatch)
         assert sum(s.dropped_packets for s in stats) > 0
 
     def test_shared_sa_reordered_into_replay_drops(self, monkeypatch):

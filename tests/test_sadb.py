@@ -70,8 +70,21 @@ class TestSelectors:
         assert Ipv4Net(0x12345678, 0).contains(0)
 
     def test_bad_port_range(self):
-        with pytest.raises(ConfigError):
-            Selector(src_ports=(10, 5))
+        for ports in ((10, 5), (0, 65536), (-1, 0)):
+            with pytest.raises(ConfigError, match="src_ports range not well-ordered"):
+                Selector(src_ports=ports)
+            with pytest.raises(ConfigError, match="dst_ports range not well-ordered"):
+                Selector(dst_ports=ports)
+
+    @pytest.mark.parametrize("parse,text", [
+        (addr_to_int, "\u0661\u0660.0.0.1"), (addr_to_int, "10.0.0.\u00b2"),
+        (Ipv4Net.parse, "10.0.0.0/ 8"), (Ipv4Net.parse, "10.0.0.0/+8"),
+        (Ipv4Net.parse, "10.0.0.0/\u0668"), (Ipv4Net.parse, "10.0.0.0/1_6"),
+        (Ipv4Net.parse, "10.0.0.0/")])
+    def test_octets_and_prefixes_are_ascii_decimal(self, parse, text):
+        """int() alone takes signs, spaces, underscores and other scripts' digits."""
+        with pytest.raises(ValueError, match="not a decimal number"):
+            parse(text)
 
 
 class TestSadbLookups:
