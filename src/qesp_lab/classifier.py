@@ -4,20 +4,14 @@ The classifier models active admission control at a link ingress: it reads
 whatever five-tuple fields are readable from the packet itself (no keys) and
 remarks the DSCP bits accordingly.
 
-Every read goes through wire: the IPv4 header is validated once
-(wire.read_ipv4), and a header that does not read raises the wire's
-MalformedPacket subclass, the same class SA selection, encap and decap raise
-for it.  Readability per outer protocol:
-
-* plain TCP/UDP — ports at offset 20 (wire.extract_ports);
-* Q-ESP (253)   — ports and inner protocol from the validated clear header
-  (wire.read_qesp_header at offset 20); ports unavailable when the inner
-  protocol is neither TCP nor UDP, exactly as for the plain datagram.  One
-  layer only: a well-formed nested Q-ESP datagram shows inner protocol 253
-  and no ports, not the nested clear header;
-* ESP (50)      — ports unavailable (encrypted); protocol reported as 50 so
-  rules may still match on the ESP protocol number itself;
-* anything else — ports unavailable.
+Every read goes through wire, which alone decides which ports a packet
+shows (see its docstring): the IPv4 header is validated once
+(wire.read_ipv4), a Q-ESP (253) datagram shows the inner protocol and ports
+of its validated clear header (wire.read_qesp_header at offset 20, one layer
+only), and any other datagram its own protocol and the ports
+wire.extract_ports reads, so ESP (50) shows no ports.  A header that does
+not read raises the wire's MalformedPacket subclass, the same class SA
+selection, encap and decap raise for it.
 
 A rule that constrains a port can never match a packet whose ports are
 unavailable, which is exactly how ESP traffic degrades to the default class.
@@ -41,7 +35,7 @@ from dataclasses import dataclass, field
 from . import wire
 from .errors import ConfigError
 from .sadb import FiveTuple, Selector
-from .wire import IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP, IPV4_HEADER_LEN
+from .wire import IPPROTO_QESP, IPV4_HEADER_LEN
 
 MEMO_LIMIT = 4096
 
@@ -90,12 +84,8 @@ def _flow_key(packet: bytes, fields: tuple[int, ...]) -> tuple:
     protocol, _, src, dst = fields[6:]
     if protocol == IPPROTO_QESP:
         _, _, src_port, dst_port, protocol, _, _ = wire.read_qesp_header(packet, IPV4_HEADER_LEN)
-        if protocol != IPPROTO_TCP and protocol != IPPROTO_UDP:
-            src_port = dst_port = None  # the 0/0 copies of a portless protocol
-    elif protocol == IPPROTO_TCP or protocol == IPPROTO_UDP:
-        src_port, dst_port = wire.extract_ports(protocol, packet, IPV4_HEADER_LEN)
     else:
-        src_port = dst_port = None  # encrypted (ESP) or not a port protocol
+        src_port, dst_port = wire.extract_ports(protocol, packet, IPV4_HEADER_LEN)
     return src, dst, protocol, src_port, dst_port
 
 

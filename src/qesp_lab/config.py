@@ -48,10 +48,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_positive(self.duration, "duration")
+        spis = {sa.spi for sa in self.sas}
         for src in self.sources:
             if src.stop is not None and not src.stop <= self.duration:
                 raise ConfigError(f"source {src.flow_id}: stop {src.stop} is after "
                                   f"duration {self.duration}")
+            if src.protection_spi is not None and src.protection_spi not in spis:
+                raise ConfigError(f"source {src.flow_id}: protection SPI "
+                                  f"{src.protection_spi:#x} not in the SA list")
 
     def build_sadb(self) -> Sadb:
         sadb = Sadb()
@@ -181,9 +185,8 @@ def parse_selector(obj, where: str) -> Selector:
     protocol = obj.get("protocol")
     if protocol == "any":
         protocol = None
-    if protocol is not None and (isinstance(protocol, bool) or not isinstance(protocol, int)
-                                 or not 0 <= protocol <= 255):
-        raise ConfigError(f'{where}.protocol: expected "any" or an integer 0-255')
+    if protocol is not None and (isinstance(protocol, bool) or not isinstance(protocol, int)):
+        raise ConfigError(f'{where}.protocol: expected "any" or an integer')
     return _build(where, Selector, src_net=net("src"), dst_net=net("dst"), protocol=protocol,
                   src_ports=_ports(obj.get("src_ports"), f"{where}.src_ports"),
                   dst_ports=_ports(obj.get("dst_ports"), f"{where}.dst_ports"))
@@ -246,7 +249,7 @@ def parse_source(obj, where: str) -> TrafficSource:
                         dst_port=_int_field(obj, where, "dst_port", lo=0, hi=65535, default=0))
     protection = obj.get("protection")
     if protection is not None:
-        protection = _int_field(obj, where, "protection", lo=1, hi=0xFFFFFFFF)
+        protection = _int_field(obj, where, "protection")
     stop = None
     if "stop" in obj:
         stop = _num_field(obj, where, "stop")

@@ -30,14 +30,12 @@ of the ICV; here the ICV comes first, so a forged packet is AuthFailure
 whatever its sequence number, and the replay window only ever advances on
 authenticated traffic.
 
-Each direction validates the outer IPv4 header once (wire.read_ipv4), decap
-validates the Q-ESP clear header once into a field tuple (wire.read_qesp_header,
-whose ports and protocol the cross-check reads), and both build outer headers,
-extended coverage and rebuilt datagrams from those fields (wire.pack_ipv4).
-Every port read (Q-ESP outbound, five_tuple_of, the decap cross-check) goes
-through wire.extract_ports, which also validates a nested Q-ESP header, so
-these reject a malformed segment with the same MalformedPacket subclass as
-the classifier does.
+Every header and port read and every header write is one wire call:
+read_ipv4/pack_ipv4 for the IPv4 header, read_/pack_qesp_header or
+read_/pack_esp_header for the protocol header, and extract_ports for the
+ports (Q-ESP outbound, five_tuple_of, the decap cross-check).  wire alone
+decides which packets have ports, so the engine and the classifier read one
+five-tuple and reject a malformed packet with one MalformedPacket subclass.
 
 The ICV coverage is hashed in place: the zeroed outer header of extended auth
 goes to the MAC as a separate prefix, and decap passes the covered body as a
@@ -68,8 +66,6 @@ from .wire import (
     ESP_HEADER_LEN,
     IPPROTO_ESP,
     IPPROTO_QESP,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
     IPV4_HEADER_LEN,
     QESP_FLAG_EXTENDED_AUTH,
     QESP_HEADER_LEN,
@@ -95,7 +91,6 @@ LAYOUTS = {
 }
 _BY_PROTOCOL = {layout.ip_protocol: (variant, layout) for variant, layout in LAYOUTS.items()}
 
-_ESP_HEADER = struct.Struct(">II")
 # Extended coverage: the outer header with its mutable fields (ToS,
 # flags_frag, TTL, checksum) read as zero, so in-transit DSCP remarking, TTL
 # decrement and checksum rewrites do not break the ICV.  Packs ver_ihl,
@@ -136,7 +131,7 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
         header = wire.pack_qesp_header(sa.spi, seq, src_port, dst_port, protocol,
                                        QESP_FLAG_EXTENDED_AUTH if sa.extended_auth else 0)
     else:
-        header = _ESP_HEADER.pack(sa.spi, seq)
+        header = wire.pack_esp_header(sa.spi, seq)
         trailer += bytes([next_header])
     iv = sa.next_iv()
     body = header + iv + crypto.encrypt(cipher, iv, plaintext + trailer)
@@ -188,9 +183,7 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     if variant is ProtocolVariant.QESP:
         spi, seq, src_port, dst_port, inner_protocol, _, _ = wire.read_qesp_header(body)
     else:
-        if len(body) < ESP_HEADER_LEN:
-            raise Truncated(f"ESP body needs 8 bytes, got {len(body)}")
-        spi, seq = _ESP_HEADER.unpack_from(body)
+        spi, seq = wire.read_esp_header(body)
     sa = sadb.lookup_by_spi(spi)
     if sa is None or sa.variant is not variant:
         raise UnknownSpi(f"no {layout.label} SA for SPI 0x{spi:x}")
@@ -250,14 +243,6 @@ def per_packet_overhead(variant: ProtocolVariant, mode: SaMode, cipher: CipherAl
 
 
 def five_tuple_of(datagram: bytes) -> FiveTuple:
-    """Five-tuple of an IPv4 datagram for outbound SA selection.
-
-    Ports are None for every protocol but TCP and UDP, as the classifier
-    reads a portless protocol, so no port-constrained selector matches them.
-    """
+    """Five-tuple of an IPv4 datagram for outbound SA selection."""
     protocol, _, src, dst = wire.read_ipv4(datagram)[6:]
-    src_port, dst_port = wire.extract_ports(protocol, datagram, IPV4_HEADER_LEN)
-    if protocol != IPPROTO_TCP and protocol != IPPROTO_UDP:
-        src_port = dst_port = None
-    return FiveTuple(src_addr=src, dst_addr=dst, protocol=protocol,
-                     src_port=src_port, dst_port=dst_port)
+    return FiveTuple(src, dst, protocol, *wire.extract_ports(protocol, datagram, IPV4_HEADER_LEN))

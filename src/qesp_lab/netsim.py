@@ -63,7 +63,8 @@ class TrafficSource:
     adds the IP header and a UDP (8 B) or TCP (20 B) header around it.
     protection_spi names the SA the sender runs the flow through, or None
     for plaintext.  The source emits within [start, stop], stop defaulting
-    to the run's duration; ExperimentConfig keeps stop within the run.
+    to the run's duration; ExperimentConfig keeps stop within the run and
+    protection_spi in its SA list.
     """
 
     flow_id: str
@@ -239,14 +240,8 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
     capacity = config.link.capacity_bps
     link = PriorityLink(config.link)
 
-    flows = []
-    for src in config.sources:
-        spi = src.protection_spi
-        sa = None if spi is None else sadb.lookup_by_spi(spi)
-        if spi is not None and sa is None:
-            raise ConfigError(f"source {src.flow_id}: protection SPI "
-                              f"0x{spi:x} not in the SA list")
-        flows.append(_FlowState(src, src.five_tuple, sa))
+    flows = [_FlowState(src, src.five_tuple, sadb.lookup_by_spi(src.protection_spi))
+             for src in config.sources]
 
     for fl in flows:
         src = fl.source

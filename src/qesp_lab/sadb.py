@@ -35,8 +35,7 @@ class SaMode(enum.Enum):
 class FiveTuple:
     """Flow identity: addresses, transport protocol and ports.
 
-    Read from a packet, ports are None when there are none to read: every
-    protocol but TCP and UDP, and ESP, whose ports are encrypted.  No port
+    Read from a packet, the ports are None where wire reads none.  No port
     constraint matches a None port.  Configured flows default to port 0.
     """
 
@@ -88,6 +87,8 @@ class Selector:
     dst_ports: PortRange | None = None
 
     def __post_init__(self) -> None:
+        if self.protocol is not None and not 0 <= self.protocol <= 255:
+            raise ConfigError(f"protocol out of range 0..255: {self.protocol}")
         for name, ports in (("src_ports", self.src_ports), ("dst_ports", self.dst_ports)):
             if ports is not None and not 0 <= ports[0] <= ports[1] <= 65535:
                 raise ConfigError(f"{name} range not well-ordered in 0..65535: {ports}")

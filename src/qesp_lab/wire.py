@@ -30,15 +30,16 @@ those fields inside the ciphertext; it is implemented here as the baseline::
 The trailer difference is deliberate: Q-ESP needs no next-header byte because
 the protocol identifier travels in its clear header.
 
-Every IPv4 and Q-ESP header read and every port read in the package goes
-through this module, and every read failure is a MalformedPacket subclass
-(errors module).  read_qesp_header validates a Q-ESP clear header in place at
-an offset and returns its raw fields as a tuple, as read_ipv4 does; it serves
-decap, the classifier, and extract_ports, which reads the ports of any
-transport segment.  So the classifier, SA selection, encap and decap reject
-the same Q-ESP headers with the same class.  Neither body is self-describing
-(the SA sets the IV and ICV lengths); engine.inbound splits it by
-engine.LAYOUTS.
+Every header read and write and every port read in the package goes through
+this module, and every read failure is a MalformedPacket subclass (errors
+module).  The no-port rule is written here alone: only a TCP or UDP segment
+has ports, and every other protocol, ESP and Q-ESP included, reads as ports
+None.  extract_ports applies it to a segment and read_qesp_header to a clear
+header, which stores no ports as 0/0 (pack_qesp_header writes None as 0) and
+is refused if it names a portless inner protocol with a nonzero port.  So the
+classifier, SA selection, encap and decap read one five-tuple and reject the
+same headers with the same class.  Neither body is self-describing (the SA
+sets the IV and ICV lengths); engine.inbound splits it by engine.LAYOUTS.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ QESP_VALID_FLAGS = 0x01
 
 _IPV4_STRUCT = struct.Struct(">BBHHHBBHII")
 _QESP_STRUCT = struct.Struct(">IIHHBBH")
+_ESP_STRUCT = struct.Struct(">II")
 _PORTS = struct.Struct(">HH")
 
 
@@ -151,48 +153,65 @@ def pack_ipv4(tos: int, ident: int, flags_frag: int, ttl: int, protocol: int,
     return header + payload
 
 
-def pack_qesp_header(spi: int, seq: int, src_port: int, dst_port: int,
+def pack_esp_header(spi: int, seq: int) -> bytes:
+    """Serialize the 8 ESP header bytes: SPI, Seq."""
+    return _ESP_STRUCT.pack(spi, seq)
+
+
+def read_esp_header(b: bytes) -> tuple[int, int]:
+    """(spi, seq) from the ESP header at the start of b."""
+    if len(b) < ESP_HEADER_LEN:
+        raise Truncated(f"ESP body needs 8 bytes, got {len(b)}")
+    return _ESP_STRUCT.unpack_from(b)
+
+
+def pack_qesp_header(spi: int, seq: int, src_port: int | None, dst_port: int | None,
                      inner_protocol: int, flags: int) -> bytes:
     """Serialize the 16 header bytes: SPI, Seq, SrcPort, DstPort, Proto, Flags, Reserved.
 
-    Field ranges are checked here; the engine derives every field from
-    validated state, and read_qesp_header re-checks the SPI, flag and
-    reserved invariants on the receiving side.
+    A None port is written as 0.  Field ranges are checked here; the engine
+    derives every field from validated state, and read_qesp_header re-checks
+    the header's invariants on the receiving side.
     """
     try:
-        return _QESP_STRUCT.pack(spi, seq, src_port, dst_port, inner_protocol, flags, 0)
+        return _QESP_STRUCT.pack(spi, seq, src_port or 0, dst_port or 0, inner_protocol,
+                                 flags, 0)
     except struct.error as exc:
         raise InvalidHeader(f"header field out of range: {exc}") from None
 
 
-def read_qesp_header(b: bytes, offset: int = 0) -> tuple[int, ...]:
+def read_qesp_header(b: bytes, offset: int = 0) -> tuple[int | None, ...]:
     """The Q-ESP header validator: rejects a short header, SPI 0, undefined
-    flag bits and a nonzero reserved field in the 16 bytes at b[offset:].
+    flag bits, a nonzero reserved field and a nonzero port under a portless
+    inner protocol in the 16 bytes at b[offset:].
 
-    Returns (spi, seq, src_port, dst_port, inner_protocol, flags, reserved);
-    the ports and protocol copy the inner transport values (0/0 if portless).
+    Returns (spi, seq, src_port, dst_port, inner_protocol, flags, reserved),
+    the ports None for a portless inner protocol.
     """
     if len(b) - offset < QESP_HEADER_LEN:
         raise Truncated(f"Q-ESP header needs 16 bytes, got {len(b) - offset}")
     fields = _QESP_STRUCT.unpack_from(b, offset)
-    spi, _, _, _, _, flags, reserved = fields
+    spi, seq, src_port, dst_port, protocol, flags, reserved = fields
     if spi == 0:
         raise InvalidHeader("spi 0 is reserved for 'no SA'")
     if flags & ~QESP_VALID_FLAGS:
         raise InvalidHeader(f"undefined flag bits set: 0x{flags:02x}")
     if reserved != 0:
         raise InvalidHeader(f"reserved must be 0, got {reserved}")
-    return fields
+    if protocol == IPPROTO_TCP or protocol == IPPROTO_UDP:
+        return fields
+    if src_port or dst_port:
+        raise InvalidHeader(f"protocol {protocol} has no ports, got {src_port}/{dst_port}")
+    return spi, seq, None, None, protocol, flags, 0
 
 
-def extract_ports(protocol: int, data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Source/destination ports of the segment at data[offset:]; (0, 0) when portless.
+def extract_ports(protocol: int, data: bytes,
+                  offset: int = 0) -> tuple[int, int] | tuple[None, None]:
+    """Source/destination ports of the segment at data[offset:]; None if portless.
 
     TCP and UDP both start with the two 16-bit ports; a segment too short to
-    carry both is Truncated.  Every other protocol reports 0/0, the values a
-    Q-ESP clear header carries for it; the callers read those as no ports
-    (None).  A Q-ESP segment is read one layer deep: its clear header must
-    validate, and it too reports 0/0.
+    carry both is Truncated.  A Q-ESP segment is read one layer deep: its
+    clear header must validate, and it has no ports.
     """
     if protocol == IPPROTO_TCP or protocol == IPPROTO_UDP:
         if len(data) - offset < 4:
@@ -200,4 +219,4 @@ def extract_ports(protocol: int, data: bytes, offset: int = 0) -> tuple[int, int
         return _PORTS.unpack_from(data, offset)
     if protocol == IPPROTO_QESP:
         read_qesp_header(data, offset)
-    return 0, 0
+    return None, None

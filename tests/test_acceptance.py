@@ -105,9 +105,11 @@ def test_03_tamper_suite():
     Every flip is rejected.  A few covered bytes are structurally validated
     before any key can be selected, so they reject with a parse/addressing
     error instead of AuthFailure: the 4 SPI bytes (UnknownSpi: the flip
-    addresses a different SA) and, for Q-ESP, the flags/reserved bytes
-    (InvalidHeader).  All other positions must report AuthFailure, and at
-    least 100 AuthFailure samples are collected per configuration.
+    addresses a different SA) and, for Q-ESP, the clear protocol byte (any
+    flip of 17 names a portless protocol under the nonzero ports 4000/5060)
+    and the flags/reserved bytes (InvalidHeader).  All other positions must
+    report AuthFailure, and at least 100 AuthFailure samples are collected
+    per configuration.
     """
     rng = random.Random(0x7A3)
     datagram = make_datagram(payload_len=200)
@@ -121,7 +123,7 @@ def test_03_tamper_suite():
         out = engine.outbound(sa, datagram)
         covered_end = len(out) - sa.mac.icv_len  # body under the ICV
         spi_bytes = range(20, 24)
-        structural_bytes = range(33, 36) if variant is ProtocolVariant.QESP else ()
+        structural_bytes = range(32, 36) if variant is ProtocolVariant.QESP else ()
         auth_failures = 0
         while auth_failures < 100:
             tampered = bytearray(out)
@@ -135,6 +137,8 @@ def test_03_tamper_suite():
             elif pos not in structural_bytes:
                 assert caught.type is AuthFailure, (pos, bit)
                 auth_failures += 1
+            elif pos == 32:
+                assert caught.type is InvalidHeader, (pos, bit)
         engine.inbound(db, out)  # the intact packet still decapsulates
 
     # remarking tolerance: flip the DSCP bits arbitrarily in transit

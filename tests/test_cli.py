@@ -274,6 +274,26 @@ class TestOneShotTools:
                      "--in", str(FIXTURES / "qesp_reserved_set.hex")]) == 4
         assert capsys.readouterr().err.startswith("error: InvalidHeader: reserved must be 0")
 
+    @pytest.mark.parametrize("command", ["classify", "decap"])
+    def test_rejects_ports_under_portless_protocol(self, command, capsys):
+        """A Q-ESP packet under the bundled voice SA, valid ICV, whose clear
+        header names ICMP with ports 5/6: classify once printed it with no
+        ports (exit 0) and decap raised FiveTupleMismatch (exit 9)."""
+        bundled = str(resources.files("qesp_lab").joinpath("data/priority.json"))
+        assert main([command, "--config", bundled,
+                     "--in", str(FIXTURES / "qesp_portless_ports.hex")]) == 4
+        assert capsys.readouterr().err == (
+            "error: InvalidHeader: protocol 1 has no ports, got 5/6\n")
+
+    @pytest.mark.parametrize("command", ["classify", "encap", "decap"])
+    def test_dangling_protection_spi_is_a_config_error(self, command, tmp_path,
+                                                       packet_file, capsys):
+        dangling = tmp_path / "dangling.json"
+        dangling.write_text(json.dumps({**CLI_CONFIG, "sources": [
+            {**CLI_CONFIG["sources"][0], "protection": 999}]}))
+        assert main([command, "--config", str(dangling), "--in", packet_file]) == 3
+        assert capsys.readouterr().err.startswith("error: ConfigError: config: ")
+
     def test_malformed_hex_input(self, tmp_path, config_file, capsys):
         bad = tmp_path / "bad.hex"
         bad.write_text("zz not hex")

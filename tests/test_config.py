@@ -132,6 +132,15 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"config\.sas\[0\].*tunnel"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("spi", [999, 0, -1, 2 ** 32])
+    def test_protection_must_name_an_sa(self, spi):
+        """ExperimentConfig, which holds both lists, refuses it at load."""
+        with pytest.raises(ConfigError, match=rf"^config: source voice: protection SPI "
+                                              rf"{spi:#x} not in the SA list$"):
+            parse_config(with_number(("sources", 0), "protection", spi))
+        with pytest.raises(ConfigError, match="protection SPI 0x101 not in the SA list"):
+            replace(parse_config(VALID), sas=())
+
     @pytest.mark.parametrize("spi", [0, 2 ** 32])
     def test_spi_range_names_the_sa(self, spi):
         cfg = copy.deepcopy(VALID)
@@ -296,6 +305,8 @@ OWNED_VALUES = [
     (("sources", 0), "payload_size", 65001, 65001),
     (("sas", 0, "selector"), "dst_ports", [90, 10], (90, 10)),
     (("sas", 0, "selector"), "dst_ports", [0, 65536], (0, 65536)),
+    (("sas", 0, "selector"), "protocol", 300, 300),
+    (("sas", 0, "selector"), "protocol", -1, -1),
     (("link",), "class_map", {"46": 64}, {46: 64}),
     (("sources", 0), "rate_pps", 0, 0.0),
     (("link",), "capacity_bps", 0, 0.0),

@@ -4,9 +4,11 @@ classifier."""
 
 from __future__ import annotations
 
+import ast
 import struct
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -103,14 +105,16 @@ def reference_segment_error(protocol: int, segment: bytes) -> type | None:
     """The wire error class for a transport segment a port reader must
     reject, else None: a TCP/UDP segment too short for both ports, or a
     Q-ESP clear header that is short, names SPI 0 (RFC 4303 §2.1), sets a
-    flag other than bit 0 (extended auth) or a nonzero reserved field."""
+    flag other than bit 0 (extended auth) or a nonzero reserved field, or
+    names an inner protocol other than TCP and UDP with a nonzero port."""
     if protocol in (wire.IPPROTO_TCP, wire.IPPROTO_UDP):
         return Truncated if len(segment) < 4 else None
     if protocol == wire.IPPROTO_QESP:
         if len(segment) < 16:
             return Truncated
-        spi, _, _, _, _, flags, reserved = struct.unpack(">IIHHBBH", segment[:16])
-        if spi == 0 or flags & 0xFE or reserved:
+        spi, _, sport, dport, inner, flags, reserved = struct.unpack(">IIHHBBH", segment[:16])
+        portless = inner not in (wire.IPPROTO_TCP, wire.IPPROTO_UDP)
+        if spi == 0 or flags & 0xFE or reserved or portless and (sport or dport):
             return InvalidHeader
     return None
 
@@ -328,6 +332,43 @@ class TestPortlessProtocols:
         assert engine.inbound(sadb_with(outer_sa), outer) == inner
 
 
+class TestOnePortRule:
+    """wire alone decides which ports a packet shows."""
+
+    @given(datagrams())
+    @example(TestPortlessProtocols.ICMP)
+    @settings(max_examples=300, deadline=None)
+    def test_every_layer_reads_the_ports_wire_reads(self, packet):
+        """extract_ports, five_tuple_of and extract_fields (of the datagram
+        and of its Q-ESP copy) agree on the ports, None for every protocol
+        but TCP and UDP, and NULL/NULL decap returns every datagram encap
+        accepts."""
+        protocol = packet[9]
+        ports = outcome(wire.extract_ports, protocol, packet, wire.IPV4_HEADER_LEN)
+        selected = outcome(engine.five_tuple_of, packet)
+        sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+        sent = outcome(engine.outbound, sa, packet)
+        if isinstance(ports, type):
+            assert selected is sent is ports
+            return
+        assert (ports == (None, None)) is (protocol not in (wire.IPPROTO_TCP, wire.IPPROTO_UDP))
+        assert (selected.src_port, selected.dst_port) == ports
+        if protocol != wire.IPPROTO_QESP:  # else the plain datagram shows its clear header
+            assert classifier.extract_fields(packet) == selected
+        assert classifier.extract_fields(sent) == selected
+        assert engine.inbound(sadb_with(sa), sent) == packet
+
+
+@pytest.mark.parametrize("module", [classifier, engine], ids=lambda m: m.__name__)
+def test_port_protocols_named_only_in_wire(module):
+    """No module but wire holds the no-port rule: classifier and engine
+    name neither TCP nor UDP."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = {getattr(node, attr) for node in ast.walk(tree)
+             for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)}
+    assert not names & {"IPPROTO_TCP", "IPPROTO_UDP"}
+
+
 class TestRemarkInPlace:
     def test_matching_tos_returns_input_unchanged(self):
         packet = wire.pack_ipv4(46 << 2 | 0x01, 7, 0, 64, 1, SRC, DST, b"ping")
@@ -456,6 +497,7 @@ qesp_mutations = st.one_of(
     st.just(("spi", 0)),
     st.sampled_from([1 << bit for bit in range(1, 8)]).map(lambda bit: ("flags", bit)),
     st.integers(1, 0xFFFF).map(lambda reserved: ("reserved", reserved)),
+    st.integers(0, 255).filter(lambda p: p not in (6, 17)).map(lambda p: ("protocol", p)),
     st.integers(0, wire.QESP_HEADER_LEN - 1).map(lambda n: ("truncate", n)))
 
 
@@ -469,6 +511,8 @@ def mutated_qesp(datagram: bytes, field: str, value: int | None) -> bytes:
         body = bytes(4) + body[4:]
     elif field == "flags":
         body = body[:13] + bytes([body[13] | value]) + body[14:]
+    elif field == "protocol":  # the packet's clear ports are nonzero
+        body = body[:12] + bytes([value]) + body[13:]
     elif field == "reserved":
         body = body[:14] + value.to_bytes(2, "big") + body[16:]
     return oracle.encode(header, body)
@@ -483,6 +527,8 @@ def verdict(fn, *args):
 class TestQespHeaderRuleEverywhere:
     @pytest.mark.parametrize("mode", ALL_MODES)
     @given(mutation=qesp_mutations, extended_auth=st.booleans())
+    # ICMP under the voice ports: classify once accepted it, decap did not.
+    @example(mutation=("protocol", 1), extended_auth=False)
     @settings(max_examples=60, deadline=None)
     def test_classify_select_nest_and_decap_agree(self, mode, mutation, extended_auth):
         """classify, five_tuple_of, Q-ESP outbound of the datagram as a nested

@@ -303,9 +303,9 @@ class TestRunSimulation:
         assert stats.delivered_wire_bytes == expected_wire
 
     def test_unknown_protection_spi_rejected(self):
-        cfg = simple_config([flow("p", 5060, 50, 300, spi=0x99)])
-        with pytest.raises(ConfigError):
-            run_simulation(cfg)
+        """The config that names the source refuses it, before any run."""
+        with pytest.raises(ConfigError, match="protection SPI 0x99 not in the SA list"):
+            simple_config([flow("p", 5060, 50, 300, spi=0x99)])
 
     def test_source_validation(self):
         with pytest.raises(ConfigError):

@@ -88,7 +88,7 @@ class TestModel:
 
 # Each *.hex fixture is a golden record stream, except these, which hold one
 # datagram as bare hex for `qesp-lab classify --in`.
-BARE_FIXTURES = ("qesp_reserved_set.hex",)
+BARE_FIXTURES = ("qesp_reserved_set.hex", "qesp_portless_ports.hex")
 GOLDEN_FIXTURES = sorted(p for p in FIXTURES.glob("*.hex") if p.name not in BARE_FIXTURES)
 
 

@@ -64,11 +64,30 @@ class TestQespHeaderFormat:
 
     @given(spi=st.integers(1, 0xFFFFFFFF), seq=st.integers(0, 0xFFFFFFFF),
            sport=st.integers(0, 65535), dport=st.integers(0, 65535),
-           proto=st.integers(0, 255), flags=st.sampled_from([0, 1]))
+           proto=st.sampled_from([wire.IPPROTO_TCP, wire.IPPROTO_UDP]),
+           flags=st.sampled_from([0, 1]))
     def test_roundtrip_property(self, spi, seq, sport, dport, proto, flags):
+        """TCP and UDP ports round-trip exactly, 0 included."""
         encoded = wire.pack_qesp_header(spi, seq, sport, dport, proto, flags)
         assert len(encoded) == 16
         assert wire.read_qesp_header(encoded) == (spi, seq, sport, dport, proto, flags, 0)
+
+    @given(spi=st.integers(1, 0xFFFFFFFF), seq=st.integers(0, 0xFFFFFFFF),
+           ports=st.tuples(st.sampled_from([0, None]), st.sampled_from([0, None]))
+           | st.tuples(st.integers(0, 65535), st.integers(0, 65535)),
+           proto=st.integers(0, 255).filter(lambda p: p not in (6, 17)),
+           flags=st.sampled_from([0, 1]))
+    def test_portless_roundtrip_property(self, spi, seq, ports, proto, flags):
+        """A portless inner protocol reads ports None from 0 or None, and
+        refuses a nonzero port."""
+        encoded = wire.pack_qesp_header(spi, seq, *ports, proto, flags)
+        if any(ports):
+            with pytest.raises(InvalidHeader,
+                               match=f"^protocol {proto} has no ports, got {ports[0]}/{ports[1]}$"):
+                wire.read_qesp_header(encoded)
+        else:
+            assert encoded[8:12] == bytes(4)
+            assert wire.read_qesp_header(encoded) == (spi, seq, None, None, proto, flags, 0)
 
     def test_five_tuple_at_fixed_datagram_offsets(self):
         """Ports/protocol are readable at bytes 28-33 of the datagram, no keys."""
@@ -79,6 +98,16 @@ class TestQespHeaderFormat:
         assert int.from_bytes(datagram[30:32], "big") == 5060
         assert datagram[32] == 17
         assert wire.read_qesp_header(datagram[20:]) == (0x101, 1, 4000, 5060, 17, 0, 0)
+
+
+class TestEspHeaderFormat:
+    def test_known_encoding(self):
+        assert wire.pack_esp_header(0x201, 7).hex() == "0000020100000007"
+        assert wire.read_esp_header(bytes.fromhex("0000020100000007") + b"iv") == (0x201, 7)
+
+    def test_truncated(self):
+        with pytest.raises(Truncated, match="^ESP body needs 8 bytes, got 7$"):
+            wire.read_esp_header(bytes(7))
 
 
 class TestIpv4:
@@ -171,7 +200,7 @@ class TestParserTotality:
     @given(st.binary(min_size=0, max_size=65536))
     @settings(max_examples=300)
     def test_parsers_total(self, blob):
-        for parse in (wire.read_ipv4, wire.read_qesp_header):
+        for parse in (wire.read_ipv4, wire.read_qesp_header, wire.read_esp_header):
             try:
                 parse(blob)
             except QespLabError:
