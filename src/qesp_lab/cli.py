@@ -134,13 +134,13 @@ def _flow_stats_row(stats: FlowStats) -> str:
 
 # --- throughput --------------------------------------------------------------
 
-def _sweep_config(size: int, variant: ProtocolVariant, cipher: CipherAlg, mac: MacAlg,
-                  mode: SaMode, pps: float, duration: float, seed: int) -> ExperimentConfig:
-    """One protected flow on an uncongested link."""
+def _sweep_config(size: int, cipher: CipherAlg, mac: MacAlg, mode: SaMode, pps: float,
+                  duration: float, seed: int) -> ExperimentConfig:
+    """One Q-ESP-protected flow on an uncongested link; with_variant gives ESP."""
     sa = SecurityAssociation(
-        spi=0x101, variant=variant, mode=mode, cipher=cipher,
+        spi=0x101, variant=ProtocolVariant.QESP, mode=mode, cipher=cipher,
         cipher_key=bytes(range(cipher.key_len)), mac=mac, mac_key=bytes(range(mac.key_len)),
-        selector=Selector(), extended_auth=variant is ProtocolVariant.QESP,
+        selector=Selector(), extended_auth=True,
         tunnel_src=0x0A000001 if mode is SaMode.TUNNEL else None,
         tunnel_dst=0x0A000909 if mode is SaMode.TUNNEL else None,
         iv_seed=seed)
@@ -166,10 +166,9 @@ def cmd_throughput(args: argparse.Namespace) -> int:
 
     lines = ["size,variant,goodput_kbps,wire_kbps,overhead_bytes"]
     for size in sizes:
+        cfg = _sweep_config(size, cipher, mac, mode, args.pps, args.duration, seed)
         for variant in variants:
-            cfg = _sweep_config(size, variant, cipher, mac, mode, args.pps,
-                                args.duration, seed)
-            stats = run_simulation(cfg)[0]
+            stats = run_simulation(cfg.with_variant(variant))[0]
             # transport segment = UDP header + payload
             overhead = engine.per_packet_overhead(variant, mode, cipher, mac, 8 + size)
             lines.append(f"{size},{variant.value},{stats.throughput_kbps:.3f},"

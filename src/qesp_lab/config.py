@@ -38,6 +38,10 @@ _FLOAT_MAX = sys.float_info.max
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  Besides its own duration it checks the rules that span
+    its lists: at least one source, unique SPIs and flow_ids, every source's
+    stop within the run and its protection SPI in the SA list."""
+
     sas: tuple[SecurityAssociation, ...]
     rules: RuleTable
     sources: tuple[TrafficSource, ...]
@@ -48,7 +52,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_positive(self.duration, "duration")
+        if not self.sources:
+            raise ConfigError("needs at least one traffic source")
         spis = {sa.spi for sa in self.sas}
+        if len(spis) != len(self.sas):
+            raise ConfigError("duplicate SPI values")
+        if len({src.flow_id for src in self.sources}) != len(self.sources):
+            raise ConfigError("duplicate flow_id values")
         for src in self.sources:
             if src.stop is not None and not src.stop <= self.duration:
                 raise ConfigError(f"source {src.flow_id}: stop {src.stop} is after "
@@ -97,8 +107,7 @@ def _take(obj, where: str, allowed: dict[str, bool]) -> dict:
     return obj
 
 
-def _int_field(obj: dict, where: str, key: str, lo: int | None = None,
-               hi: int | None = None, default: int | None = None) -> int:
+def _int_field(obj: dict, where: str, key: str, default: int | None = None) -> int:
     if key not in obj:
         if default is not None:
             return default
@@ -106,8 +115,6 @@ def _int_field(obj: dict, where: str, key: str, lo: int | None = None,
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key}: expected an integer")
-    if lo is not None and value < lo or hi is not None and value > hi:
-        raise ConfigError(f"{where}.{key}: {value} out of range")
     return value
 
 
@@ -244,9 +251,9 @@ def parse_source(obj, where: str) -> TrafficSource:
     five_tuple = _build(where, FiveTuple,
                         src_addr=_addr(obj, where, "src"),
                         dst_addr=_addr(obj, where, "dst"),
-                        protocol=_int_field(obj, where, "protocol", lo=0, hi=255),
-                        src_port=_int_field(obj, where, "src_port", lo=0, hi=65535, default=0),
-                        dst_port=_int_field(obj, where, "dst_port", lo=0, hi=65535, default=0))
+                        protocol=_int_field(obj, where, "protocol"),
+                        src_port=_int_field(obj, where, "src_port", default=0),
+                        dst_port=_int_field(obj, where, "dst_port", default=0))
     protection = obj.get("protection")
     if protection is not None:
         protection = _int_field(obj, where, "protection")
@@ -286,17 +293,11 @@ def parse_config(obj, where: str = "config") -> ExperimentConfig:
     if not isinstance(sas_raw, list):
         raise ConfigError(f"{where}.sas: expected a list")
     sas = tuple(parse_sa(sa, f"{where}.sas[{i}]") for i, sa in enumerate(sas_raw))
-    spis = [sa.spi for sa in sas]
-    if len(set(spis)) != len(spis):
-        raise ConfigError(f"{where}.sas: duplicate SPI values")
     sources_raw = obj["sources"]
-    if not isinstance(sources_raw, list) or not sources_raw:
-        raise ConfigError(f"{where}.sources: expected a non-empty list")
+    if not isinstance(sources_raw, list):
+        raise ConfigError(f"{where}.sources: expected a list")
     sources = tuple(parse_source(s, f"{where}.sources[{i}]")
                     for i, s in enumerate(sources_raw))
-    flow_ids = [s.flow_id for s in sources]
-    if len(set(flow_ids)) != len(flow_ids):
-        raise ConfigError(f"{where}.sources: duplicate flow_id values")
     output = None
     if "output" in obj:
         output = _str_field(obj, where, "output")

@@ -1,8 +1,9 @@
-"""An IPv4 model written from RFC 791, for differential tests.
+"""Independent models of the lab's wire formats, for differential tests.
 
-It shares no code with the package: the header layout, the checksum and the
-field checks below are written from the RFCs, so a test that compares the
-package's IPv4 validator or packer with this model compares two independent
+It shares no code with the package: the IPv4 header, its checksum and the
+Q-ESP/ESP encapsulation below are written from the RFCs and the layouts they
+describe, with raw OpenSSL CBC and stdlib hmac/hashlib, so a test that
+compares the package's output with this model compares two independent
 implementations.  test_oracle.py keeps it that way: importing anything from
 qesp_lab here fails the suite.
 
@@ -18,6 +19,27 @@ RFC 791 §3.1 header, no options (20 bytes)::
 The DS field (RFC 2474) is the high six bits of the ToS octet; the low two
 are ECN (RFC 3168).
 
+encap() composes one packet of either encapsulation (RFC 4303 §2-3 for ESP,
+IP protocol 50; Q-ESP is IP protocol 253)::
+
+    Q-ESP  SPI(4) Seq(4) SrcPort(2) DstPort(2) Proto(1) Flags(1) Reserved(2)
+           IV || CBC(payload || 1, 2, 3... || pad_length) || ICV
+    ESP    SPI(4) Seq(4)
+           IV || CBC(payload || 1, 2, 3... || pad_length || next_header) || ICV
+
+The payload is the transport segment (transport mode, under the inner header
+with its protocol rewritten) or the whole inner datagram (tunnel mode, under
+a fresh header between the tunnel endpoints: the inner ToS, identification 0,
+no flags, TTL 64; ESP's next_header is 4, IP-in-IP).  The pad brings the
+encrypted part to a multiple of lcm(cipher block, 4).  The Q-ESP clear ports
+are the inner TCP/UDP ports, 0/0 for any other protocol; flag bit 0 selects
+extended auth.  The ICV is HMAC-MD5-96 or HMAC-SHA1-96 (the first 12 bytes)
+over header || IV || ciphertext, preceded under extended auth by the outer
+header with ToS, flags, fragment offset, TTL and checksum zeroed.
+
+An SA's IVs are the stream iv_stream() yields: the first iv-length bytes of
+SHA-256(seed || counter), both big-endian u64, the counter counting from 0.
+
 The golden packet fixtures (tests/fixtures/*.hex) are whitespace-insensitive
 hex of a record stream: each record is a big-endian u32 byte count followed
 by that many datagram bytes.
@@ -25,8 +47,20 @@ by that many datagram bytes.
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import itertools
+import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+try:  # moved out of the primitives namespace in cryptography >= 43
+    from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
+except ImportError:  # pragma: no cover
+    from cryptography.hazmat.primitives.ciphers.algorithms import TripleDES
 
 HEADER_LEN = 20
 # Version/IHL, ToS, Total Length, Identification, Flags/Fragment Offset, TTL,
@@ -139,6 +173,58 @@ def parse(datagram: bytes) -> tuple[Header, bytes]:
                     flags=flags_frag >> 13, fragment_offset=flags_frag & 0x1FFF, ttl=ttl,
                     total_length=total_length, checksum=stored)
     return header, datagram[HEADER_LEN:]
+
+
+# --- Q-ESP and ESP encapsulation ----------------------------------------------
+
+# cipher name -> (block size, IV length, OpenSSL algorithm); NULL is the identity
+_CIPHERS = {"null": (1, 0, None), "aes-128-cbc": (16, 16, algorithms.AES),
+            "3des-cbc": (8, 8, TripleDES)}
+_HASHES = {"null": None, "hmac-md5-96": hashlib.md5, "hmac-sha1-96": hashlib.sha1}
+_PROTOCOLS = {"qesp": 253, "esp": 50}
+
+
+def iv_stream(seed: int, cipher: str) -> Iterator[bytes]:
+    """The IVs an SA with this IV seed issues, one per packet (b"" for NULL)."""
+    iv_len = _CIPHERS[cipher][1]
+    for counter in itertools.count():
+        yield hashlib.sha256(struct.pack(">QQ", seed % 2 ** 64, counter)).digest()[:iv_len]
+
+
+def encap(datagram: bytes, *, variant: str, mode: str, cipher: str, cipher_key: bytes,
+          mac: str, mac_key: bytes, spi: int, seq: int, iv: bytes, extended: bool = False,
+          tunnel_src: int | None = None, tunnel_dst: int | None = None) -> bytes:
+    """datagram encapsulated as packet seq of an SA: variant "qesp" or "esp",
+    mode "transport" or "tunnel", cipher and mac by their config names."""
+    inner, segment = parse(datagram)
+    protocol = _PROTOCOLS[variant]
+    if mode == "tunnel":
+        outer = Header(src=tunnel_src, dst=tunnel_dst, protocol=protocol, tos=inner.tos)
+        plaintext, next_header = datagram, 4
+    else:
+        outer = replace(inner, protocol=protocol)
+        plaintext, next_header = segment, inner.protocol
+    if variant == "qesp":
+        ports = segment[:4] if inner.protocol in (6, 17) else bytes(4)
+        header = struct.pack(">II4sBBH", spi, seq, ports, inner.protocol, extended, 0)
+        tail = b""
+    else:
+        header, tail = struct.pack(">II", spi, seq), bytes([next_header])
+    block, _, algorithm = _CIPHERS[cipher]
+    pad_len = -(len(plaintext) + 1 + len(tail)) % math.lcm(block, 4)
+    padded = plaintext + bytes(range(1, pad_len + 1)) + bytes([pad_len]) + tail
+    if algorithm is not None:
+        enc = Cipher(algorithm(cipher_key), modes.CBC(iv)).encryptor()
+        padded = enc.update(padded) + enc.finalize()
+    body = header + iv + padded
+    if _HASHES[mac] is None:
+        return encode(outer, body)
+    covered = body
+    if extended:
+        zeroed = replace(outer, tos=0, flags=0, fragment_offset=0, ttl=0)
+        prefix = encode(zeroed, body + bytes(12))[:HEADER_LEN]
+        covered = prefix[:10] + bytes(2) + prefix[12:] + body
+    return encode(outer, body + hmac.new(mac_key, covered, _HASHES[mac]).digest()[:12])
 
 
 # --- golden fixture streams ---------------------------------------------------

@@ -65,6 +65,18 @@ class TestThroughput:
         for row in rows.values():
             assert float(row[3]) > float(row[2])
 
+    @pytest.mark.parametrize("mode", ["transport", "tunnel"])
+    def test_single_variant_prints_its_rows_of_both(self, mode, capsys):
+        argv = ["throughput", "--sizes", "64,1024", "--duration", "1", "--seed", "3",
+                "--mode", mode, "--cipher", "3des-cbc", "--mac", "hmac-md5-96", "--variant"]
+        out = {}
+        for variant in ("both", "qesp", "esp"):
+            assert main(argv + [variant]) == 0
+            out[variant] = capsys.readouterr().out.splitlines()
+        header, *rows = out["both"]
+        for variant in ("qesp", "esp"):
+            assert out[variant] == [header] + [r for r in rows if r.split(",")[1] == variant]
+
     def test_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["throughput", "--sizes", "256", "--seed", "5"]

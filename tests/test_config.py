@@ -149,16 +149,24 @@ class TestDiagnostics:
             parse_config(cfg)
 
     def test_duplicate_spi_rejected(self):
-        cfg = copy.deepcopy(VALID)
-        cfg["sas"].append(copy.deepcopy(cfg["sas"][0]))
-        with pytest.raises(ConfigError, match="duplicate SPI"):
-            parse_config(cfg)
+        assert_duplicate_rejected("sas", "duplicate SPI values")
 
     def test_duplicate_flow_id_rejected(self):
-        cfg = copy.deepcopy(VALID)
-        cfg["sources"].append(copy.deepcopy(cfg["sources"][0]))
-        with pytest.raises(ConfigError, match="duplicate flow_id"):
-            parse_config(cfg)
+        assert_duplicate_rejected("sources", "duplicate flow_id values")
+
+    def test_no_source_rejected(self):
+        with pytest.raises(ConfigError, match="^config: needs at least one traffic source$"):
+            parse_config(variant(sources=[]))
+        with pytest.raises(ConfigError, match="^needs at least one traffic source$"):
+            replace(parse_config(VALID), sources=())
+
+    @pytest.mark.parametrize("key,value,top", [
+        ("protocol", 256, 255), ("protocol", -1, 255), ("src_port", -1, 65535),
+        ("dst_port", 70000, 65535)])
+    def test_source_five_tuple_range(self, key, value, top):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config.sources[0]: {key} must be an int in 0..{top}, got {value}")):
+            parse_config(with_number(("sources", 0), key, value))
 
     def test_port_range_validation(self):
         cfg = copy.deepcopy(VALID)
@@ -218,6 +226,17 @@ def with_number(where: tuple, key: str, value) -> dict:
         obj = obj[step]
     obj[key] = value
     return cfg
+
+
+def assert_duplicate_rejected(field: str, message: str) -> None:
+    """ExperimentConfig refuses a repeated entry, so a config built in code does too."""
+    cfg = copy.deepcopy(VALID)
+    cfg[field].append(copy.deepcopy(cfg[field][0]))
+    with pytest.raises(ConfigError, match=f"^config: {message}$"):
+        parse_config(cfg)
+    built = parse_config(VALID)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        replace(built, **{field: getattr(built, field) * 2})
 
 
 class TestFiniteNumbers:

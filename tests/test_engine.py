@@ -1,9 +1,7 @@
-"""Encapsulation engine: golden fixtures, roundtrips, tamper, overhead."""
+"""Encapsulation engine: oracle differential, golden fixtures, tamper, overhead."""
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import itertools
 import random
 import struct
@@ -15,8 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
 import oracle
 from conftest import (
     ALL_CIPHERS,
@@ -24,9 +20,6 @@ from conftest import (
     ALL_MODES,
     ALL_VARIANTS,
     FIXTURES,
-    KEY_BYTES,
-    TUNNEL_DST,
-    TUNNEL_SRC,
     make_datagram,
     make_sa,
     sadb_with,
@@ -49,121 +42,63 @@ from qesp_lab.sadb import ProtocolVariant, SaMode
 # fixed flow used by every golden fixture
 GOLDEN_INPUT = make_datagram(payload_len=92, tos_dscp=0xB8, ttl=61)
 
-AES_KEY = KEY_BYTES[:16]
-SHA1_KEY = KEY_BYTES[:20]
-IV_SEED = 0xDEADBEEF
+
+def oracle_encap(sa, datagram: bytes, seq: int, iv: bytes) -> bytes:
+    """oracle.encap under sa's parameters, passed as plain values."""
+    return oracle.encap(datagram, variant=sa.variant.value, mode=sa.mode.value,
+                        cipher=sa.cipher.value, cipher_key=sa.cipher_key,
+                        mac=sa.mac.value, mac_key=sa.mac_key, spi=sa.spi, seq=seq, iv=iv,
+                        extended=sa.extended_auth, tunnel_src=sa.tunnel_src,
+                        tunnel_dst=sa.tunnel_dst)
 
 
-# --- primitive-composition oracle --------------------------------------------
-# Builds expected engine output step by step with inline struct packing,
-# hashlib/hmac, and the raw OpenSSL CBC binding; shares no layout code with
-# the engine.
+# 2 modes x 3 ciphers x 3 MACs x {Q-ESP, Q-ESP with extended auth, ESP}
+CONFIGURATIONS = [(variant, extended, mode, cipher, mac)
+                  for variant, extended in ((ProtocolVariant.QESP, False),
+                                            (ProtocolVariant.QESP, True),
+                                            (ProtocolVariant.ESP, False))
+                  for mode in ALL_MODES for cipher in ALL_CIPHERS for mac in ALL_MACS]
 
-def _oracle_iv(seed: int, counter: int = 0) -> bytes:
-    return hashlib.sha256(struct.pack(">QQ", seed, counter)).digest()[:16]
-
-
-def _oracle_aes_cbc(key: bytes, iv: bytes, pt: bytes) -> bytes:
-    enc = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
-    return enc.update(pt) + enc.finalize()
-
-
-def _oracle_ip_header(tos, total, ident, flags_frag, ttl, proto, src, dst,
-                      checksum=None) -> bytes:
-    head = bytearray(struct.pack(">BBHHHBBHII", 0x45, tos, total, ident,
-                                 flags_frag, ttl, proto, 0, src, dst))
-    if checksum is None:
-        total_sum = 0
-        for i in range(0, 20, 2):
-            total_sum += int.from_bytes(head[i:i + 2], "big")
-        while total_sum >> 16:
-            total_sum = (total_sum & 0xFFFF) + (total_sum >> 16)
-        checksum = (~total_sum) & 0xFFFF
-    struct.pack_into(">H", head, 10, checksum)
-    return bytes(head)
+DATAGRAMS = st.lists(st.builds(
+    make_datagram, protocol=st.sampled_from([6, 17, 1, 47]), payload_len=st.integers(0, 1200),
+    src_port=st.integers(0, 0xFFFF), dst_port=st.integers(0, 0xFFFF),
+    tos_dscp=st.integers(0, 255), ttl=st.integers(0, 255), ident=st.integers(0, 0xFFFF),
+    rng=st.integers(0, 2 ** 32).map(random.Random)), min_size=1, max_size=8)
 
 
-def oracle_qesp(datagram: bytes, spi: int, mode: SaMode, extended: bool) -> bytes:
-    ver_tos, total, ident, ff, ttl, proto, _, src, dst = struct.unpack(
-        ">HHHHBBHII", datagram[:20])
-    tos = ver_tos & 0xFF
-    segment = datagram[20:]
-    plaintext = datagram if mode is SaMode.TUNNEL else segment
-    sport, dport = struct.unpack(">HH", segment[:4])
-
-    pad_len = (16 - (len(plaintext) + 1) % 16) % 16
-    padded = plaintext + bytes(range(1, pad_len + 1)) + bytes([pad_len])
-    iv = _oracle_iv(IV_SEED)
-    ct = _oracle_aes_cbc(AES_KEY, iv, padded)
-
-    qesp_header = struct.pack(">IIHHBBH", spi, 1, sport, dport, proto,
-                              0x01 if extended else 0x00, 0)
-    body = qesp_header + iv + ct
-    new_total = 20 + len(body) + 12
-
-    if mode is SaMode.TUNNEL:
-        out_src, out_dst, out_ident, out_ff, out_ttl = TUNNEL_SRC, TUNNEL_DST, 0, 0, 64
-    else:
-        out_src, out_dst, out_ident, out_ff, out_ttl = src, dst, ident, ff, ttl
-
-    coverage = body
-    if extended:
-        zeroed = _oracle_ip_header(0, new_total, out_ident, 0, 0, 253,
-                                   out_src, out_dst, checksum=0)
-        coverage = zeroed + body
-    icv = hmac.new(SHA1_KEY, coverage, hashlib.sha1).digest()[:12]
-
-    outer = _oracle_ip_header(tos, new_total, out_ident, out_ff, out_ttl, 253,
-                              out_src, out_dst)
-    return outer + body + icv
-
-
-def oracle_esp(datagram: bytes, spi: int, mode: SaMode) -> bytes:
-    ver_tos, total, ident, ff, ttl, proto, _, src, dst = struct.unpack(
-        ">HHHHBBHII", datagram[:20])
-    tos = ver_tos & 0xFF
-    if mode is SaMode.TUNNEL:
-        plaintext, next_header = datagram, 4
-        out_src, out_dst, out_ident, out_ff, out_ttl = TUNNEL_SRC, TUNNEL_DST, 0, 0, 64
-    else:
-        plaintext, next_header = datagram[20:], proto
-        out_src, out_dst, out_ident, out_ff, out_ttl = src, dst, ident, ff, ttl
-
-    pad_len = (16 - (len(plaintext) + 2) % 16) % 16
-    padded = plaintext + bytes(range(1, pad_len + 1)) + bytes([pad_len, next_header])
-    iv = _oracle_iv(IV_SEED)
-    ct = _oracle_aes_cbc(AES_KEY, iv, padded)
-
-    body = struct.pack(">II", spi, 1) + iv + ct
-    icv = hmac.new(SHA1_KEY, body, hashlib.sha1).digest()[:12]
-    outer = _oracle_ip_header(tos, 20 + len(body) + 12, out_ident, out_ff,
-                              out_ttl, 50, out_src, out_dst)
-    return outer + body + icv
+class TestOracleDifferential:
+    @pytest.mark.parametrize("variant,extended,mode,cipher,mac", CONFIGURATIONS,
+                             ids=lambda v: getattr(v, "value", v))
+    @given(datagrams=DATAGRAMS, spi=st.integers(1, 0xFFFFFFFF),
+           iv_seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_engine_matches_oracle(self, variant, extended, mode, cipher, mac, datagrams,
+                                   spi, iv_seed):
+        """A fresh SA's packets equal the oracle's byte for byte and decap back."""
+        sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac, spi=spi,
+                     extended_auth=extended, iv_seed=iv_seed)
+        receiver = sadb_with(replace(sa))
+        ivs = oracle.iv_stream(iv_seed, cipher.value)
+        for seq, datagram in enumerate(datagrams, start=1):
+            packet = engine.outbound(sa, datagram)
+            assert packet == oracle_encap(sa, datagram, seq, next(ivs))
+            assert engine.inbound(receiver, packet) == datagram
 
 
 GOLDEN_CASES = {
     "qesp_transport_aes128_sha1": dict(
-        variant=ProtocolVariant.QESP, mode=SaMode.TRANSPORT, spi=0x101, extended=True),
+        variant=ProtocolVariant.QESP, mode=SaMode.TRANSPORT, spi=0x101, extended_auth=True),
     "qesp_tunnel_aes128_sha1": dict(
-        variant=ProtocolVariant.QESP, mode=SaMode.TUNNEL, spi=0x102, extended=True),
+        variant=ProtocolVariant.QESP, mode=SaMode.TUNNEL, spi=0x102, extended_auth=True),
     "esp_transport_aes128_sha1": dict(
-        variant=ProtocolVariant.ESP, mode=SaMode.TRANSPORT, spi=0x202, extended=False),
+        variant=ProtocolVariant.ESP, mode=SaMode.TRANSPORT, spi=0x202),
     "esp_tunnel_aes128_sha1": dict(
-        variant=ProtocolVariant.ESP, mode=SaMode.TUNNEL, spi=0x203, extended=False),
+        variant=ProtocolVariant.ESP, mode=SaMode.TUNNEL, spi=0x203),
 }
 
 
-def golden_expected(name: str) -> bytes:
-    case = GOLDEN_CASES[name]
-    if case["variant"] is ProtocolVariant.QESP:
-        return oracle_qesp(GOLDEN_INPUT, case["spi"], case["mode"], case["extended"])
-    return oracle_esp(GOLDEN_INPUT, case["spi"], case["mode"])
-
-
 def golden_sa(name: str):
-    case = GOLDEN_CASES[name]
-    return make_sa(variant=case["variant"], mode=case["mode"], spi=case["spi"],
-                   extended_auth=case["extended"], iv_seed=IV_SEED)
+    return make_sa(**GOLDEN_CASES[name], iv_seed=0xDEADBEEF)
 
 
 class TestGoldenFixtures:
@@ -173,7 +108,8 @@ class TestGoldenFixtures:
     def test_engine_matches_oracle_and_fixture(self, name):
         sa = golden_sa(name)
         produced = engine.outbound(sa, GOLDEN_INPUT)
-        assert produced == golden_expected(name)
+        first_iv = next(oracle.iv_stream(sa.iv_seed, sa.cipher.value))
+        assert produced == oracle_encap(sa, GOLDEN_INPUT, 1, first_iv)
 
         recorded_in, recorded_out = oracle.dump_from_hex(
             (FIXTURES / f"{name}.hex").read_text())
@@ -225,38 +161,6 @@ class TestNullNullLayout:
         assert len(out) == 176
 
 
-class TestRoundtrip:
-    @pytest.mark.parametrize("variant,mode,cipher,mac", list(itertools.product(
-        ALL_VARIANTS, ALL_MODES, ALL_CIPHERS, ALL_MACS)))
-    def test_all_configurations(self, variant, mode, cipher, mac):
-        rng = random.Random(hash((variant, mode, cipher, mac)) & 0xFFFF)
-        for protocol in (17, 6, 1):
-            sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac,
-                         extended_auth=variant is ProtocolVariant.QESP)
-            db = sadb_with(sa)
-            datagram = make_datagram(protocol=protocol,
-                                     payload_len=rng.randint(0, 300),
-                                     tos_dscp=rng.randrange(256), rng=rng)
-            assert engine.inbound(db, engine.outbound(sa, datagram)) == datagram
-
-    @given(payload_len=st.integers(0, 1200), protocol=st.sampled_from([17, 6, 1, 47]),
-           tos=st.integers(0, 255))
-    @settings(max_examples=60)
-    def test_roundtrip_property_qesp_extended(self, payload_len, protocol, tos):
-        sa = make_sa(extended_auth=True)
-        db = sadb_with(sa)
-        datagram = make_datagram(protocol=protocol, payload_len=payload_len,
-                                 tos_dscp=tos)
-        assert engine.inbound(db, engine.outbound(sa, datagram)) == datagram
-
-    def test_sequential_packets_roundtrip(self):
-        sa = make_sa()
-        db = sadb_with(sa)
-        datagram = make_datagram()
-        for _ in range(5):
-            assert engine.inbound(db, engine.outbound(sa, datagram)) == datagram
-
-
 class TestSharedSa:
     def test_concurrent_outbound_matches_fresh_contexts(self):
         """Threads sharing one SA share its CBC chaining state; serialized per
@@ -290,12 +194,7 @@ class TestSharedSa:
         sent.sort(key=lambda pair: struct.unpack_from(">I", pair[1], 24))  # by seq
         receiver = sadb_with(make_sa())
         for seq, (datagram, packet) in enumerate(sent, start=1):
-            assert struct.unpack_from(">I", packet, 24) == (seq,)
-            segment = datagram[20:]
-            pad_len = -(len(segment) + 1) % 16
-            padded = segment + bytes(range(1, pad_len + 1)) + bytes([pad_len])
-            iv = packet[36:52]
-            assert packet[52:-12] == _oracle_aes_cbc(AES_KEY, iv, padded)
+            assert packet == oracle_encap(sa, datagram, seq, iv=packet[36:52])
             assert engine.inbound(receiver, packet) == datagram
 
 

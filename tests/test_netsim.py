@@ -313,6 +313,17 @@ class TestRunSimulation:
         with pytest.raises(ConfigError):
             flow("bad", 5060, 10, 0)
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(dst_port=70000), "dst_port must be an int in 0..65535, got 70000"),
+        (dict(src_port=None), "src_port must be an int in 0..65535, got None"),
+        (dict(src_port=True), "src_port must be an int in 0..65535, got True"),
+        (dict(protocol=300), "protocol must be an int in 0..255, got 300")])
+    def test_five_tuple_out_of_range_rejected(self, fields, message):
+        """Refused at construction, before build_datagram would pack the value."""
+        source = flow("f", 5060, 10, 100)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            replace(source, five_tuple=replace(source.five_tuple, **fields))
+
     @pytest.mark.parametrize("start", [-0.5, -math.inf, math.nan])
     def test_start_before_the_run_rejected(self, start):
         with pytest.raises(ConfigError, match="start must be >= 0"):
