@@ -1,14 +1,17 @@
 """Experiment configuration: strict JSON schema -> validated objects.
 
-The schema is documented in docs/config.md.  Validation is strict: unknown
-keys are rejected.  The parse_* functions check JSON shape (keys, types,
-finiteness, enum names, hex and address syntax) and name the offending field
-("config.link.capacity_bps: missing required field").  Each value range is
-checked once, by the constructor of the object that owns the value; _build
-prefixes its error with that object's path ("config.link: queue_limit must
-be >= 1, got 0").  The config's SecurityAssociation objects are templates
-that no run touches: build_sadb() gives each run fresh copies, so repeated
-runs never share sequence, replay or IV state.
+The schema is documented in docs/config.md.  Each JSON object of it has one
+module-level key table, {key: (reader, default)}, listing its keys in the order
+they are checked.  _fields refuses a non-object, an unknown key and a missing
+key whose default is REQUIRED; it reads each present value with
+reader(value, path), which checks JSON shape (type, finiteness, enum name, hex
+and address syntax) and names the field ("config.link.capacity_bps: expected
+a number").  Each value range is checked once, by the constructor of the
+object that owns the value; _build prefixes its error with that object's path
+("config.link: queue_limit must be >= 1, got 0").  The config's
+SecurityAssociation objects are templates that no run touches: build_sadb()
+gives each run fresh copies, so repeated runs never share sequence, replay or
+IV state.
 """
 
 from __future__ import annotations
@@ -89,226 +92,190 @@ def _build(where: str, cls, **fields):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _expect_mapping(obj, where: str) -> dict:
+REQUIRED = object()  # the default of a key that must be present
+
+
+def _fields(obj, where: str, spec: dict) -> list:
+    """obj's values in spec's key order, each read as reader(value, "where.key").
+    An absent key gets its default, called if callable: no two share a RuleTable."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
-    return obj
-
-
-def _take(obj, where: str, allowed: dict[str, bool]) -> dict:
-    """obj as a JSON object with the allowed keys: all required ones, no unknown one."""
-    obj = _expect_mapping(obj, where)
-    unknown = set(obj) - set(allowed)
+    unknown = obj.keys() - spec.keys()
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-    for key, required in allowed.items():
-        if required and key not in obj:
+    for key, (_, default) in spec.items():
+        if default is REQUIRED and key not in obj:
             raise ConfigError(f"{where}.{key}: missing required field")
-    return obj
+    return [reader(obj[key], f"{where}.{key}") if key in obj
+            else default() if callable(default) else default
+            for key, (reader, default) in spec.items()]
 
 
-def _int_field(obj: dict, where: str, key: str, default: int | None = None) -> int:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ConfigError(f"{where}.{key}: missing required field")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}: expected an integer")
-    return value
+def _typed(cls, noun: str):
+    """A reader of a JSON value of type cls exactly, so True is no integer."""
+    def read(value, where: str):
+        if type(value) is not cls:
+            raise ConfigError(f"{where}: expected {noun}")
+        return value
+    return read
 
 
-def _num_field(obj: dict, where: str, key: str, default: float | None = None) -> float:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ConfigError(f"{where}.{key}: missing required field")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number")
+_int, _str, _bool = _typed(int, "an integer"), _typed(str, "a string"), _typed(bool, "a boolean")
+
+
+def _num(value, where: str) -> float:
+    if type(value) not in (int, float):
+        raise ConfigError(f"{where}: expected a number")
     # json parses NaN and +-Infinity, and an int may overflow a float
     if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        raise ConfigError(f"{where}.{key}: expected a finite number")
+        raise ConfigError(f"{where}: expected a finite number")
     return float(value)
 
 
-def _str_field(obj: dict, where: str, key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}.{key}: expected a string")
+def _text(parse, error: str = "{exc}"):
+    """A reader of a string that parse turns into a value; a failure is reported as
+    error, formatted with parse's exception as exc and the string as text."""
+    def read(value, where: str):
+        text = _str(value, where)
+        try:
+            return parse(text)
+        except (ValueError, QespLabError) as exc:
+            raise ConfigError(f"{where}: " + error.format(exc=exc, text=text)) from None
+    return read
+
+
+def _enum(enum_cls):
+    return _text(enum_cls, "{text!r} is not one of: " + ", ".join(e.value for e in enum_cls))
+
+
+_addr = _text(addr_to_int)
+_net = _text(Ipv4Net.parse)
+_hex = _text(bytes.fromhex, "invalid hex string")
+
+
+def _list(parse_entry):
+    """A reader of a list whose entry i parse_entry reads as "where[i]"."""
+    def read(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list")
+        return tuple(parse_entry(entry, f"{where}[{i}]") for i, entry in enumerate(value))
+    return read
+
+
+def _protocol(value, where: str) -> int | None:
+    if value is None or value == "any":
+        return None
+    if type(value) is not int:
+        raise ConfigError(f'{where}: expected "any" or an integer')
     return value
-
-
-def _addr(obj: dict, where: str, key: str) -> int:
-    text = _str_field(obj, where, key)
-    try:
-        return addr_to_int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from None
-
-
-def _hex_key(obj: dict, where: str, key: str) -> bytes:
-    if key not in obj:
-        return b""
-    text = _str_field(obj, where, key)
-    try:
-        return bytes.fromhex(text)
-    except ValueError:
-        raise ConfigError(f"{where}.{key}: invalid hex string") from None
-
-
-def _enum(obj: dict, where: str, key: str, enum_cls):
-    text = _str_field(obj, where, key)
-    try:
-        return enum_cls(text)
-    except ValueError:
-        choices = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"{where}.{key}: {text!r} is not one of: {choices}") from None
 
 
 def _ports(value, where: str) -> tuple[int, int] | None:
     if value is None or value == "any":
         return None
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int:
         value = [value, value]
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+    if type(value) is list and len(value) == 2 and all(type(v) is int for v in value):
         return tuple(value)
     raise ConfigError(f'{where}: expected "any", a port, or [lo, hi]')
 
 
-def parse_selector(obj, where: str) -> Selector:
-    obj = _take(obj, where, {"src": False, "dst": False, "protocol": False,
-                             "src_ports": False, "dst_ports": False})
-
-    def net(key: str) -> Ipv4Net:
-        if key not in obj:
-            return ANY_NET
-        try:
-            return Ipv4Net.parse(_str_field(obj, where, key))
-        except (ValueError, QespLabError) as exc:
-            raise ConfigError(f"{where}.{key}: {exc}") from None
-
-    protocol = obj.get("protocol")
-    if protocol == "any":
-        protocol = None
-    if protocol is not None and (isinstance(protocol, bool) or not isinstance(protocol, int)):
-        raise ConfigError(f'{where}.protocol: expected "any" or an integer')
-    return _build(where, Selector, src_net=net("src"), dst_net=net("dst"), protocol=protocol,
-                  src_ports=_ports(obj.get("src_ports"), f"{where}.src_ports"),
-                  dst_ports=_ports(obj.get("dst_ports"), f"{where}.dst_ports"))
-
-
-def parse_sa(obj, where: str) -> SecurityAssociation:
-    obj = _take(obj, where, {"spi": True, "variant": True, "mode": True,
-                             "cipher": True, "cipher_key_hex": False,
-                             "mac": True, "mac_key_hex": False,
-                             "extended_auth": False, "selector": True,
-                             "tunnel": False, "iv_seed": False})
-    tunnel_src = tunnel_dst = None
-    if "tunnel" in obj:
-        tunnel = _take(obj["tunnel"], f"{where}.tunnel", {"src": True, "dst": True})
-        tunnel_src = _addr(tunnel, f"{where}.tunnel", "src")
-        tunnel_dst = _addr(tunnel, f"{where}.tunnel", "dst")
-    extended = obj.get("extended_auth", False)
-    if not isinstance(extended, bool):
-        raise ConfigError(f"{where}.extended_auth: expected a boolean")
-    return _build(where, SecurityAssociation,
-                  spi=_int_field(obj, where, "spi"),
-                  variant=_enum(obj, where, "variant", ProtocolVariant),
-                  mode=_enum(obj, where, "mode", SaMode),
-                  cipher=_enum(obj, where, "cipher", CipherAlg),
-                  cipher_key=_hex_key(obj, where, "cipher_key_hex"),
-                  mac=_enum(obj, where, "mac", MacAlg),
-                  mac_key=_hex_key(obj, where, "mac_key_hex"),
-                  selector=parse_selector(obj.get("selector"), f"{where}.selector"),
-                  extended_auth=extended,
-                  tunnel_src=tunnel_src, tunnel_dst=tunnel_dst,
-                  iv_seed=_int_field(obj, where, "iv_seed", default=0))
-
-
-def parse_rules(obj, where: str) -> RuleTable:
-    obj = _take(obj, where, {"rules": False, "default_dscp": False})
-    entries = obj.get("rules", [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"{where}.rules: expected a list")
-    rules = []
-    for i, entry in enumerate(entries):
-        entry_where = f"{where}.rules[{i}]"
-        entry = _take(entry, entry_where, {"selector": True, "dscp": True})
-        rules.append(_build(entry_where, ClassifierRule,
-                            selector=parse_selector(entry["selector"], f"{entry_where}.selector"),
-                            dscp=_int_field(entry, entry_where, "dscp")))
-    return _build(where, RuleTable, rules=tuple(rules),
-                  default_dscp=_int_field(obj, where, "default_dscp", default=0))
-
-
-def parse_source(obj, where: str) -> TrafficSource:
-    obj = _take(obj, where, {"flow_id": True, "src": True, "dst": True, "protocol": True,
-                             "src_port": False, "dst_port": False, "rate_pps": True,
-                             "payload_size": True, "start": False, "stop": False,
-                             "protection": False})
-    five_tuple = _build(where, FiveTuple,
-                        src_addr=_addr(obj, where, "src"),
-                        dst_addr=_addr(obj, where, "dst"),
-                        protocol=_int_field(obj, where, "protocol"),
-                        src_port=_int_field(obj, where, "src_port", default=0),
-                        dst_port=_int_field(obj, where, "dst_port", default=0))
-    protection = obj.get("protection")
-    if protection is not None:
-        protection = _int_field(obj, where, "protection")
-    stop = None
-    if "stop" in obj:
-        stop = _num_field(obj, where, "stop")
-    return _build(where, TrafficSource,
-                  flow_id=_str_field(obj, where, "flow_id"),
-                  five_tuple=five_tuple,
-                  rate_pps=_num_field(obj, where, "rate_pps"),
-                  payload_size=_int_field(obj, where, "payload_size"),
-                  start=_num_field(obj, where, "start", default=0.0),
-                  stop=stop,
-                  protection_spi=protection)
-
-
-def parse_link(obj, where: str) -> LinkConfig:
-    obj = _take(obj, where, {"capacity_bps": True, "queue_limit": True, "class_map": False})
+def _class_map(value, where: str) -> dict[int, int]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(value).__name__}")
     class_map = {}
-    raw_map = _expect_mapping(obj.get("class_map", {}), f"{where}.class_map")
-    for key in raw_map:
+    for key, index in value.items():
         try:
             dscp = parse_decimal(key)
         except ValueError:
-            raise ConfigError(f"{where}.class_map: key {key!r} is not a DSCP value") from None
+            raise ConfigError(f"{where}: key {key!r} is not a DSCP value") from None
         if dscp in class_map:
-            raise ConfigError(f"{where}.class_map: key {key!r} repeats DSCP {dscp}")
-        class_map[dscp] = _int_field(raw_map, f"{where}.class_map", key)
-    return _build(where, LinkConfig, capacity_bps=_num_field(obj, where, "capacity_bps"),
-                  queue_limit=_int_field(obj, where, "queue_limit"), class_map=class_map)
+            raise ConfigError(f"{where}: key {key!r} repeats DSCP {dscp}")
+        class_map[dscp] = _int(index, f"{where}.{key}")
+    return class_map
+
+
+_SELECTOR_KEYS = {"protocol": (_protocol, None), "src": (_net, ANY_NET), "dst": (_net, ANY_NET),
+                  "src_ports": (_ports, None), "dst_ports": (_ports, None)}
+
+
+def parse_selector(obj, where: str) -> Selector:
+    protocol, src, dst, src_ports, dst_ports = _fields(obj, where, _SELECTOR_KEYS)
+    return _build(where, Selector, src_net=src, dst_net=dst, protocol=protocol,
+                  src_ports=src_ports, dst_ports=dst_ports)
+
+
+_TUNNEL_KEYS = {"src": (_addr, REQUIRED), "dst": (_addr, REQUIRED)}
+_SA_KEYS = {
+    "tunnel": (lambda value, where: _fields(value, where, _TUNNEL_KEYS), (None, None)),
+    "extended_auth": (_bool, False), "spi": (_int, REQUIRED),
+    "variant": (_enum(ProtocolVariant), REQUIRED), "mode": (_enum(SaMode), REQUIRED),
+    "cipher": (_enum(CipherAlg), REQUIRED), "cipher_key_hex": (_hex, b""),
+    "mac": (_enum(MacAlg), REQUIRED), "mac_key_hex": (_hex, b""),
+    "selector": (parse_selector, REQUIRED), "iv_seed": (_int, 0)}
+
+
+def parse_sa(obj, where: str) -> SecurityAssociation:
+    ((tunnel_src, tunnel_dst), extended_auth, spi, variant, mode, cipher, cipher_key, mac,
+     mac_key, selector, iv_seed) = _fields(obj, where, _SA_KEYS)
+    return _build(where, SecurityAssociation, spi=spi, variant=variant, mode=mode,
+                  cipher=cipher, cipher_key=cipher_key, mac=mac, mac_key=mac_key,
+                  selector=selector, extended_auth=extended_auth,
+                  tunnel_src=tunnel_src, tunnel_dst=tunnel_dst, iv_seed=iv_seed)
+
+
+_RULE_KEYS = {"selector": (parse_selector, REQUIRED), "dscp": (_int, REQUIRED)}
+
+
+def _rule(obj, where: str) -> ClassifierRule:
+    selector, dscp = _fields(obj, where, _RULE_KEYS)
+    return _build(where, ClassifierRule, selector=selector, dscp=dscp)
+
+
+_RULES_KEYS = {"rules": (_list(_rule), ()), "default_dscp": (_int, 0)}
+
+
+def parse_rules(obj, where: str) -> RuleTable:
+    rules, default_dscp = _fields(obj, where, _RULES_KEYS)
+    return _build(where, RuleTable, rules=rules, default_dscp=default_dscp)
+
+
+_SOURCE_KEYS = {
+    "flow_id": (_str, REQUIRED), "src": (_addr, REQUIRED), "dst": (_addr, REQUIRED),
+    "protocol": (_int, REQUIRED), "src_port": (_int, 0), "dst_port": (_int, 0),
+    "protection": (lambda value, where: None if value is None else _int(value, where), None),
+    "stop": (_num, None), "rate_pps": (_num, REQUIRED), "payload_size": (_int, REQUIRED),
+    "start": (_num, 0.0)}
+
+
+def parse_source(obj, where: str) -> TrafficSource:
+    (flow_id, src, dst, protocol, src_port, dst_port, protection, stop, rate_pps, payload_size,
+     start) = _fields(obj, where, _SOURCE_KEYS)
+    return _build(where, TrafficSource, flow_id=flow_id,
+                  five_tuple=FiveTuple(src, dst, protocol, src_port, dst_port),
+                  rate_pps=rate_pps, payload_size=payload_size, start=start, stop=stop,
+                  protection_spi=protection)
+
+
+_LINK_KEYS = {"class_map": (_class_map, dict), "capacity_bps": (_num, REQUIRED),
+              "queue_limit": (_int, REQUIRED)}
+
+
+def parse_link(obj, where: str) -> LinkConfig:
+    class_map, capacity_bps, queue_limit = _fields(obj, where, _LINK_KEYS)
+    return _build(where, LinkConfig, capacity_bps=capacity_bps, queue_limit=queue_limit,
+                  class_map=class_map)
+
+
+_CONFIG_KEYS = {"sas": (_list(parse_sa), ()), "sources": (_list(parse_source), REQUIRED),
+                "output": (_str, None), "rules": (parse_rules, RuleTable),
+                "link": (parse_link, REQUIRED), "duration": (_num, REQUIRED), "seed": (_int, 0)}
 
 
 def parse_config(obj, where: str = "config") -> ExperimentConfig:
-    obj = _take(obj, where, {"sas": False, "rules": False, "sources": True, "link": True,
-                             "duration": True, "seed": False, "output": False})
-    sas_raw = obj.get("sas", [])
-    if not isinstance(sas_raw, list):
-        raise ConfigError(f"{where}.sas: expected a list")
-    sas = tuple(parse_sa(sa, f"{where}.sas[{i}]") for i, sa in enumerate(sas_raw))
-    sources_raw = obj["sources"]
-    if not isinstance(sources_raw, list):
-        raise ConfigError(f"{where}.sources: expected a list")
-    sources = tuple(parse_source(s, f"{where}.sources[{i}]")
-                    for i, s in enumerate(sources_raw))
-    output = None
-    if "output" in obj:
-        output = _str_field(obj, where, "output")
-    return _build(where, ExperimentConfig,
-                  sas=sas,
-                  rules=parse_rules(obj.get("rules", {}), f"{where}.rules"),
-                  sources=sources,
-                  link=parse_link(obj.get("link"), f"{where}.link"),
-                  duration=_num_field(obj, where, "duration"),
-                  seed=_int_field(obj, where, "seed", default=0),
-                  output=output)
+    sas, sources, output, rules, link, duration, seed = _fields(obj, where, _CONFIG_KEYS)
+    return _build(where, ExperimentConfig, sas=sas, rules=rules, sources=sources, link=link,
+                  duration=duration, seed=seed, output=output)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -64,9 +64,9 @@ class TrafficSource:
     protection_spi names the SA the sender runs the flow through, or None
     for plaintext.  The source emits within [start, stop], stop defaulting
     to the run's duration; ExperimentConfig keeps stop within the run and
-    protection_spi in its SA list.  The five-tuple's protocol and ports,
-    which every datagram carries, are checked here, not by FiveTuple, which
-    the classifier builds for every flow it reads.
+    protection_spi in its SA list.  The five-tuple's addresses, protocol and
+    ports, which every datagram carries, are checked here, not by FiveTuple,
+    which the classifier builds for every flow it reads.
     """
 
     flow_id: str
@@ -79,7 +79,9 @@ class TrafficSource:
 
     def __post_init__(self) -> None:
         ft = self.five_tuple
-        for name, value, top in (("protocol", ft.protocol, 255), ("src_port", ft.src_port, 0xFFFF),
+        for name, value, top in (("src_addr", ft.src_addr, 0xFFFFFFFF),
+                                 ("dst_addr", ft.dst_addr, 0xFFFFFFFF),
+                                 ("protocol", ft.protocol, 255), ("src_port", ft.src_port, 0xFFFF),
                                  ("dst_port", ft.dst_port, 0xFFFF)):
             if type(value) is not int or not 0 <= value <= top:
                 raise ConfigError(f"{name} must be an int in 0..{top}, got {value!r}")

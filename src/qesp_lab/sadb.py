@@ -154,6 +154,9 @@ class SecurityAssociation:
             raise ConfigError("extended_auth is a Q-ESP feature; ESP never covers the outer header")
         if self.mode is SaMode.TUNNEL and (self.tunnel_src is None or self.tunnel_dst is None):
             raise ConfigError("tunnel mode needs tunnel src and dst")
+        for name, addr in (("tunnel_src", self.tunnel_src), ("tunnel_dst", self.tunnel_dst)):
+            if addr is not None and (type(addr) is not int or not 0 <= addr <= 0xFFFFFFFF):
+                raise ConfigError(f"{name} must be an int in 0..{0xFFFFFFFF}, got {addr!r}")
         self._iv_gen = IvGenerator(self.iv_seed)
         self._lock = threading.Lock()
 

@@ -6,12 +6,20 @@ import copy
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import make_datagram
-from qesp_lab import engine
-from qesp_lab.config import load_config, parse_config
+from qesp_lab import config, engine
+from qesp_lab.config import (
+    load_config,
+    parse_config,
+    parse_link,
+    parse_rules,
+    parse_sa,
+    parse_source,
+)
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import ConfigError
 from qesp_lab.netsim import run_simulation
@@ -85,6 +93,14 @@ class TestParsing:
         assert parse_config(VALID) == parse_config(VALID)
         assert (parse_config(VALID).with_variant(ProtocolVariant.ESP)
                 == parse_config(VALID).with_variant(ProtocolVariant.ESP))
+
+    def test_absent_rules_and_class_map_are_fresh_per_parse(self):
+        """RuleTable memoizes per flow, so two configs must never share one."""
+        cfg = copy.deepcopy(VALID)
+        del cfg["rules"], cfg["link"]["class_map"]
+        first, second = parse_config(cfg), parse_config(cfg)
+        assert first.rules == second.rules and first.rules is not second.rules
+        assert first.link.class_map == {} and first.link.class_map is not second.link.class_map
 
     def test_with_variant_flips_all_sas(self):
         cfg = parse_config(VALID).with_variant(ProtocolVariant.ESP)
@@ -219,13 +235,22 @@ FLOAT_FIELDS = [((), "duration"), (("link",), "capacity_bps"),
 NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10 ** 400]
 
 
-def with_number(where: tuple, key: str, value) -> dict:
-    cfg = copy.deepcopy(VALID)
+def edited(where: tuple, edit, base: dict = VALID) -> dict:
+    """A copy of base whose object at where edit has changed in place."""
+    cfg = copy.deepcopy(base)
     obj = cfg
     for step in where:
         obj = obj[step]
-    obj[key] = value
+    edit(obj)
     return cfg
+
+
+def with_number(where: tuple, key: str, value) -> dict:
+    return edited(where, lambda obj: obj.update({key: value}))
+
+
+def path_of(where: tuple) -> str:
+    return "config" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
 
 
 def assert_duplicate_rejected(field: str, message: str) -> None:
@@ -344,8 +369,7 @@ class TestConstructorsOwnValues:
     def test_constructor_error_gets_the_object_path(self, where, key, value, held):
         with pytest.raises(ConfigError) as parsed:
             parse_config(with_number(where, key, value))
-        prefix = "config" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}"
-                                    for s in where) + ": "
+        prefix = path_of(where) + ": "
         message = str(parsed.value)
         assert message.startswith(prefix)
         assert not LOCATION.search(message[len(prefix):])
@@ -357,3 +381,116 @@ class TestConstructorsOwnValues:
             replace(owner, **{key: held})
         assert type(direct.value) is type(parsed.value)
         assert message == prefix + str(direct.value)
+
+
+# VALID with the optional keys it lacks, so that FULL holds every key of the schema.
+FULL = copy.deepcopy(VALID)
+FULL["output"] = "unused.csv"
+FULL["sas"][0]["tunnel"] = {"src": "192.0.2.1", "dst": "192.0.2.2"}
+FULL["sas"][0]["selector"].update(dst="10.0.9.0/24", src_ports="any")
+FULL["sources"][0].update(start=0.5, stop=1.5)
+
+# The keys docs/config.md gives a default, by object (list indices dropped).
+OPTIONAL = {
+    "seed", "output", "sas", "rules",
+    "sas.cipher_key_hex", "sas.mac_key_hex", "sas.extended_auth", "sas.tunnel", "sas.iv_seed",
+    "sas.selector.src", "sas.selector.dst", "sas.selector.protocol", "sas.selector.src_ports",
+    "sas.selector.dst_ports", "rules.default_dscp", "rules.rules",
+    "rules.rules.selector.protocol", "rules.rules.selector.dst_ports",
+    "sources.src_port", "sources.dst_port", "sources.start", "sources.stop",
+    "sources.protection", "link.class_map"}
+# Optional keys whose default FULL's other values refuse, with the refusal.
+NEEDED = {
+    "sas": "config: source voice: protection SPI 0x101 not in the SA list",
+    "sas.cipher_key_hex": "config.sas[0]: aes-128-cbc needs a 16-byte key, got 0",
+    "sas.mac_key_hex": "config.sas[0]: hmac-sha1-96 needs a 20-byte key, got 0"}
+
+
+def schema_objects(value, where: tuple = ()):
+    """(where, object) for every JSON object of the schema in value; a
+    class_map is a map from DSCP to class, not an object with keys of its own."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from schema_objects(item, where + (i,))
+    elif isinstance(value, dict) and where[-1:] != ("class_map",):
+        yield where, value
+        for key, item in value.items():
+            yield from schema_objects(item, where + (key,))
+
+
+OBJECTS = [where for where, _ in schema_objects(FULL)]
+KEYS = [(where, key, value) for where, obj in schema_objects(FULL) for key, value in obj.items()]
+
+
+def exact(message: str) -> str:
+    return "^" + re.escape(message) + "$"
+
+
+class TestEveryKey:
+    """Each key of each object of FULL: every message about it starts with its
+    path, and removing it reports it missing only if docs/config.md gives it
+    no default."""
+
+    @pytest.mark.parametrize("where,key,value", KEYS,
+                             ids=[f"{path_of(where)}.{key}" for where, key, _ in KEYS])
+    def test_wrong_type_names_the_key_once(self, where, key, value):
+        bad = [] if isinstance(value, dict) else {}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(edited(where, lambda obj: obj.update({key: bad}), FULL))
+        path = f"{path_of(where)}.{key}"
+        message = str(exc.value)
+        assert message.startswith(path + ": ") and path not in message[len(path):]
+
+    @pytest.mark.parametrize("where,key,value", KEYS,
+                             ids=[f"{path_of(where)}.{key}" for where, key, _ in KEYS])
+    def test_removed_key_is_missing_or_defaulted(self, where, key, value):
+        cfg = edited(where, lambda obj: obj.pop(key), FULL)
+        kind = re.sub(r"\[\d+\]", "", f"{path_of(where)}.{key}").removeprefix("config.")
+        if kind not in OPTIONAL:
+            with pytest.raises(ConfigError, match=exact(f"{path_of(where)}.{key}: "
+                                                        "missing required field")):
+                parse_config(cfg)
+        elif kind in NEEDED:
+            with pytest.raises(ConfigError, match=exact(NEEDED[kind])):
+                parse_config(cfg)
+        else:
+            assert parse_config(cfg) is not None
+
+    def test_optional_list_names_keys_of_full(self):
+        kinds = {re.sub(r"\[\d+\]", "", f"{path_of(where)}.{key}").removeprefix("config.")
+                 for where, key, _ in KEYS}
+        assert OPTIONAL <= kinds and NEEDED.keys() <= OPTIONAL
+
+    @pytest.mark.parametrize("where", OBJECTS, ids=[path_of(where) for where in OBJECTS])
+    def test_unknown_key_names_the_object(self, where):
+        with pytest.raises(ConfigError, match=exact(f"{path_of(where)}: unknown key(s) ['bogus']")):
+            parse_config(edited(where, lambda obj: obj.update(bogus=1), FULL))
+
+
+DOC = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text(encoding="utf-8")
+# The docs' sections on one JSON object, by the name in their heading.
+SECTION_PARSERS = {"sas[]": parse_sa, "rules": parse_rules, "sources[]": parse_source,
+                   "link": parse_link}
+
+
+class TestDocsMatchParser:
+    def test_object_examples_parse(self):
+        parsed = set()
+        for section in DOC.split("\n## ")[1:]:
+            name = re.match(r"[^\n]*\(`([^`]+)`\)\n", section)
+            for block in re.findall(r"```json\n(.*?)```", section, re.S):
+                try:
+                    example = json.loads(block)
+                except ValueError:
+                    continue  # an outline with "..." in it
+                if isinstance(example, dict):
+                    SECTION_PARSERS[name.group(1)](example, "example")
+                    parsed.add(name.group(1))
+        assert parsed == SECTION_PARSERS.keys()
+
+    def test_every_table_key_is_documented(self):
+        prose = re.sub(r"```.*?```", "", DOC, flags=re.S)
+        documented = set(re.findall(r"`([^`\n]+)`", prose))
+        tables = [table for name, table in vars(config).items() if name.endswith("_KEYS")]
+        assert len(tables) == 8  # one per JSON object of the schema
+        assert {key for table in tables for key in table} - documented == set()

@@ -317,7 +317,9 @@ class TestRunSimulation:
         (dict(dst_port=70000), "dst_port must be an int in 0..65535, got 70000"),
         (dict(src_port=None), "src_port must be an int in 0..65535, got None"),
         (dict(src_port=True), "src_port must be an int in 0..65535, got True"),
-        (dict(protocol=300), "protocol must be an int in 0..255, got 300")])
+        (dict(protocol=300), "protocol must be an int in 0..255, got 300"),
+        (dict(src_addr=2 ** 32), "src_addr must be an int in 0..4294967295, got 4294967296"),
+        (dict(dst_addr=-1), "dst_addr must be an int in 0..4294967295, got -1")])
     def test_five_tuple_out_of_range_rejected(self, fields, message):
         """Refused at construction, before build_datagram would pack the value."""
         source = flow("f", 5060, 10, 100)

@@ -131,6 +131,17 @@ class TestSadbLookups:
                 cipher=CipherAlg.NULL, cipher_key=b"",
                 mac=MacAlg.NULL, mac_key=b"")
 
+    @pytest.mark.parametrize("mode", list(SaMode))
+    @pytest.mark.parametrize("fields,message", [
+        (dict(tunnel_src=2 ** 32), "tunnel_src must be an int in 0..4294967295, got 4294967296"),
+        (dict(tunnel_dst=-1), "tunnel_dst must be an int in 0..4294967295, got -1")])
+    def test_tunnel_endpoints_are_ipv4_addresses(self, mode, fields, message):
+        """Refused at construction: encap would fail every packet the SA carries."""
+        sa = make_sa(mode=SaMode.TUNNEL)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            replace(sa, mode=mode, **fields)
+        assert replace(sa, mode=mode, tunnel_src=0, tunnel_dst=0xFFFFFFFF).tunnel_dst == 0xFFFFFFFF
+
 
 class TestSequenceNumbers:
     def test_starts_at_one_and_increments(self):
