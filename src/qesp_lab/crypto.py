@@ -24,9 +24,9 @@ the packet's IV would, by two CBC identities:
 * decrypt — feeding iv ahead of the ciphertext makes iv the chaining block
   of the first real block; the output block for iv itself is dropped.
 
-The encryptor's chaining block is mutable per-SA state, so encrypt and
-decrypt are serialized per CipherState, as sequence, replay and IV state are
-per SA.  The NULL cipher keeps no context and takes no lock.
+The encryptor's chaining block is mutable per-SA state.  A CipherState is
+not thread-safe and takes no lock: its SA serializes encrypt and decrypt
+under the one lock that also guards sequence, replay and IV state.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import hashlib
 import hmac
 import math
 import struct
-import threading
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -129,8 +128,7 @@ class CipherState:
     """One SA's keyed cipher: persistent CBC contexts plus the constants the
     per-packet path reads (block_size, iv_len, effective_block)."""
 
-    __slots__ = ("alg", "block_size", "iv_len", "effective_block",
-                 "_enc", "_dec", "_chain", "_lock")
+    __slots__ = ("alg", "block_size", "iv_len", "effective_block", "_enc", "_dec", "_chain")
 
     def __init__(self, alg: CipherAlg, key: bytes) -> None:
         _check_key(alg, key)
@@ -138,7 +136,7 @@ class CipherState:
         self.block_size = alg.block_size
         self.iv_len = alg.iv_len
         self.effective_block = alg.effective_block
-        self._enc = self._dec = self._lock = None
+        self._enc = self._dec = None
         self._chain = 0  # last ciphertext block as an int; 0 is the start IV
         if alg is CipherAlg.NULL:
             return
@@ -146,7 +144,6 @@ class CipherState:
         start = modes.CBC(bytes(self.block_size))
         self._enc = Cipher(algorithm, start).encryptor()
         self._dec = Cipher(algorithm, start).decryptor()
-        self._lock = threading.Lock()
 
 
 class MacState:
@@ -202,22 +199,18 @@ def encrypt(state: CipherState, iv: bytes, plaintext: bytes) -> bytes:
     if enc is None or not plaintext:  # NULL, or no first block to chain
         return plaintext
     block = state.block_size
-    with state._lock:
-        first = (int.from_bytes(plaintext[:block], "big") ^ int.from_bytes(iv, "big")
-                 ^ state._chain)
-        ciphertext = enc.update(first.to_bytes(block, "big") + plaintext[block:])
-        state._chain = int.from_bytes(ciphertext[-block:], "big")
+    first = int.from_bytes(plaintext[:block], "big") ^ int.from_bytes(iv, "big") ^ state._chain
+    ciphertext = enc.update(first.to_bytes(block, "big") + plaintext[block:])
+    state._chain = int.from_bytes(ciphertext[-block:], "big")
     return ciphertext
 
 
 def decrypt(state: CipherState, iv: bytes, ciphertext: bytes) -> bytes:
     """Inverse of encrypt()."""
     _check_cipher_args(state, iv, ciphertext)
-    dec = state._dec
-    if dec is None:
+    if state._dec is None:
         return ciphertext
-    with state._lock:
-        return dec.update(iv + ciphertext)[state.block_size:]
+    return state._dec.update(iv + ciphertext)[state.block_size:]
 
 
 def compute_icv(state: MacState, data: bytes, prefix: bytes = b"") -> bytes:

@@ -24,11 +24,12 @@ Auth coverage comes in two variants:
   of the immutable outer fields while leaving the DSCP remarkable in transit.
 
 Inbound processing order (RFC 4303 §3.4.3): SPI lookup, length check, ICV
-verification, anti-replay check and window update, decrypt, pad check,
-post-decrypt check, rebuild.  The RFC allows a cheap replay pre-check ahead
-of the ICV; here the ICV comes first, so a forged packet is AuthFailure
-whatever its sequence number, and the replay window only ever advances on
-authenticated traffic.
+verification, then the anti-replay check and window update and the decrypt
+under the SA's lock (sa.unseal), then pad check, post-decrypt check, rebuild.
+The RFC allows a cheap replay pre-check ahead of the ICV; here the ICV comes
+first, so a forged packet is AuthFailure whatever its sequence number, and
+the replay window only ever advances on authenticated traffic.  Outbound
+holds the lock once too, over seq, IV and encrypt (sa.seal).
 
 Every header and port read and every header write is one wire call:
 read_ipv4/pack_ipv4 for the IPv4 header, read_/pack_qesp_header or
@@ -56,7 +57,6 @@ from .errors import (
     FiveTupleMismatch,
     InvalidHeader,
     OversizePacket,
-    ReplayRejected,
     Truncated,
     UnknownSpi,
 )
@@ -122,19 +122,18 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
         next_header = IPPROTO_IPIP
         ident, flags_frag, ttl, src, dst = 0, 0, DEFAULT_TTL, sa.tunnel_src, sa.tunnel_dst
 
-    cipher = sa.cipher_state
-    seq = sa.next_seq()
     pad_len = crypto.compute_pad_len(len(plaintext), layout.trailer_fixed,
-                                     cipher.effective_block)
+                                     sa.cipher_state.effective_block)
     trailer = crypto.make_pad(pad_len) + bytes([pad_len])
+    if not qesp:
+        trailer += bytes([next_header])
+    seq, iv, ciphertext = sa.seal(plaintext + trailer)
     if qesp:
         header = wire.pack_qesp_header(sa.spi, seq, src_port, dst_port, protocol,
                                        QESP_FLAG_EXTENDED_AUTH if sa.extended_auth else 0)
     else:
         header = wire.pack_esp_header(sa.spi, seq)
-        trailer += bytes([next_header])
-    iv = sa.next_iv()
-    body = header + iv + crypto.encrypt(cipher, iv, plaintext + trailer)
+    body = header + iv + ciphertext
 
     total = IPV4_HEADER_LEN + len(body) + sa.mac_state.icv_len
     if total > 0xFFFF:
@@ -201,12 +200,8 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     if not crypto.verify_icv(sa.mac_state, memoryview(body)[:icv_start], body[icv_start:],
                              prefix):
         raise AuthFailure(f"ICV mismatch on SPI 0x{sa.spi:x}")
-    if not sa.replay_check_and_update(seq):
-        raise ReplayRejected(f"seq {seq} rejected by replay window")
-
     try:
-        padded = crypto.decrypt(sa.cipher_state, body[layout.header_len:iv_end],
-                                body[iv_end:icv_start])
+        padded = sa.unseal(seq, body[layout.header_len:iv_end], body[iv_end:icv_start])
     except BadBlockAlignment as exc:
         # Only reachable under a NULL MAC; a real ICV catches tampering first.
         raise BadPadding(str(exc)) from None

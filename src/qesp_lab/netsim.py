@@ -88,9 +88,9 @@ class TrafficSource:
         check_positive(self.rate_pps, "rate_pps")
         if not self.start >= 0:  # NaN fails too
             raise ConfigError(f"start must be >= 0, got {self.start}")
-        if not 1 <= self.payload_size <= MAX_PAYLOAD_SIZE:
-            raise ConfigError(f"payload_size must be in [1, {MAX_PAYLOAD_SIZE}], "
-                              f"got {self.payload_size}")
+        size = self.payload_size
+        if type(size) is not int or not 1 <= size <= MAX_PAYLOAD_SIZE:
+            raise ConfigError(f"payload_size must be an int in 1..{MAX_PAYLOAD_SIZE}, got {size!r}")
 
 
 @dataclass(frozen=True)

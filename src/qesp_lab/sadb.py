@@ -12,8 +12,8 @@ import enum
 import threading
 from dataclasses import dataclass, field
 
-from .crypto import CipherAlg, CipherState, IvGenerator, MacAlg, MacState
-from .errors import ConfigError, DuplicateSpi, SequenceExhausted
+from .crypto import CipherAlg, CipherState, IvGenerator, MacAlg, MacState, decrypt, encrypt
+from .errors import ConfigError, DuplicateSpi, ReplayRejected, SequenceExhausted
 from .wire import addr_to_int, parse_decimal
 
 REPLAY_WINDOW = 64
@@ -120,9 +120,10 @@ class SecurityAssociation:
     The keyed crypto state is built once, here, not per packet: cipher_state
     holds persistent CBC contexts (see the crypto module for the chaining
     identities that keep their output byte-identical to a fresh context per
-    packet) and mac_state the keyed HMAC pad states.  The sequence, replay, IV
-    and CBC chaining state are serialized per SA, so distinct SAs may be
-    processed concurrently.
+    packet) and mac_state the keyed HMAC pad states.  One lock guards all of
+    the SA's mutable state (sequence, replay window, IV stream, CBC chain).
+    seal and unseal each take it once per packet, so one SA serializes its
+    packets while distinct SAs may be processed concurrently.
     """
 
     spi: int
@@ -160,25 +161,37 @@ class SecurityAssociation:
         self._iv_gen = IvGenerator(self.iv_seed)
         self._lock = threading.Lock()
 
+    def seal(self, data: bytes) -> tuple[int, bytes, bytes]:
+        """Issue seq and IV and encrypt data under them, in one hold of the SA's lock."""
+        with self._lock:
+            seq, iv = self.next_seq(), self.next_iv()
+            return seq, iv, encrypt(self.cipher_state, iv, data)
+
+    def unseal(self, seq: int, iv: bytes, ciphertext: bytes) -> bytes:
+        """After ICV verification: replay check and update, then decrypt, in one lock hold."""
+        with self._lock:
+            if not self.replay_check_and_update(seq):
+                raise ReplayRejected(f"seq {seq} rejected by replay window")
+            return decrypt(self.cipher_state, iv, ciphertext)
+
     def next_seq(self) -> int:
-        """Issue the next outbound sequence number, starting at 1.
+        """Issue the next outbound sequence number from 1; the caller holds the SA's lock.
 
         Raises SequenceExhausted once the counter reaches its 32-bit ceiling;
         the SA must be rekeyed, there is no silent wrap.
         """
-        with self._lock:
-            if self.seq_next >= SEQ_MAX:
-                raise SequenceExhausted(f"SA 0x{self.spi:x} sequence space used up")
-            seq = self.seq_next
-            self.seq_next += 1
-            return seq
+        if self.seq_next >= SEQ_MAX:
+            raise SequenceExhausted(f"SA 0x{self.spi:x} sequence space used up")
+        seq = self.seq_next
+        self.seq_next += 1
+        return seq
 
     def next_iv(self) -> bytes:
-        with self._lock:
-            return self._iv_gen.next_iv(self.cipher_state.iv_len)
+        """Next IV of the SA's stream; the caller holds the SA's lock."""
+        return self._iv_gen.next_iv(self.cipher_state.iv_len)
 
     def replay_check_and_update(self, seq: int) -> bool:
-        """Sliding-window anti-replay decision; call only after ICV verification.
+        """Anti-replay decision after ICV verification; the caller holds the SA's lock.
 
         Window covers [replay_highest - 63, replay_highest].  Above the window
         the window advances; inside it, unseen numbers are marked and accepted,
@@ -186,23 +199,22 @@ class SecurityAssociation:
         """
         if seq == 0:
             return False
-        with self._lock:
-            if seq > self.replay_highest:
-                shift = seq - self.replay_highest
-                if shift >= REPLAY_WINDOW:
-                    self.replay_bitmap = 1
-                else:
-                    self.replay_bitmap = ((self.replay_bitmap << shift) | 1) & _MASK64
-                self.replay_highest = seq
-                return True
-            diff = self.replay_highest - seq
-            if diff >= REPLAY_WINDOW:
-                return False
-            bit = 1 << diff
-            if self.replay_bitmap & bit:
-                return False
-            self.replay_bitmap |= bit
+        if seq > self.replay_highest:
+            shift = seq - self.replay_highest
+            if shift >= REPLAY_WINDOW:
+                self.replay_bitmap = 1
+            else:
+                self.replay_bitmap = ((self.replay_bitmap << shift) | 1) & _MASK64
+            self.replay_highest = seq
             return True
+        diff = self.replay_highest - seq
+        if diff >= REPLAY_WINDOW:
+            return False
+        bit = 1 << diff
+        if self.replay_bitmap & bit:
+            return False
+        self.replay_bitmap |= bit
+        return True
 
 
 class Sadb:

@@ -88,6 +88,12 @@ class TestThroughput:
         assert main(["throughput", "--sizes", "64,nope"]) == 3
         assert "error: ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", ["0", "65001"])
+    def test_sizes_out_of_range(self, sizes, capsys):
+        assert main(["throughput", "--sizes", sizes]) == 3
+        assert capsys.readouterr().err == (
+            "error: ConfigError: --sizes: values must be in [1, 65000]\n")
+
     def test_goodput_linear_in_size(self, tmp_path):
         """At a fixed 100 pps the sweep is a 0.8 Kbps/byte line."""
         out = tmp_path / "sweep.csv"
@@ -226,6 +232,17 @@ class TestOneShotTools:
                      "--spi", "0x101"]) == 0
         capsys.readouterr()
 
+    def test_encap_spi_naming_no_sa(self, config_file, packet_file, capsys):
+        assert main(["encap", "--config", config_file, "--in", packet_file,
+                     "--spi", "0x999"]) == 5
+        assert capsys.readouterr().err == (
+            f"error: UnknownSpi: no SA with SPI 0x999 in {config_file}\n")
+
+    def test_unreadable_input(self, tmp_path, config_file, capsys):
+        missing = tmp_path / "missing.hex"
+        assert main(["decap", "--config", config_file, "--in", str(missing)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: cannot read {missing}: ")
+
     def test_encap_no_matching_sa(self, tmp_path, config_file, capsys):
         other = tmp_path / "other.hex"
         other.write_text(make_datagram(dst_port=443).hex())
@@ -340,6 +357,18 @@ class TestBenchCrypto:
 
     def test_bad_algs_flag(self, capsys):
         assert main(["bench-crypto", "--algs", "caesar"]) == 3
+
+    def test_unknown_algorithm(self, capsys):
+        assert main(["bench-crypto", "--algs", "aes-128-cbc/md4"]) == 3
+        assert capsys.readouterr().err == (
+            "error: ConfigError: --algs: unknown algorithm in 'aes-128-cbc/md4'\n")
+
+    def test_all_algorithms(self, capsys):
+        assert main(["bench-crypto", "--algs", "all", "--sizes", "64", "--iters", "1"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "variant,cipher,mac,size,ns_per_packet,mbps"
+        assert len(rows) == 18  # two variants x three ciphers x three MACs
+        assert len({tuple(row.split(",")[:3]) for row in rows}) == 18
 
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_iters_below_one(self, iters, capsys):

@@ -382,6 +382,18 @@ class TestConstructorsOwnValues:
         assert type(direct.value) is type(parsed.value)
         assert message == prefix + str(direct.value)
 
+    @pytest.mark.parametrize("value", [100.5, True])
+    def test_payload_size_type(self, value):
+        """JSON's integer reader refuses these first; a source built in code
+        meets the constructor's own type check, not a crash mid-run."""
+        with pytest.raises(ConfigError, match=re.escape(
+                "config.sources[0].payload_size: expected an integer")):
+            parse_config(with_number(("sources", 0), "payload_size", value))
+        source = parse_config(VALID).sources[0]
+        with pytest.raises(ConfigError, match=re.escape(
+                f"payload_size must be an int in 1..65000, got {value!r}")):
+            replace(source, payload_size=value)
+
 
 # VALID with the optional keys it lacks, so that FULL holds every key of the schema.
 FULL = copy.deepcopy(VALID)

@@ -197,6 +197,35 @@ class TestSharedSa:
             assert packet == oracle_encap(sa, datagram, seq, iv=packet[36:52])
             assert engine.inbound(receiver, packet) == datagram
 
+    def test_one_lock_serializes_both_packet_sides(self, udp_datagram):
+        """While an SA's lock is held, outbound and inbound on that SA wait
+        for it; another SA's outbound does not."""
+        sa, other = make_sa(), make_sa(spi=0x102)
+        db = sadb_with(sa)
+        packet = engine.outbound(make_sa(), udp_datagram)  # seq 1, as sa's peer sends it
+        results = {}
+
+        def start(name, fn, *args):
+            thread = threading.Thread(target=lambda: results.update({name: fn(*args)}))
+            thread.start()
+            return thread
+
+        with sa._lock:
+            waiting = [start("outbound", engine.outbound, sa, udp_datagram),
+                       start("inbound", engine.inbound, db, packet)]
+            for thread in waiting:
+                thread.join(0.2)
+            assert all(thread.is_alive() for thread in waiting)
+            free = start("other", engine.outbound, other, udp_datagram)
+            free.join(60)
+            assert not free.is_alive() and "other" in results
+            assert "outbound" not in results and "inbound" not in results
+        for thread in waiting:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in waiting)
+        assert results == {"outbound": packet, "inbound": udp_datagram,
+                           "other": engine.outbound(make_sa(spi=0x102), udp_datagram)}
+
 
 class TestInboundRejections:
     def test_tampered_ciphertext(self, udp_datagram):
@@ -272,6 +301,42 @@ class TestInboundRejections:
         out = bytearray(engine.outbound(sa, udp_datagram))
         out[-1] = 0xFF  # pad_length byte claims 255 bytes of filler
         with pytest.raises(BadPadding):
+            engine.inbound(db, bytes(out))
+
+    def test_misaligned_ciphertext_is_bad_padding_after_the_replay_update(self, udp_datagram):
+        """With no ICV, a body one byte short of the AES block reaches the
+        decrypt; the replay window has already taken its seq by then."""
+        sa = make_sa(mac=MacAlg.NULL)
+        db = sadb_with(sa)
+        out = engine.outbound(sa, udp_datagram)
+        short = wire.pack_ipv4(0, 1, 0, 64, out[9], 1, 2, out[20:-1])
+        ciphertext_len = len(out) - 20 - 16 - 16 - 1  # minus outer header, Q-ESP header, IV
+        with pytest.raises(BadPadding, match=f"^aes-128-cbc input length {ciphertext_len} "
+                                             f"not a multiple of 16$"):
+            engine.inbound(db, short)
+        with pytest.raises(ReplayRejected, match="^seq 1 rejected by replay window$"):
+            engine.inbound(db, out)
+
+    def test_body_shorter_than_its_trailer(self):
+        """NULL/NULL ESP: one plaintext byte cannot hold pad_length and next_header."""
+        db = sadb_with(make_sa(variant=ProtocolVariant.ESP, cipher=CipherAlg.NULL,
+                               mac=MacAlg.NULL))
+        packet = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_ESP, 1, 2,
+                                wire.pack_esp_header(0x101, 1) + b"\x04")
+        with pytest.raises(BadPadding, match="^decrypted payload shorter than its trailer$"):
+            engine.inbound(db, packet)
+
+    @pytest.mark.parametrize("fmt,offset,value", [(">H", 28, 4999), (">B", 32, wire.IPPROTO_TCP)],
+                             ids=["src_port", "protocol"])
+    def test_forged_clear_copy_in_tunnel_mode(self, udp_datagram, fmt, offset, value):
+        """The tunnel-mode cross-check compares the clear copies with the
+        inner datagram's own header and ports."""
+        sa = make_sa(mode=SaMode.TUNNEL, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+        db = sadb_with(sa)
+        out = bytearray(engine.outbound(sa, udp_datagram))
+        struct.pack_into(fmt, out, offset, value)
+        with pytest.raises(FiveTupleMismatch,
+                           match="^clear five-tuple copies disagree with inner datagram$"):
             engine.inbound(db, bytes(out))
 
     def test_not_an_encapsulation(self, udp_datagram):

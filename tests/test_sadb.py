@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import make_sa, sadb_with
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import ConfigError, DuplicateSpi, SequenceExhausted
@@ -161,20 +164,28 @@ class TestSequenceNumbers:
         assert seqs == list(range(1, 1001))
 
     def test_issuance_is_atomic_per_sa(self):
-        import threading
+        """Threads sealing through one SA get each seq once, and seq n comes
+        with the n-th IV of the SA's stream."""
         sa = make_sa()
-        issued: list[list[int]] = []
+        issued: list[list[tuple[int, bytes]]] = []
 
         def worker():
-            issued.append([sa.next_seq() for _ in range(500)])
+            issued.append([sa.seal(bytes(16))[:2] for _ in range(500)])
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        combined = sorted(seq for chunk in issued for seq in chunk)
-        assert combined == list(range(1, 2001))  # no duplicates, no gaps
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        combined = sorted(pair for chunk in issued for pair in chunk)
+        assert [seq for seq, _ in combined] == list(range(1, 2001))  # no duplicates, no gaps
+        ivs = oracle.iv_stream(sa.iv_seed, sa.cipher.value)
+        assert [iv for _, iv in combined] == [next(ivs) for _ in range(2000)]
 
 
 class TestAntiReplay:
