@@ -5,9 +5,11 @@ Q-ESP is classic ESP (RFC 4303) with a 16-byte clear header (SPI, Seq, inner
 ports and protocol, flags) instead of ESP's 8-byte one, no next-header byte
 in its trailer, and optional ICV coverage of the outer header.  LAYOUTS holds
 the per-variant wire facts, which per_packet_overhead reads too; the paths
-branch on the variant only to build or read the header, for ESP's
-next-header tail and for the post-decrypt check (Q-ESP five-tuple
-cross-check, ESP IP-in-IP check).
+branch on the variant only for the header, ESP's next-header tail and the
+Q-ESP five-tuple cross-check.  Both variants read the ports before a seal,
+so ESP refuses every segment Q-ESP refuses.  Decap checks the decrypted
+datagram in one step: a tunnel's inner datagram gets one read_ipv4 (for ESP
+after its IP-in-IP check), and Q-ESP's clear copies must match the segment.
 
 Both protocols follow encrypt-then-MAC.  Outbound transport mode protects the
 transport segment in place under the original IP header (protocol number
@@ -34,7 +36,7 @@ holds the lock once too, over seq, IV and encrypt (sa.seal).
 Every header and port read and every header write is one wire call:
 read_ipv4/pack_ipv4 for the IPv4 header, read_/pack_qesp_header or
 read_/pack_esp_header for the protocol header, and extract_ports for the
-ports (Q-ESP outbound, five_tuple_of, the decap cross-check).  wire alone
+ports (outbound, five_tuple_of, the decap cross-check).  wire alone
 decides which packets have ports, so the engine and the classifier read one
 five-tuple and reject a malformed packet with one MalformedPacket subclass.
 
@@ -109,10 +111,9 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
     """
     layout = LAYOUTS[sa.variant]
     _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = wire.read_ipv4(datagram)
-    qesp = sa.variant is ProtocolVariant.QESP
-    if qesp:
-        # Read before a sequence number is spent on a malformed segment.
-        src_port, dst_port = wire.extract_ports(protocol, datagram, IPV4_HEADER_LEN)
+    # Read before a sequence number is spent on a malformed segment, so both
+    # variants refuse what SA selection and the classifier refuse.
+    src_port, dst_port = wire.extract_ports(protocol, datagram, IPV4_HEADER_LEN)
 
     if sa.mode is SaMode.TRANSPORT:
         plaintext = datagram[IPV4_HEADER_LEN:]
@@ -125,6 +126,7 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
     pad_len = crypto.compute_pad_len(len(plaintext), layout.trailer_fixed,
                                      sa.cipher_state.effective_block)
     trailer = crypto.make_pad(pad_len) + bytes([pad_len])
+    qesp = sa.variant is ProtocolVariant.QESP
     if not qesp:
         trailer += bytes([next_header])
     seq, iv, ciphertext = sa.seal(plaintext + trailer)
@@ -157,20 +159,6 @@ def _strip_trailer(padded: bytes, trailer_fixed: int) -> bytes:
     return padded[:end - pad_len]
 
 
-def _check_clear_copies(clear_ports: tuple[int, int], clear_protocol: int,
-                        mode: SaMode, plaintext: bytes) -> None:
-    """The Q-ESP clear five-tuple copies must equal the decrypted originals."""
-    if mode is SaMode.TRANSPORT:
-        ports = wire.extract_ports(clear_protocol, plaintext)
-        if ports != clear_ports:
-            raise FiveTupleMismatch(f"clear ports {clear_ports} != inner ports {ports}")
-        return
-    inner_protocol = wire.read_ipv4(plaintext)[6]
-    ports = wire.extract_ports(inner_protocol, plaintext, IPV4_HEADER_LEN)
-    if inner_protocol != clear_protocol or ports != clear_ports:
-        raise FiveTupleMismatch("clear five-tuple copies disagree with inner datagram")
-
-
 def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     """Decapsulate one Q-ESP or ESP datagram (told apart by the outer IP
     protocol number) back to the original IPv4 datagram."""
@@ -179,7 +167,8 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
         raise InvalidHeader(f"IP protocol {protocol} is not an encapsulation")
     variant, layout = _BY_PROTOCOL[protocol]
     body = datagram[IPV4_HEADER_LEN:]
-    if variant is ProtocolVariant.QESP:
+    qesp = variant is ProtocolVariant.QESP
+    if qesp:
         spi, seq, src_port, dst_port, inner_protocol, _, _ = wire.read_qesp_header(body)
     else:
         spi, seq = wire.read_esp_header(body)
@@ -207,15 +196,19 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
         raise BadPadding(str(exc)) from None
     plaintext = _strip_trailer(padded, layout.trailer_fixed)
 
-    if variant is ProtocolVariant.QESP:
-        _check_clear_copies((src_port, dst_port), inner_protocol, sa.mode, plaintext)
-    else:
+    if not qesp:
         inner_protocol = padded[-1]  # the next_header tail
-        if sa.mode is SaMode.TUNNEL:
-            if inner_protocol != IPPROTO_IPIP:
-                raise BadPadding(f"tunnel-mode next_header {inner_protocol} is not IP-in-IP")
-            wire.read_ipv4(plaintext)  # validate before handing the datagram back
-    if sa.mode is SaMode.TUNNEL:
+    tunnel = sa.mode is SaMode.TUNNEL
+    segment_protocol, offset = inner_protocol, 0
+    if tunnel:
+        if not qesp and inner_protocol != IPPROTO_IPIP:
+            raise BadPadding(f"tunnel-mode next_header {inner_protocol} is not IP-in-IP")
+        segment_protocol, offset = wire.read_ipv4(plaintext)[6], IPV4_HEADER_LEN
+    if qesp:
+        ports = wire.extract_ports(segment_protocol, plaintext, offset)
+        if segment_protocol != inner_protocol or ports != (src_port, dst_port):
+            raise FiveTupleMismatch("clear five-tuple copies disagree with inner datagram")
+    if tunnel:
         return plaintext
     return wire.pack_ipv4(tos, ident, flags_frag, ttl, inner_protocol, src, dst, plaintext)
 

@@ -49,8 +49,16 @@ MAX_PAYLOAD_SIZE = 65000
 MAX_PACKETS_PER_RUN = 2 ** 20
 
 
+def _check_number(value: float, what: str) -> None:
+    """Reject a value that is not an int or a float: a bool would compare as
+    0 or 1, and a string would fail the range check with a bare TypeError."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
 def check_positive(value: float, what: str) -> None:
-    """Reject a rate, duration or capacity that is not finite and > 0."""
+    """Reject a rate, duration or capacity that is not a finite number > 0."""
+    _check_number(value, what)
     if not 0 < value < math.inf:  # NaN fails both comparisons
         raise ConfigError(f"{what} must be finite and > 0, got {value}")
 
@@ -86,8 +94,11 @@ class TrafficSource:
             if type(value) is not int or not 0 <= value <= top:
                 raise ConfigError(f"{name} must be an int in 0..{top}, got {value!r}")
         check_positive(self.rate_pps, "rate_pps")
+        _check_number(self.start, "start")
         if not self.start >= 0:  # NaN fails too
             raise ConfigError(f"start must be >= 0, got {self.start}")
+        if self.stop is not None:  # ExperimentConfig compares it with the duration
+            _check_number(self.stop, "stop")
         size = self.payload_size
         if type(size) is not int or not 1 <= size <= MAX_PAYLOAD_SIZE:
             raise ConfigError(f"payload_size must be an int in 1..{MAX_PAYLOAD_SIZE}, got {size!r}")
@@ -107,6 +118,8 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         check_positive(self.capacity_bps, "capacity_bps")
+        if type(self.queue_limit) is not int:
+            raise ConfigError(f"queue_limit must be an int, got {self.queue_limit!r}")
         if self.queue_limit < 1:
             raise ConfigError(f"queue_limit must be >= 1, got {self.queue_limit}")
         for dscp, cls in self.class_map.items():

@@ -159,10 +159,14 @@ def pack_esp_header(spi: int, seq: int) -> bytes:
 
 
 def read_esp_header(b: bytes) -> tuple[int, int]:
-    """(spi, seq) from the ESP header at the start of b."""
+    """(spi, seq) from the ESP header at the start of b; rejects a short
+    header and SPI 0."""
     if len(b) < ESP_HEADER_LEN:
         raise Truncated(f"ESP body needs 8 bytes, got {len(b)}")
-    return _ESP_STRUCT.unpack_from(b)
+    spi, seq = _ESP_STRUCT.unpack_from(b)
+    if spi == 0:
+        raise InvalidHeader("spi 0 is reserved for 'no SA'")
+    return spi, seq
 
 
 def pack_qesp_header(spi: int, seq: int, src_port: int | None, dst_port: int | None,

@@ -12,7 +12,13 @@ import oracle
 from conftest import FIXTURES, make_datagram
 from qesp_lab import cli, wire
 from qesp_lab.cli import main
-from qesp_lab.errors import BadChecksum, InvalidHeader, Truncated, UnsupportedOptions
+from qesp_lab.errors import (
+    BadChecksum,
+    BadKeyLength,
+    InvalidHeader,
+    Truncated,
+    UnsupportedOptions,
+)
 
 CLI_CONFIG = {
     "duration": 1.0,
@@ -323,6 +329,22 @@ class TestOneShotTools:
         assert main([command, "--config", str(dangling), "--in", packet_file]) == 3
         assert capsys.readouterr().err.startswith("error: ConfigError: config: ")
 
+    def test_esp_encap_rejects_a_segment_short_of_its_ports(self, tmp_path, capsys):
+        """The mixed fixture's SA 770 is ESP: its outbound reads the ports as
+        Q-ESP outbound and SA selection do, so a 2-byte UDP segment is malformed."""
+        short = tmp_path / "short.hex"
+        short.write_text(wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_UDP, 1, 2, b"\x12\x34").hex())
+        assert main(["encap", "--config", str(MIXED), "--in", str(short), "--spi", "770"]) == 4
+        assert capsys.readouterr().err == (
+            "error: Truncated: transport segment too short for ports: 2\n")
+
+    def test_decap_rejects_esp_spi_zero(self, tmp_path, capsys):
+        packet = tmp_path / "spi0.hex"
+        packet.write_text(wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_ESP, 1, 2,
+                                         wire.pack_esp_header(0, 1) + bytes(40)).hex())
+        assert main(["decap", "--config", str(MIXED), "--in", str(packet)]) == 4
+        assert capsys.readouterr().err == "error: InvalidHeader: spi 0 is reserved for 'no SA'\n"
+
     def test_malformed_hex_input(self, tmp_path, config_file, capsys):
         bad = tmp_path / "bad.hex"
         bad.write_text("zz not hex")
@@ -410,3 +432,13 @@ class TestExitCodeTable:
         assert len(codes) == len(set(codes))
         for kind in (Truncated, InvalidHeader, BadChecksum, UnsupportedOptions):
             assert cli.exit_code_for(kind("x")) == 4
+
+    def test_unmapped_error_exits_other(self, monkeypatch, capsys):
+        """A QespLabError with no row of its own still exits nonzero, not None."""
+        assert cli.exit_code_for(BadKeyLength("x")) == cli.EXIT_OTHER == 13
+
+        def fail(args):
+            raise BadKeyLength("unmapped")
+        monkeypatch.setattr(cli, "cmd_classify", fail)
+        assert main(["classify", "--config", "unused.json", "--in", "unused.hex"]) == 13
+        assert capsys.readouterr().err == "error: BadKeyLength: unmapped\n"

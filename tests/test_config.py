@@ -108,6 +108,18 @@ class TestParsing:
         assert cfg.sas[0].extended_auth is False  # ESP never covers the outer header
         cfg.build_sadb()  # must construct cleanly
 
+    @pytest.mark.parametrize("protocol", ["any", None])
+    def test_selector_protocol_any_or_null_matches_every_protocol(self, protocol):
+        selector = parse_config(variant(rules={"rules": [
+            {"selector": {"protocol": protocol}, "dscp": 46}]})).rules.rules[0].selector
+        assert selector.protocol is None
+
+    def test_selector_protocol_of_another_string_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                'config.rules.rules[0].selector.protocol: expected "any" or an integer')):
+            parse_config(variant(rules={"rules": [{"selector": {"protocol": "udp"},
+                                                   "dscp": 46}]}))
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(VALID))

@@ -28,6 +28,7 @@ from qesp_lab import engine, wire
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import (
     AuthFailure,
+    BadChecksum,
     BadPadding,
     FiveTupleMismatch,
     InvalidHeader,
@@ -325,6 +326,16 @@ class TestInboundRejections:
                                 wire.pack_esp_header(0x101, 1) + b"\x04")
         with pytest.raises(BadPadding, match="^decrypted payload shorter than its trailer$"):
             engine.inbound(db, packet)
+
+    def test_esp_tunnel_inner_datagram_is_validated(self, udp_datagram):
+        """NULL/NULL ESP tunnel: an inner datagram whose header checksum does
+        not verify is malformed, though the outer packet is sound."""
+        sa = make_sa(variant=ProtocolVariant.ESP, mode=SaMode.TUNNEL,
+                     cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+        out = bytearray(engine.outbound(sa, udp_datagram))
+        out[20 + 8 + 10] ^= 0xFF  # the inner checksum, after outer and ESP headers
+        with pytest.raises(BadChecksum):
+            engine.inbound(sadb_with(sa), bytes(out))
 
     @pytest.mark.parametrize("fmt,offset,value", [(">H", 28, 4999), (">B", 32, wire.IPPROTO_TCP)],
                              ids=["src_port", "protocol"])

@@ -236,10 +236,10 @@ class TestAgainstReferences:
         sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac,
                      extended_auth=variant is ProtocolVariant.QESP)
         sent = outcome(engine.outbound, sa, packet)
-        # Q-ESP outbound reads the ports: a short segment or an invalid
-        # nested Q-ESP header is rejected, as the classifier rejects it.
+        # Outbound reads the ports under either variant: a short segment or an
+        # invalid nested Q-ESP header is rejected, as the classifier rejects it.
         error = reference_segment_error(packet[9], packet[wire.IPV4_HEADER_LEN:])
-        if variant is ProtocolVariant.QESP and error is not None:
+        if error is not None:
             assert sent is error
         else:
             assert engine.inbound(sadb_with(sa), sent) == packet
@@ -278,8 +278,9 @@ class TestShortSegmentIsMalformedEverywhere:
 
     @SHORT
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_qesp_outbound_consumes_no_sequence_number(self, mode, short):
-        sa = make_sa(mode=mode, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_outbound_consumes_no_sequence_number(self, variant, mode, short):
+        sa = make_sa(variant=variant, mode=mode, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
         with pytest.raises(MalformedPacket):
             engine.outbound(sa, short)
         assert sa.seq_next == 1
@@ -291,12 +292,15 @@ class TestShortSegmentIsMalformedEverywhere:
         with pytest.raises(MalformedPacket):
             engine.inbound(sadb_with(sa), crafted_qesp(sa, short))
 
-    def test_tcp_too(self):
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_tcp_too(self, variant):
         short_tcp = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_TCP, SRC, DST, b"\x00\x50\x01")
         with pytest.raises(MalformedPacket):
             classifier.classify(RuleTable(), short_tcp)
+        sa = make_sa(variant=variant)
         with pytest.raises(MalformedPacket):
-            engine.outbound(make_sa(), short_tcp)
+            engine.outbound(sa, short_tcp)
+        assert sa.seq_next == 1
 
     def test_four_byte_segment_still_has_ports(self):
         udp = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_UDP, SRC, DST, b"\x0f\xa0\x13\xc4")

@@ -353,6 +353,26 @@ class TestRunSimulation:
         with pytest.raises(ConfigError, match="capacity_bps must be finite and > 0"):
             LinkConfig(capacity_bps=bad, queue_limit=1)
 
+    # Each number a constructor checks, built in code as (what, build(value)).
+    NUMBERS = [("rate_pps", lambda v: flow("f", 5060, v, 100)),
+               ("start", lambda v: flow("f", 5060, 10, 100, start=v)),
+               ("stop", lambda v: flow("f", 5060, 10, 100, stop=v)),
+               ("capacity_bps", lambda v: LinkConfig(capacity_bps=v, queue_limit=1)),
+               ("duration", lambda v: simple_config([flow("f", 5060, 10, 100)], duration=v))]
+
+    @pytest.mark.parametrize("bad", ["1", True, b"1"], ids=["str", "bool", "bytes"])
+    @pytest.mark.parametrize("what,build", NUMBERS, ids=[what for what, _ in NUMBERS])
+    def test_numbers_built_in_code_are_type_checked(self, what, build, bad):
+        """A string once raised a bare TypeError and True passed as 1; the
+        config reader hands these constructors floats only."""
+        with pytest.raises(ConfigError, match=f"^{what} must be a number, got {bad!r}$"):
+            build(bad)
+
+    @pytest.mark.parametrize("bad", ["4", True, 1.5])
+    def test_queue_limit_is_an_int(self, bad):
+        with pytest.raises(ConfigError, match=f"^queue_limit must be an int, got {bad!r}$"):
+            LinkConfig(capacity_bps=1e6, queue_limit=bad)
+
 
 class TestPacketCeiling:
     """A run may offer at most MAX_PACKETS_PER_RUN packets over all its

@@ -72,6 +72,15 @@ class TestSelectors:
         assert not Ipv4Net(0x80000000, 1).contains(0x7FFFFFFF)
         assert Ipv4Net(0x12345678, 0).contains(0)
 
+    @pytest.mark.parametrize("prefix", [33, -1])
+    def test_prefix_out_of_range(self, prefix):
+        with pytest.raises(ConfigError, match=f"^prefix out of range: {prefix}$"):
+            Ipv4Net(0x0A000000, prefix)
+
+    def test_parsed_prefix_out_of_range(self):
+        with pytest.raises(ConfigError, match="^prefix out of range: 33$"):
+            Ipv4Net.parse("10.0.0.0/33")
+
     def test_bad_port_range(self):
         for ports in ((10, 5), (0, 65536), (-1, 0)):
             with pytest.raises(ConfigError, match="src_ports range not well-ordered"):

@@ -38,10 +38,6 @@ class TestQespHeaderFormat:
         with pytest.raises(InvalidHeader):
             wire.pack_qesp_header(0x101, 1 << 32, 4000, 5060, 17, 0)
 
-    def test_spi_zero_rejected(self):
-        with pytest.raises(InvalidHeader, match="spi 0 is reserved"):
-            wire.read_qesp_header(wire.pack_qesp_header(0, 1, 0, 0, 17, 0))
-
     def test_roundtrip_known(self):
         raw = wire.pack_qesp_header(0x101, 1, 5060, 5060, 17, 0x01)
         assert wire.read_qesp_header(raw) == (0x101, 1, 5060, 5060, 17, 0x01, 0)
@@ -110,6 +106,15 @@ class TestEspHeaderFormat:
             wire.read_esp_header(bytes(7))
 
 
+@pytest.mark.parametrize("read,header", [
+    (wire.read_esp_header, wire.pack_esp_header(0, 1)),
+    (wire.read_qesp_header, wire.pack_qesp_header(0, 1, 0, 0, 17, 0))], ids=["esp", "qesp"])
+def test_both_header_readers_refuse_spi_zero(read, header):
+    """RFC 4303 §2.1 reserves SPI 0; neither variant reads it as an SPI to look up."""
+    with pytest.raises(InvalidHeader, match="^spi 0 is reserved for 'no SA'$"):
+        read(header)
+
+
 class TestIpv4:
     def test_minimal_datagram(self):
         encoded = wire.pack_ipv4(0, 0, 0, 64, 0, 0, 0, b"")
@@ -169,6 +174,28 @@ class TestIpv4:
     def test_oversize_payload_rejected(self):
         with pytest.raises(InvalidHeader):
             wire.pack_ipv4(0, 0, 0, 64, 6, 1, 2, b"\x00" * 65516)
+
+    @pytest.mark.parametrize("index,value", [(0, 256), (1, -1), (2, 0x10000), (3, 256),
+                                             (4, 256), (5, 2 ** 32), (6, None)],
+                             ids=["tos", "ident", "flags_frag", "ttl", "protocol", "src",
+                                  "dst"])
+    def test_out_of_range_field_rejected(self, index, value):
+        fields = [0, 0, 0, 64, 6, 1, 2]  # tos, ident, flags_frag, ttl, protocol, src, dst
+        fields[index] = value
+        with pytest.raises(InvalidHeader, match="^header field out of range: "):
+            wire.pack_ipv4(*fields, b"")
+
+
+class TestAddresses:
+    @pytest.mark.parametrize("text", ["10.0.0", "10.0.0.1.2", "", "10"])
+    def test_not_four_parts(self, text):
+        with pytest.raises(ValueError, match="^not a dotted-quad IPv4 address: "):
+            wire.addr_to_int(text)
+
+    @pytest.mark.parametrize("text", ["10.0.0.256", "300.0.0.1"])
+    def test_octet_out_of_range(self, text):
+        with pytest.raises(ValueError, match=f"^octet out of range in {text!r}$"):
+            wire.addr_to_int(text)
 
 
 AES, SHA1 = CipherAlg.AES_128_CBC, MacAlg.HMAC_SHA1_96
