@@ -99,17 +99,16 @@ def classify(table: RuleTable, packet: bytes) -> int:
     return table._dscp_of_flow(_flow_key(packet, wire.read_ipv4(packet)))
 
 
-def _remark(packet: bytes, fields: tuple[int, ...], dscp: int) -> bytes:
-    _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = fields
-    new_tos = (dscp << 2) | (tos & 0x03)
-    if new_tos == tos:
-        return packet
-    return wire.pack_ipv4(new_tos, ident, flags_frag, ttl, protocol, src, dst,
-                          packet[IPV4_HEADER_LEN:])
-
-
 def classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int, bytes]:
     """Classify, then write the chosen DSCP into the packet's ToS byte."""
     fields = wire.read_ipv4(packet)
-    dscp = table._dscp_of_flow(_flow_key(packet, fields))
-    return dscp, _remark(packet, fields, dscp)
+    key = _flow_key(packet, fields)
+    dscp = table._memo.get(key)
+    if dscp is None:
+        dscp = table._dscp_of_flow(key)
+    _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = fields
+    new_tos = (dscp << 2) | (tos & 0x03)
+    if new_tos == tos:
+        return dscp, packet
+    return dscp, wire.pack_ipv4(new_tos, ident, flags_frag, ttl, protocol, src, dst,
+                                packet[IPV4_HEADER_LEN:])

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .netsim import FlowStats, LinkConfig, TrafficSource, build_datagram, run_simulation
 from .sadb import FiveTuple, ProtocolVariant, SaMode, SecurityAssociation, Selector
-from .wire import IPPROTO_UDP, int_to_addr
+from .wire import IPPROTO_UDP, int_to_addr, parse_decimal
 
 
 class NoMatchingSa(QespLabError):
@@ -80,16 +80,16 @@ def exit_code_for(exc: QespLabError) -> int:
     return EXIT_OTHER
 
 
-def resolve_seed(flag_seed: int | None, config_seed: int) -> int:
-    """Seed precedence: flag > QESP_LAB_SEED environment > config."""
-    if flag_seed is not None:
-        return flag_seed
+def resolve_seed(flag_seed: str | None, config_seed: int) -> int:
+    """Seed precedence: flag > QESP_LAB_SEED environment > config.  A flag or
+    environment seed is ASCII decimal digits with an optional leading '-'."""
     env = os.environ.get("QESP_LAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"QESP_LAB_SEED is not an integer: {env!r}") from None
+    for where, text in (("--seed", flag_seed), ("QESP_LAB_SEED", env)):
+        if text is not None:
+            try:
+                return -parse_decimal(text[1:]) if text[:1] == "-" else parse_decimal(text)
+            except ValueError:
+                raise ConfigError(f"{where} is not an integer: {text!r}") from None
     return config_seed
 
 
@@ -333,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=MacAlg.HMAC_SHA1_96.value)
     p.add_argument("--mode", choices=("transport", "tunnel"), default="transport")
     p.add_argument("--duration", type=float, default=DEFAULT_DURATION)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_throughput)
 
     p = sub.add_parser("priority", help="Q-ESP vs ESP on a congested link")
     p.add_argument("--config", default=None,
                    help="experiment config JSON (default: bundled scenario)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_priority)
 

@@ -185,20 +185,21 @@ def check_pad(pad: bytes) -> bool:
 
 
 def _check_cipher_args(state: CipherState, iv: bytes, data: bytes) -> None:
+    """Raise the error for bad cipher arguments; called only once a length test failed."""
     if len(iv) != state.iv_len:
         raise BadIvLength(f"{state.alg.value} needs a {state.iv_len}-byte IV, got {len(iv)}")
-    if len(data) % state.block_size:
-        raise BadBlockAlignment(
-            f"{state.alg.value} input length {len(data)} not a multiple of {state.block_size}")
+    raise BadBlockAlignment(
+        f"{state.alg.value} input length {len(data)} not a multiple of {state.block_size}")
 
 
 def encrypt(state: CipherState, iv: bytes, plaintext: bytes) -> bytes:
     """CBC-encrypt block-aligned plaintext under iv; NULL is the identity."""
-    _check_cipher_args(state, iv, plaintext)
+    block = state.block_size
+    if len(iv) != state.iv_len or len(plaintext) % block:
+        _check_cipher_args(state, iv, plaintext)
     enc = state._enc
     if enc is None or not plaintext:  # NULL, or no first block to chain
         return plaintext
-    block = state.block_size
     first = int.from_bytes(plaintext[:block], "big") ^ int.from_bytes(iv, "big") ^ state._chain
     ciphertext = enc.update(first.to_bytes(block, "big") + plaintext[block:])
     state._chain = int.from_bytes(ciphertext[-block:], "big")
@@ -207,7 +208,8 @@ def encrypt(state: CipherState, iv: bytes, plaintext: bytes) -> bytes:
 
 def decrypt(state: CipherState, iv: bytes, ciphertext: bytes) -> bytes:
     """Inverse of encrypt()."""
-    _check_cipher_args(state, iv, ciphertext)
+    if len(iv) != state.iv_len or len(ciphertext) % state.block_size:
+        _check_cipher_args(state, iv, ciphertext)
     if state._dec is None:
         return ciphertext
     return state._dec.update(iv + ciphertext)[state.block_size:]
@@ -220,7 +222,8 @@ def compute_icv(state: MacState, data: bytes, prefix: bytes = b"") -> bytes:
     if inner is None:
         return b""
     inner = inner.copy()
-    inner.update(prefix)
+    if prefix:
+        inner.update(prefix)
     inner.update(data)
     outer = state._outer.copy()
     outer.update(inner.digest())

@@ -43,6 +43,9 @@ five-tuple and reject a malformed packet with one MalformedPacket subclass.
 The ICV coverage is hashed in place: the zeroed outer header of extended auth
 goes to the MAC as a separate prefix, and decap passes the covered body as a
 memoryview slice, so neither direction joins or copies the coverage.
+
+The per-packet path reads no Enum member (a slow metaclass lookup) and hashes
+none (a Python-level __hash__): it tests identity against module aliases.
 """
 
 from __future__ import annotations
@@ -92,6 +95,8 @@ LAYOUTS = {
     ProtocolVariant.ESP: Layout(IPPROTO_ESP, ESP_HEADER_LEN, 2, "ESP"),
 }
 _BY_PROTOCOL = {layout.ip_protocol: (variant, layout) for variant, layout in LAYOUTS.items()}
+_QESP, _TUNNEL = ProtocolVariant.QESP, SaMode.TUNNEL
+_QESP_LAYOUT, _ESP_LAYOUT = LAYOUTS[_QESP], LAYOUTS[ProtocolVariant.ESP]
 
 # Extended coverage: the outer header with its mutable fields (ToS,
 # flags_frag, TTL, checksum) read as zero, so in-transit DSCP remarking, TTL
@@ -109,27 +114,23 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
     segment (transport mode) or the whole inner datagram (tunnel mode)
     travels intact inside the ciphertext.
     """
-    layout = LAYOUTS[sa.variant]
+    qesp = sa.variant is _QESP
+    ip_protocol, _, trailer_fixed, _ = _QESP_LAYOUT if qesp else _ESP_LAYOUT
     _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = wire.read_ipv4(datagram)
     # Read before a sequence number is spent on a malformed segment, so both
     # variants refuse what SA selection and the classifier refuse.
     src_port, dst_port = wire.extract_ports(protocol, datagram, IPV4_HEADER_LEN)
 
-    if sa.mode is SaMode.TRANSPORT:
-        plaintext = datagram[IPV4_HEADER_LEN:]
-        next_header = protocol
-    else:
-        plaintext = datagram
-        next_header = IPPROTO_IPIP
+    if sa.mode is _TUNNEL:
+        plaintext, next_header = datagram, IPPROTO_IPIP
         ident, flags_frag, ttl, src, dst = 0, 0, DEFAULT_TTL, sa.tunnel_src, sa.tunnel_dst
+    else:
+        plaintext, next_header = datagram[IPV4_HEADER_LEN:], protocol
 
-    pad_len = crypto.compute_pad_len(len(plaintext), layout.trailer_fixed,
+    pad_len = crypto.compute_pad_len(len(plaintext), trailer_fixed,
                                      sa.cipher_state.effective_block)
-    trailer = crypto.make_pad(pad_len) + bytes([pad_len])
-    qesp = sa.variant is ProtocolVariant.QESP
-    if not qesp:
-        trailer += bytes([next_header])
-    seq, iv, ciphertext = sa.seal(plaintext + trailer)
+    seq, iv, ciphertext = sa.seal(plaintext + crypto.make_pad(pad_len)
+                                  + bytes((pad_len,) if qesp else (pad_len, next_header)))
     if qesp:
         header = wire.pack_qesp_header(sa.spi, seq, src_port, dst_port, protocol,
                                        QESP_FLAG_EXTENDED_AUTH if sa.extended_auth else 0)
@@ -140,23 +141,10 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
     total = IPV4_HEADER_LEN + len(body) + sa.mac_state.icv_len
     if total > 0xFFFF:
         raise OversizePacket(f"encapsulated datagram would be {total} bytes")
-    prefix = (_ZEROED_OUTER.pack(0x45, total, ident, layout.ip_protocol, src, dst)
+    prefix = (_ZEROED_OUTER.pack(0x45, total, ident, ip_protocol, src, dst)
               if sa.extended_auth else b"")
     icv = crypto.compute_icv(sa.mac_state, body, prefix)
-    return wire.pack_ipv4(tos, ident, flags_frag, ttl, layout.ip_protocol, src, dst, body + icv)
-
-
-def _strip_trailer(padded: bytes, trailer_fixed: int) -> bytes:
-    """Split decrypted plaintext from its trailer; verifies the filler pad."""
-    if len(padded) < trailer_fixed:
-        raise BadPadding("decrypted payload shorter than its trailer")
-    end = len(padded) - trailer_fixed
-    pad_len = padded[end]
-    if pad_len > end:
-        raise BadPadding(f"pad_length {pad_len} exceeds payload")
-    if not crypto.check_pad(padded[end - pad_len:end]):
-        raise BadPadding("pad bytes are not the monotonic filler")
-    return padded[:end - pad_len]
+    return wire.pack_ipv4(tos, ident, flags_frag, ttl, ip_protocol, src, dst, body + icv)
 
 
 def inbound(sadb: Sadb, datagram: bytes) -> bytes:
@@ -165,24 +153,24 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     _, tos, total, ident, flags_frag, ttl, protocol, _, src, dst = wire.read_ipv4(datagram)
     if protocol not in _BY_PROTOCOL:
         raise InvalidHeader(f"IP protocol {protocol} is not an encapsulation")
-    variant, layout = _BY_PROTOCOL[protocol]
+    variant, (_, header_len, trailer_fixed, label) = _BY_PROTOCOL[protocol]
     body = datagram[IPV4_HEADER_LEN:]
-    qesp = variant is ProtocolVariant.QESP
+    qesp = variant is _QESP
     if qesp:
         spi, seq, src_port, dst_port, inner_protocol, _, _ = wire.read_qesp_header(body)
     else:
         spi, seq = wire.read_esp_header(body)
     sa = sadb.lookup_by_spi(spi)
     if sa is None or sa.variant is not variant:
-        raise UnknownSpi(f"no {layout.label} SA for SPI 0x{spi:x}")
+        raise UnknownSpi(f"no {label} SA for SPI 0x{spi:x}")
 
     # The format is not self-describing: the IV and ICV lengths come from the
     # SA, and at least one ciphertext byte must sit between them.
-    iv_end = layout.header_len + sa.cipher_state.iv_len
+    iv_end = header_len + sa.cipher_state.iv_len
     icv_len = sa.mac_state.icv_len
     icv_start = len(body) - icv_len
     if icv_start <= iv_end:
-        raise Truncated(f"{layout.label} packet needs >= {iv_end + icv_len + 1} "
+        raise Truncated(f"{label} packet needs >= {iv_end + icv_len + 1} "
                         f"bytes, got {len(body)}")
     prefix = (_ZEROED_OUTER.pack(0x45, total, ident, protocol, src, dst)
               if sa.extended_auth else b"")
@@ -190,15 +178,25 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
                              prefix):
         raise AuthFailure(f"ICV mismatch on SPI 0x{sa.spi:x}")
     try:
-        padded = sa.unseal(seq, body[layout.header_len:iv_end], body[iv_end:icv_start])
+        padded = sa.unseal(seq, body[header_len:iv_end], body[iv_end:icv_start])
     except BadBlockAlignment as exc:
         # Only reachable under a NULL MAC; a real ICV catches tampering first.
         raise BadPadding(str(exc)) from None
-    plaintext = _strip_trailer(padded, layout.trailer_fixed)
+
+    # The trailer: pad, pad_length, then ESP's next_header.
+    end = len(padded) - trailer_fixed
+    if end < 0:
+        raise BadPadding("decrypted payload shorter than its trailer")
+    pad_len = padded[end]
+    if pad_len > end:
+        raise BadPadding(f"pad_length {pad_len} exceeds payload")
+    if not crypto.check_pad(padded[end - pad_len:end]):
+        raise BadPadding("pad bytes are not the monotonic filler")
+    plaintext = padded[:end - pad_len]
 
     if not qesp:
-        inner_protocol = padded[-1]  # the next_header tail
-    tunnel = sa.mode is SaMode.TUNNEL
+        inner_protocol = padded[-1]
+    tunnel = sa.mode is _TUNNEL
     segment_protocol, offset = inner_protocol, 0
     if tunnel:
         if not qesp and inner_protocol != IPPROTO_IPIP:

@@ -117,19 +117,19 @@ def read_ipv4(b: bytes) -> tuple[int, ...]:
     flags_frag, ttl, protocol, checksum, src_addr, dst_addr); the payload is
     b[IPV4_HEADER_LEN:].
     """
-    if len(b) < IPV4_HEADER_LEN:
-        raise Truncated(f"IPv4 header needs 20 bytes, got {len(b)}")
+    n = len(b)
+    if n < IPV4_HEADER_LEN:
+        raise Truncated(f"IPv4 header needs 20 bytes, got {n}")
     fields = _IPV4_STRUCT.unpack_from(b)
     ver_ihl, tos, total_length, ident, flags_frag, ttl, proto, checksum, src, dst = fields
     if ver_ihl != 0x45:
         if ver_ihl >> 4 != 4:
             raise InvalidHeader(f"version must be 4, got {ver_ihl >> 4}")
         raise UnsupportedOptions(f"ihl must be 5, got {ver_ihl & 0x0F}")
-    if total_length > len(b):
-        raise Truncated(f"total_length {total_length} exceeds buffer {len(b)}")
-    if total_length != len(b):
-        raise InvalidHeader(
-            f"trailing bytes: total_length {total_length}, buffer {len(b)}")
+    if total_length != n:
+        if total_length > n:
+            raise Truncated(f"total_length {total_length} exceeds buffer {n}")
+        raise InvalidHeader(f"trailing bytes: total_length {total_length}, buffer {n}")
     # the header checksum of these fields (see the note above)
     if 0xFFFE - (0x44FF + tos + total_length + ident + flags_frag + (ttl << 8) + proto
                  + src + dst) % 0xFFFF != checksum:

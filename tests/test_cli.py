@@ -171,10 +171,23 @@ class TestPriority:
         flag_beats_env = run(["--seed", "3"], env_seed="99")
         assert config_only != env_differs
         assert flag_beats_env == config_only  # flag 3 == config seed 3
+        assert run([], env_seed="-5") == run(["--seed", "-5"])
         with monkeypatch.context() as m:
             m.setenv("QESP_LAB_SEED", "not-a-number")
             assert main(["priority", "--config", str(config_file),
                          "--out", str(tmp_path / "x.csv")]) == 3
+
+    # int() reads each of these as a seed: "١" as 1, "1_0" as 10, " 3" as 3.
+    @pytest.mark.parametrize("text", ["١", "1_0", " 3", "+3", "3 ", "", "-", "--3", "0x3"])
+    def test_seed_is_ascii_decimal(self, text, monkeypatch, capsys):
+        monkeypatch.setenv("QESP_LAB_SEED", text)
+        assert main(["priority"]) == 3
+        assert f"error: ConfigError: QESP_LAB_SEED is not an integer: {text!r}" in (
+            capsys.readouterr().err)
+        monkeypatch.delenv("QESP_LAB_SEED")
+        assert main(["priority", f"--seed={text}"]) == 3
+        assert f"error: ConfigError: --seed is not an integer: {text!r}" in (
+            capsys.readouterr().err)
 
 
 class TestUnwritableOutput:

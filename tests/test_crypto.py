@@ -139,6 +139,19 @@ class TestCiphers:
         with pytest.raises(BadBlockAlignment):
             crypto.encrypt(AES, AES_IV, b"\x00" * 17)
 
+    @pytest.mark.parametrize("op", [crypto.encrypt, crypto.decrypt], ids=["encrypt", "decrypt"])
+    @pytest.mark.parametrize("iv,data,error,message", [
+        (b"short", AES_PT[:16], BadIvLength, "aes-128-cbc needs a 16-byte IV, got 5"),
+        (AES_IV, AES_PT[:17], BadBlockAlignment,
+         "aes-128-cbc input length 17 not a multiple of 16"),
+        # both wrong: the IV length is checked first
+        (b"short", AES_PT[:17], BadIvLength, "aes-128-cbc needs a 16-byte IV, got 5"),
+    ], ids=["iv", "alignment", "both"])
+    def test_argument_errors(self, op, iv, data, error, message):
+        with pytest.raises(error) as caught:
+            op(AES, iv, data)
+        assert type(caught.value) is error and str(caught.value) == message
+
     def test_bad_key_and_iv_lengths(self):
         with pytest.raises(BadKeyLength):
             CipherState(CipherAlg.AES_128_CBC, b"short")

@@ -373,6 +373,25 @@ def test_port_protocols_named_only_in_wire(module):
     assert not names & {"IPPROTO_TCP", "IPPROTO_UDP"}
 
 
+@pytest.mark.parametrize("module,function", [(engine, "outbound"), (engine, "inbound"),
+                                             (classifier, "classify_and_remark")])
+def test_per_packet_path_reads_no_enum_member(module, function):
+    """Reading an Enum member (ProtocolVariant.QESP) costs about ten global
+    reads under CPython 3.11, and an Enum-keyed lookup (LAYOUTS[variant]) a
+    call of the Python-level Enum.__hash__; the per-packet functions test
+    identity against module aliases instead."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    enums = {"ProtocolVariant", "SaMode", "CipherAlg", "MacAlg"}
+    reads = [ast.unparse(node) for node in ast.walk(body)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in enums
+             or isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+             and node.value.id == "LAYOUTS"]
+    assert reads == []
+
+
 class TestRemarkInPlace:
     def test_matching_tos_returns_input_unchanged(self):
         packet = wire.pack_ipv4(46 << 2 | 0x01, 7, 0, 64, 1, SRC, DST, b"ping")

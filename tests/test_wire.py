@@ -123,12 +123,6 @@ class TestIpv4:
         assert encoded[wire.IPV4_HEADER_LEN:] == b""
         assert fields[2] == 20  # total_length
 
-    def test_checksum_flip_detected(self):
-        encoded = bytearray(wire.pack_ipv4(0, 0, 0, 64, 17, 1, 2, b"x" * 8))
-        encoded[10] ^= 0x04
-        with pytest.raises(BadChecksum):
-            wire.read_ipv4(bytes(encoded))
-
     def test_checksum_against_oracle(self):
         """Known datagram: 10.0.0.1 -> 10.0.0.2, UDP, 8-byte payload."""
         encoded = wire.pack_ipv4(0, 0, 0, 64, 17, wire.addr_to_int("10.0.0.1"),
@@ -149,27 +143,51 @@ class TestIpv4:
         # byte-level identity: re-packing the read fields gives the wire bytes
         assert wire.pack_ipv4(fields[1], *fields[3:7], *fields[8:], payload) == encoded
 
-    def test_options_rejected(self):
-        raw = bytearray(wire.pack_ipv4(0, 0, 0, 64, 6, 1, 2, b"abcd"))
-        raw[0] = 0x46  # ihl = 6
-        struct.pack_into(">H", raw, 10, oracle.checksum(raw))
-        with pytest.raises(UnsupportedOptions):
-            wire.read_ipv4(bytes(raw))
+    # pack_ipv4(0, 0, 0, 64, 6, 1, 2, b"abcd"): 24 bytes, checksum 0x7ade.
+    GOOD = bytes.fromhex("450000180000000040067ade000000010000000261626364")
 
-    def test_wrong_version_rejected(self):
-        raw = bytearray(wire.pack_ipv4(0, 0, 0, 64, 6, 1, 2, b"abcd"))
-        raw[0] = 0x65
-        with pytest.raises(InvalidHeader):
-            wire.read_ipv4(bytes(raw))
-
-    def test_truncated_and_trailing(self):
-        encoded = wire.pack_ipv4(0, 0, 0, 64, 6, 1, 2, b"abcd")
-        with pytest.raises(Truncated):
-            wire.read_ipv4(encoded[:19])
-        with pytest.raises(Truncated):
-            wire.read_ipv4(encoded[:21])  # total_length says 24
-        with pytest.raises(InvalidHeader):
-            wire.read_ipv4(encoded + b"junk")
+    @pytest.mark.parametrize("ver_ihl,cut,tail,bad_sum,error,message", [
+        # one fault each
+        pytest.param(None, 0, b"", False, Truncated, "IPv4 header needs 20 bytes, got 0",
+                     id="empty"),
+        pytest.param(None, 19, b"", False, Truncated, "IPv4 header needs 20 bytes, got 19",
+                     id="short"),
+        pytest.param(0x65, None, b"", False, InvalidHeader, "version must be 4, got 6",
+                     id="version"),
+        pytest.param(0x46, None, b"", False, UnsupportedOptions, "ihl must be 5, got 6",
+                     id="ihl"),
+        pytest.param(None, 21, b"", False, Truncated, "total_length 24 exceeds buffer 21",
+                     id="total_length"),
+        pytest.param(None, None, b"junk", False, InvalidHeader,
+                     "trailing bytes: total_length 24, buffer 28", id="trailing"),
+        pytest.param(None, None, b"", True, BadChecksum,
+                     "header checksum 0x7ede does not verify", id="checksum"),
+        # two or more faults: the earliest check wins
+        pytest.param(0x65, 19, b"", False, Truncated, "IPv4 header needs 20 bytes, got 19",
+                     id="short+version"),
+        pytest.param(0x66, None, b"", False, InvalidHeader, "version must be 4, got 6",
+                     id="version+ihl"),
+        pytest.param(0x65, 21, b"", True, InvalidHeader, "version must be 4, got 6",
+                     id="version+total_length+checksum"),
+        pytest.param(0x46, None, b"junk", True, UnsupportedOptions, "ihl must be 5, got 6",
+                     id="ihl+trailing+checksum"),
+        pytest.param(None, 21, b"", True, Truncated, "total_length 24 exceeds buffer 21",
+                     id="total_length+checksum"),
+        pytest.param(None, None, b"junk", True, InvalidHeader,
+                     "trailing bytes: total_length 24, buffer 28", id="trailing+checksum"),
+    ])
+    def test_rejection_class_and_message(self, ver_ihl, cut, tail, bad_sum, error, message):
+        """Each check of read_ipv4 in order: length, version, ihl, total_length
+        against the buffer (short, then long), checksum."""
+        raw = bytearray(self.GOOD)
+        if ver_ihl is not None:
+            raw[0] = ver_ihl
+            struct.pack_into(">H", raw, 10, oracle.checksum(raw))
+        if bad_sum:
+            raw[10] ^= 0x04
+        with pytest.raises(error) as caught:
+            wire.read_ipv4(bytes(raw[:cut]) + tail)
+        assert type(caught.value) is error and str(caught.value) == message
 
     def test_oversize_payload_rejected(self):
         with pytest.raises(InvalidHeader):
