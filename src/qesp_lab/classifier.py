@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import wire
-from .errors import ConfigError
-from .sadb import FiveTuple, Selector
+from .errors import check_int
+from .sadb import FiveTuple, Selector, first_match
 from .wire import IPPROTO_QESP, IPV4_HEADER_LEN
 
 MEMO_LIMIT = 4096
@@ -46,8 +46,7 @@ class ClassifierRule:
     dscp: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.dscp <= 63:
-            raise ConfigError(f"dscp out of range: {self.dscp}")
+        check_int(self.dscp, "dscp", 0, 63)
 
 
 @dataclass(frozen=True)
@@ -59,15 +58,12 @@ class RuleTable:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.default_dscp <= 63:
-            raise ConfigError(f"default_dscp out of range: {self.default_dscp}")
+        check_int(self.default_dscp, "default_dscp", 0, 63)
 
     def dscp_for(self, ft: FiveTuple) -> int:
         """The first matching rule's DSCP, else the default."""
-        for rule in self.rules:
-            if rule.selector.matches(ft):
-                return rule.dscp
-        return self.default_dscp
+        rule = first_match(self.rules, ft)
+        return self.default_dscp if rule is None else rule.dscp
 
     def _dscp_of_flow(self, key: tuple) -> int:
         dscp = self._memo.get(key)

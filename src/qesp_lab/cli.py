@@ -39,9 +39,10 @@ from .errors import (
     ReplayRejected,
     SequenceExhausted,
     UnknownSpi,
+    check_int,
 )
 from .netsim import FlowStats, LinkConfig, TrafficSource, build_datagram, run_simulation
-from .sadb import FiveTuple, ProtocolVariant, SaMode, SecurityAssociation, Selector
+from .sadb import SEED_MAX, FiveTuple, ProtocolVariant, SaMode, SecurityAssociation, Selector
 from .wire import IPPROTO_UDP, int_to_addr, parse_decimal
 
 
@@ -82,14 +83,16 @@ def exit_code_for(exc: QespLabError) -> int:
 
 def resolve_seed(flag_seed: str | None, config_seed: int) -> int:
     """Seed precedence: flag > QESP_LAB_SEED environment > config.  A flag or
-    environment seed is ASCII decimal digits with an optional leading '-'."""
+    environment seed is ASCII decimal digits, optionally '-'-led, in 0..SEED_MAX."""
     env = os.environ.get("QESP_LAB_SEED")
     for where, text in (("--seed", flag_seed), ("QESP_LAB_SEED", env)):
         if text is not None:
             try:
-                return -parse_decimal(text[1:]) if text[:1] == "-" else parse_decimal(text)
+                seed = -parse_decimal(text[1:]) if text[:1] == "-" else parse_decimal(text)
             except ValueError:
                 raise ConfigError(f"{where} is not an integer: {text!r}") from None
+            check_int(seed, where, 0, SEED_MAX)
+            return seed
     return config_seed
 
 

@@ -22,10 +22,11 @@ from dataclasses import dataclass, replace
 
 from .classifier import ClassifierRule, RuleTable
 from .crypto import CipherAlg, MacAlg
-from .errors import ConfigError, QespLabError
+from .errors import ConfigError, QespLabError, check_int
 from .netsim import LinkConfig, TrafficSource, check_positive
 from .sadb import (
     ANY_NET,
+    SEED_MAX,
     FiveTuple,
     Ipv4Net,
     ProtocolVariant,
@@ -33,6 +34,7 @@ from .sadb import (
     SaMode,
     SecurityAssociation,
     Selector,
+    first_match,
 )
 from .wire import addr_to_int, parse_decimal
 
@@ -41,9 +43,10 @@ _FLOAT_MAX = sys.float_info.max
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment.  Besides its own duration it checks the rules that span
-    its lists: at least one source, unique SPIs and flow_ids, every source's
-    stop within the run and its protection SPI in the SA list."""
+    """One experiment.  Besides its own duration and seed (0..SEED_MAX) it checks
+    the rules that span its lists: at least one source, unique SPIs and flow_ids,
+    every source's stop within the run, and its protection equal to the SPI of
+    the SA the selectors pick for it (first match; None if none), as runs do."""
 
     sas: tuple[SecurityAssociation, ...]
     rules: RuleTable
@@ -55,10 +58,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_positive(self.duration, "duration")
+        check_int(self.seed, "seed", 0, SEED_MAX)
         if not self.sources:
             raise ConfigError("needs at least one traffic source")
-        spis = {sa.spi for sa in self.sas}
-        if len(spis) != len(self.sas):
+        if len({sa.spi for sa in self.sas}) != len(self.sas):
             raise ConfigError("duplicate SPI values")
         if len({src.flow_id for src in self.sources}) != len(self.sources):
             raise ConfigError("duplicate flow_id values")
@@ -66,9 +69,10 @@ class ExperimentConfig:
             if src.stop is not None and not src.stop <= self.duration:
                 raise ConfigError(f"source {src.flow_id}: stop {src.stop} is after "
                                   f"duration {self.duration}")
-            if src.protection_spi is not None and src.protection_spi not in spis:
-                raise ConfigError(f"source {src.flow_id}: protection SPI "
-                                  f"{src.protection_spi:#x} not in the SA list")
+            spi = getattr(first_match(self.sas, src.five_tuple), "spi", None)
+            if src.protection_spi != spi:
+                raise ConfigError(f"source {src.flow_id}: protection {src.protection_spi}, "
+                                  f"but the SA selectors pick {spi}")
 
     def build_sadb(self) -> Sadb:
         sadb = Sadb()

@@ -239,13 +239,13 @@ def verify_icv(state: MacState, data: bytes, icv: bytes, prefix: bytes = b"") ->
 class IvGenerator:
     """Deterministic per-SA IV stream.
 
-    IVs are drawn from SHA-256(seed || counter) so that fixtures and
-    simulation runs are reproducible.  CBC IV unpredictability is outside
-    this lab's threat model.
+    IVs are drawn from SHA-256(seed || counter), both 64-bit (the SA checks
+    the seed's range), so that fixtures and simulation runs are
+    reproducible.  CBC IV unpredictability is outside this lab's threat model.
     """
 
     def __init__(self, seed: int):
-        self._seed = seed & 0xFFFFFFFFFFFFFFFF
+        self._seed = seed
         self._counter = 0
 
     def next_iv(self, iv_len: int) -> bytes:

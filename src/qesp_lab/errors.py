@@ -91,3 +91,9 @@ class OversizePacket(QespLabError):
 
 class ConfigError(QespLabError):
     """Experiment configuration is malformed; message names the field."""
+
+
+def check_int(value, name: str, lo: int, hi: int) -> None:
+    """Refuse a value that is not an int (a bool is not one) in lo..hi."""
+    if type(value) is not int or not lo <= value <= hi:
+        raise ConfigError(f"{name} must be an int in {lo}..{hi}, got {value!r}")

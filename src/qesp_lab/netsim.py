@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from . import classifier, engine, wire
-from .errors import ConfigError, QespLabError
+from .errors import ConfigError, QespLabError, check_int
 from .sadb import FiveTuple, SecurityAssociation
 from .wire import DEFAULT_TTL, IPPROTO_TCP, IPPROTO_UDP
 
@@ -69,12 +69,13 @@ class TrafficSource:
 
     payload_size is the transport payload in bytes; the synthesized datagram
     adds the IP header and a UDP (8 B) or TCP (20 B) header around it.
-    protection_spi names the SA the sender runs the flow through, or None
-    for plaintext.  The source emits within [start, stop], stop defaulting
-    to the run's duration; ExperimentConfig keeps stop within the run and
-    protection_spi in its SA list.  The five-tuple's addresses, protocol and
-    ports, which every datagram carries, are checked here, not by FiveTuple,
-    which the classifier builds for every flow it reads.
+    protection_spi declares the SPI of the SA that the selectors pick for
+    the five-tuple, or None for plaintext; the run picks by selector alone.
+    The source emits within [start, stop], stop defaulting to the run's
+    duration; ExperimentConfig checks stop and protection_spi.  The
+    five-tuple's addresses, protocol and ports, which every datagram carries,
+    are checked here, not by FiveTuple, which the classifier builds for every
+    flow it reads.
     """
 
     flow_id: str
@@ -91,17 +92,14 @@ class TrafficSource:
                                  ("dst_addr", ft.dst_addr, 0xFFFFFFFF),
                                  ("protocol", ft.protocol, 255), ("src_port", ft.src_port, 0xFFFF),
                                  ("dst_port", ft.dst_port, 0xFFFF)):
-            if type(value) is not int or not 0 <= value <= top:
-                raise ConfigError(f"{name} must be an int in 0..{top}, got {value!r}")
+            check_int(value, name, 0, top)
         check_positive(self.rate_pps, "rate_pps")
         _check_number(self.start, "start")
         if not self.start >= 0:  # NaN fails too
             raise ConfigError(f"start must be >= 0, got {self.start}")
         if self.stop is not None:  # ExperimentConfig compares it with the duration
             _check_number(self.stop, "stop")
-        size = self.payload_size
-        if type(size) is not int or not 1 <= size <= MAX_PAYLOAD_SIZE:
-            raise ConfigError(f"payload_size must be an int in 1..{MAX_PAYLOAD_SIZE}, got {size!r}")
+        check_int(self.payload_size, "payload_size", 1, MAX_PAYLOAD_SIZE)
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,8 @@ class LinkConfig:
             raise ConfigError(f"queue_limit must be >= 1, got {self.queue_limit}")
         for dscp, cls in self.class_map.items():
             # 64 classes give every DSCP its own; the link allocates max + 1 queues
-            if not (0 <= dscp <= 63 and 0 <= cls <= 63):
-                raise ConfigError(f"class_map entry {dscp}:{cls} out of range")
+            check_int(dscp, "class_map key", 0, 63)
+            check_int(cls, f"class_map[{dscp}]", 0, 63)
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,7 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
     capacity = config.link.capacity_bps
     link = PriorityLink(config.link)
 
-    flows = [_FlowState(src, src.five_tuple, sadb.lookup_by_spi(src.protection_spi))
+    flows = [_FlowState(src, src.five_tuple, sadb.lookup_outbound(src.five_tuple))
              for src in config.sources]
 
     for fl in flows:

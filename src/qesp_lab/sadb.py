@@ -13,12 +13,12 @@ import threading
 from dataclasses import dataclass, field
 
 from .crypto import CipherAlg, CipherState, IvGenerator, MacAlg, MacState, decrypt, encrypt
-from .errors import ConfigError, DuplicateSpi, ReplayRejected, SequenceExhausted
+from .errors import ConfigError, DuplicateSpi, ReplayRejected, SequenceExhausted, check_int
 from .wire import addr_to_int, parse_decimal
 
 REPLAY_WINDOW = 64
 SEQ_MAX = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
+_MASK64 = SEED_MAX = (1 << 64) - 1  # SEED_MAX: top run seed and IV seed
 
 
 class ProtocolVariant(enum.Enum):
@@ -87,11 +87,14 @@ class Selector:
     dst_ports: PortRange | None = None
 
     def __post_init__(self) -> None:
-        if self.protocol is not None and not 0 <= self.protocol <= 255:
-            raise ConfigError(f"protocol out of range 0..255: {self.protocol}")
+        if self.protocol is not None:
+            check_int(self.protocol, "protocol", 0, 255)
         for name, ports in (("src_ports", self.src_ports), ("dst_ports", self.dst_ports)):
-            if ports is not None and not 0 <= ports[0] <= ports[1] <= 65535:
-                raise ConfigError(f"{name} range not well-ordered in 0..65535: {ports}")
+            if ports is not None:
+                if type(ports) is not tuple or len(ports) != 2:
+                    raise ConfigError(f"{name} must be a (lo, hi) tuple, got {ports!r}")
+                check_int(ports[0], f"{name} lo", 0, 65535)
+                check_int(ports[1], f"{name} hi", ports[0], 65535)
 
     def matches(self, ft: FiveTuple) -> bool:
         if self.protocol is not None and self.protocol != ft.protocol:
@@ -147,8 +150,8 @@ class SecurityAssociation:
     _lock: threading.Lock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.spi <= 0xFFFFFFFF:
-            raise ConfigError(f"spi must be a nonzero 32-bit value, got {self.spi}")
+        check_int(self.spi, "spi", 1, 0xFFFFFFFF)
+        check_int(self.iv_seed, "iv_seed", 0, SEED_MAX)
         self.cipher_state = CipherState(self.cipher, self.cipher_key)
         self.mac_state = MacState(self.mac, self.mac_key)
         if self.variant is ProtocolVariant.ESP and self.extended_auth:
@@ -156,8 +159,8 @@ class SecurityAssociation:
         if self.mode is SaMode.TUNNEL and (self.tunnel_src is None or self.tunnel_dst is None):
             raise ConfigError("tunnel mode needs tunnel src and dst")
         for name, addr in (("tunnel_src", self.tunnel_src), ("tunnel_dst", self.tunnel_dst)):
-            if addr is not None and (type(addr) is not int or not 0 <= addr <= 0xFFFFFFFF):
-                raise ConfigError(f"{name} must be an int in 0..{0xFFFFFFFF}, got {addr!r}")
+            if addr is not None:
+                check_int(addr, name, 0, 0xFFFFFFFF)
         self._iv_gen = IvGenerator(self.iv_seed)
         self._lock = threading.Lock()
 
@@ -217,6 +220,14 @@ class SecurityAssociation:
         return True
 
 
+def first_match(entries, ft: FiveTuple):
+    """The first of entries (SAs or classifier rules) whose selector matches ft, else None."""
+    for entry in entries:
+        if entry.selector.matches(ft):
+            return entry
+    return None
+
+
 class Sadb:
     """SA registry indexed by SPI; the dict's insertion order is the
     selectors' first-match order."""
@@ -234,7 +245,4 @@ class Sadb:
 
     def lookup_outbound(self, ft: FiveTuple) -> SecurityAssociation | None:
         """First SA (insertion order) whose selector matches; None = bypass."""
-        for sa in self._by_spi.values():
-            if sa.selector.matches(ft):
-                return sa
-        return None
+        return first_match(self._by_spi.values(), ft)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -97,14 +98,18 @@ class TestClassification:
         assert classifier.classify(table, udp_datagram) == 30
 
 
-    @pytest.mark.parametrize("bad", [-1, 64])
+    @pytest.mark.parametrize("bad", [-1, 64, 1.5, True, "0"])
     def test_out_of_range_default_rejected(self, bad):
         """Checked once when the table is built, as a rule's DSCP is, instead
-        of per packet while remarking."""
-        with pytest.raises(ConfigError, match="default_dscp out of range"):
+        of per packet while remarking: 1.5 once aborted a run with a bare
+        TypeError, True marked DSCP 1 and "0" raised a bare TypeError."""
+        message = f"^default_dscp must be an int in 0..63, got {re.escape(repr(bad))}$"
+        with pytest.raises(ConfigError, match=message):
             RuleTable(default_dscp=bad)
-        with pytest.raises(ConfigError, match="default_dscp out of range"):
+        with pytest.raises(ConfigError, match=message):
             replace(VOICE_TABLE, default_dscp=bad)
+        with pytest.raises(ConfigError, match=message.replace("default_dscp", "dscp")):
+            replace(PORT_5060_RULE, dscp=bad)
 
 
 class TestRemarking:

@@ -10,8 +10,9 @@ import pytest
 
 import oracle
 from conftest import FIXTURES, make_datagram
-from qesp_lab import cli, wire
+from qesp_lab import cli, engine, wire
 from qesp_lab.cli import main
+from qesp_lab.config import load_config
 from qesp_lab.errors import (
     BadChecksum,
     BadKeyLength,
@@ -19,6 +20,7 @@ from qesp_lab.errors import (
     Truncated,
     UnsupportedOptions,
 )
+from qesp_lab.netsim import build_datagram, run_simulation
 
 CLI_CONFIG = {
     "duration": 1.0,
@@ -148,7 +150,7 @@ class TestPriority:
         assert main(["priority", "--config", str(path)]) == 3
         assert "link.capacity_bps" in capsys.readouterr().err
 
-    def test_seed_precedence(self, tmp_path, monkeypatch):
+    def test_seed_precedence(self, tmp_path, monkeypatch, capsys):
         # congested so that the jittered emission grid (seeded) shows up in
         # the drop pattern and latencies
         cfg = json.loads(json.dumps(CLI_CONFIG))
@@ -171,11 +173,38 @@ class TestPriority:
         flag_beats_env = run(["--seed", "3"], env_seed="99")
         assert config_only != env_differs
         assert flag_beats_env == config_only  # flag 3 == config seed 3
-        assert run([], env_seed="-5") == run(["--seed", "-5"])
+        # random.Random seeds by abs(n), so -5 once ran as seed 5
+        negative = tmp_path / "negative.json"
+        negative.write_text(json.dumps({**cfg, "seed": -5}))
+        monkeypatch.delenv("QESP_LAB_SEED", raising=False)
+        for argv, env_seed, where in ((["--seed", "-5"], None, "--seed"),
+                                      ([], "-5", "QESP_LAB_SEED"),
+                                      (["--config", str(negative)], None, "config: seed")):
+            with monkeypatch.context() as m:
+                if env_seed is not None:
+                    m.setenv("QESP_LAB_SEED", env_seed)
+                assert main(["priority", "--config", str(config_file)] + argv) == 3
+            assert capsys.readouterr().err == (
+                f"error: ConfigError: {where} must be an int in 0..{2 ** 64 - 1}, got -5\n")
         with monkeypatch.context() as m:
             m.setenv("QESP_LAB_SEED", "not-a-number")
             assert main(["priority", "--config", str(config_file),
                          "--out", str(tmp_path / "x.csv")]) == 3
+
+    @pytest.mark.parametrize("seed", ["-5", str(2 ** 64)])
+    @pytest.mark.parametrize("command", ["priority", "throughput"])
+    def test_seed_out_of_range(self, command, seed, monkeypatch, capsys):
+        """Named as the seed, also where throughput's SA takes it as its iv_seed."""
+        argv = [command] + (["--sizes", "64", "--duration", "1"] if command == "throughput" else [])
+        monkeypatch.delenv("QESP_LAB_SEED", raising=False)
+        assert main(argv + ["--seed", seed]) == 3
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: --seed must be an int in 0..{2 ** 64 - 1}, got {seed}\n")
+        monkeypatch.setenv("QESP_LAB_SEED", seed)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: QESP_LAB_SEED must be an int in 0..{2 ** 64 - 1}, got {seed}\n")
+        assert main(argv + ["--seed", str(2 ** 64 - 1), "--out", "-"]) == 0
 
     # int() reads each of these as a seed: "١" as 1, "1_0" as 10, " 3" as 3.
     @pytest.mark.parametrize("text", ["١", "1_0", " 3", "+3", "3 ", "", "-", "--3", "0x3"])
@@ -340,7 +369,37 @@ class TestOneShotTools:
         dangling.write_text(json.dumps({**CLI_CONFIG, "sources": [
             {**CLI_CONFIG["sources"][0], "protection": 999}]}))
         assert main([command, "--config", str(dangling), "--in", packet_file]) == 3
-        assert capsys.readouterr().err.startswith("error: ConfigError: config: ")
+        assert capsys.readouterr().err == ("error: ConfigError: config: source one: "
+                                           "protection 999, but the SA selectors pick 257\n")
+
+    def test_encap_picks_the_sa_the_simulator_used(self, tmp_path, capsys, monkeypatch):
+        """encap without --spi and run_simulation follow one policy: a datagram
+        of each mixed-fixture flow encaps under the SA the run sent it through,
+        and a flow the run left in clear has no SA (exit 12)."""
+        cfg = load_config(str(MIXED))
+        used, real_outbound = {}, engine.outbound
+
+        def outbound(sa, datagram):
+            used[engine.five_tuple_of(datagram)] = sa.spi
+            return real_outbound(sa, datagram)
+        monkeypatch.setattr(engine, "outbound", outbound)
+        run_simulation(cfg)
+        monkeypatch.undo()
+
+        picked = {}
+        for src in cfg.sources:
+            datagram = build_datagram(src.five_tuple, bytes(src.payload_size), 7)
+            packet = tmp_path / f"{src.flow_id}.hex"
+            packet.write_text(datagram.hex())
+            spi = picked[src.flow_id] = used.get(engine.five_tuple_of(datagram))
+            if spi is None:
+                assert main(["encap", "--config", str(MIXED), "--in", str(packet)]) == 12
+                assert "NoMatchingSa" in capsys.readouterr().err
+            else:
+                assert main(["encap", "--config", str(MIXED), "--in", str(packet)]) == 0
+                expected = engine.outbound(cfg.build_sadb().lookup_by_spi(spi), datagram)
+                assert capsys.readouterr().out == expected.hex() + "\n"
+        assert picked == {"voice": 769, "video": 769, "web": 770, "gre": None, "plain": None}
 
     def test_esp_encap_rejects_a_segment_short_of_its_ports(self, tmp_path, capsys):
         """The mixed fixture's SA 770 is ESP: its outbound reads the ports as

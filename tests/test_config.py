@@ -160,13 +160,15 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=r"config\.sas\[0\].*tunnel"):
             parse_config(cfg)
 
-    @pytest.mark.parametrize("spi", [999, 0, -1, 2 ** 32])
-    def test_protection_must_name_an_sa(self, spi):
-        """ExperimentConfig, which holds both lists, refuses it at load."""
-        with pytest.raises(ConfigError, match=rf"^config: source voice: protection SPI "
-                                              rf"{spi:#x} not in the SA list$"):
+    @pytest.mark.parametrize("spi", [999, 0, -1, 2 ** 32, None])
+    def test_protection_must_name_the_sa_the_selectors_pick(self, spi):
+        """ExperimentConfig, which holds both lists, refuses it at load, also
+        when it names no SA at all or leaves a matched flow in clear."""
+        with pytest.raises(ConfigError, match=exact(
+                f"config: source voice: protection {spi}, but the SA selectors pick 257")):
             parse_config(with_number(("sources", 0), "protection", spi))
-        with pytest.raises(ConfigError, match="protection SPI 0x101 not in the SA list"):
+        with pytest.raises(ConfigError, match=exact(
+                "source voice: protection 257, but the SA selectors pick None")):
             replace(parse_config(VALID), sas=())
 
     @pytest.mark.parametrize("spi", [0, 2 ** 32])
@@ -199,7 +201,8 @@ class TestDiagnostics:
     def test_port_range_validation(self):
         cfg = copy.deepcopy(VALID)
         cfg["sas"][0]["selector"]["dst_ports"] = [90, 10]
-        with pytest.raises(ConfigError, match="not well-ordered"):
+        with pytest.raises(ConfigError, match=exact(
+                "config.sas[0].selector: dst_ports hi must be an int in 90..65535, got 10")):
             parse_config(cfg)
 
     def test_nonobject_config_rejected(self):
@@ -346,7 +349,8 @@ class TestClassIndexBound:
     def test_index_64_rejected(self):
         cfg = copy.deepcopy(VALID)
         cfg["link"]["class_map"] = {"46": 64}
-        with pytest.raises(ConfigError, match="46:64 out of range"):
+        with pytest.raises(ConfigError, match=exact(
+                "config.link: class_map[46] must be an int in 0..63, got 64")):
             parse_config(cfg)
 
 
@@ -367,6 +371,10 @@ OWNED_VALUES = [
     (("sources", 0), "rate_pps", 0, 0.0),
     (("link",), "capacity_bps", 0, 0.0),
     ((), "duration", 0, 0.0),
+    ((), "seed", -1, -1),
+    ((), "seed", 2 ** 64, 2 ** 64),
+    (("sas", 0), "iv_seed", -1, -1),
+    (("sas", 0), "iv_seed", 2 ** 64, 2 ** 64),
 ]
 # A path component repeated after the object path names a location twice.
 LOCATION = re.compile(r"config|link|source|rules|sas\b|selector")
@@ -425,7 +433,9 @@ OPTIONAL = {
     "sources.protection", "link.class_map"}
 # Optional keys whose default FULL's other values refuse, with the refusal.
 NEEDED = {
-    "sas": "config: source voice: protection SPI 0x101 not in the SA list",
+    "sas": "config: source voice: protection 257, but the SA selectors pick None",
+    "sources.dst_port": "config: source voice: protection 257, but the SA selectors pick None",
+    "sources.protection": "config: source voice: protection None, but the SA selectors pick 257",
     "sas.cipher_key_hex": "config.sas[0]: aes-128-cbc needs a 16-byte key, got 0",
     "sas.mac_key_hex": "config.sas[0]: hmac-sha1-96 needs a 20-byte key, got 0"}
 

@@ -7,10 +7,13 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import re
 from dataclasses import replace
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, JitterDrawn
 from qesp_lab import classifier, engine, netsim
@@ -26,7 +29,15 @@ from qesp_lab.netsim import (
     TrafficSource,
     run_simulation,
 )
-from qesp_lab.sadb import FiveTuple, ProtocolVariant, SaMode, SecurityAssociation, Selector
+from qesp_lab.sadb import (
+    FiveTuple,
+    Ipv4Net,
+    ProtocolVariant,
+    Sadb,
+    SaMode,
+    SecurityAssociation,
+    Selector,
+)
 from qesp_lab.wire import IPPROTO_QESP, IPPROTO_TCP, IPPROTO_UDP, addr_to_int
 
 
@@ -40,12 +51,14 @@ def flow(flow_id: str, dst_port: int, rate: float, size: int,
         rate_pps=rate, payload_size=size, protection_spi=spi, **kwargs)
 
 
-def null_sa_spec(spi: int, dst_port: int,
+def null_sa_spec(spi: int, dst_ports: tuple[int, int] | None,
                  variant: ProtocolVariant = ProtocolVariant.QESP) -> SecurityAssociation:
+    """A NULL/NULL transport SA for the flows whose dst_port lies in dst_ports
+    (None: every flow); a source it matches must name spi as its protection."""
     return SecurityAssociation(spi=spi, variant=variant, mode=SaMode.TRANSPORT,
                                cipher=CipherAlg.NULL, cipher_key=b"",
                                mac=MacAlg.NULL, mac_key=b"",
-                               selector=Selector(dst_ports=(dst_port, dst_port)))
+                               selector=Selector(dst_ports=dst_ports))
 
 
 def simple_config(sources, link=None, sas=(), rules=RuleTable(), duration=10.0,
@@ -287,7 +300,7 @@ class TestRunSimulation:
 
     def test_protected_flow_decapsulates(self):
         cfg = simple_config([flow("p", 5060, 50, 300, spi=0x11)],
-                            sas=[null_sa_spec(0x11, 5060)], duration=2.0)
+                            sas=[null_sa_spec(0x11, (5060, 5060))], duration=2.0)
         stats = run_simulation(cfg)[0]
         assert stats.delivered_packets == 100
         assert stats.drop_reasons == {}
@@ -295,7 +308,7 @@ class TestRunSimulation:
     def test_wire_accounting_shows_overhead(self):
         from qesp_lab import engine
         cfg = simple_config([flow("p", 5060, 50, 300, spi=0x11)],
-                            sas=[null_sa_spec(0x11, 5060)], duration=2.0)
+                            sas=[null_sa_spec(0x11, (5060, 5060))], duration=2.0)
         stats = run_simulation(cfg)[0]
         overhead = engine.per_packet_overhead(
             ProtocolVariant.QESP, SaMode.TRANSPORT, CipherAlg.NULL, MacAlg.NULL, 308)
@@ -304,7 +317,8 @@ class TestRunSimulation:
 
     def test_unknown_protection_spi_rejected(self):
         """The config that names the source refuses it, before any run."""
-        with pytest.raises(ConfigError, match="protection SPI 0x99 not in the SA list"):
+        with pytest.raises(ConfigError, match="^source p: protection 153, but the SA "
+                                              "selectors pick None$"):
             simple_config([flow("p", 5060, 50, 300, spi=0x99)])
 
     def test_source_validation(self):
@@ -368,10 +382,18 @@ class TestRunSimulation:
         with pytest.raises(ConfigError, match=f"^{what} must be a number, got {bad!r}$"):
             build(bad)
 
-    @pytest.mark.parametrize("bad", ["4", True, 1.5])
-    def test_queue_limit_is_an_int(self, bad):
-        with pytest.raises(ConfigError, match=f"^queue_limit must be an int, got {bad!r}$"):
-            LinkConfig(capacity_bps=1e6, queue_limit=bad)
+    @pytest.mark.parametrize("fields,message", [
+        *[(dict(queue_limit=bad), f"queue_limit must be an int, got {bad!r}")
+          for bad in ("4", True, 1.5)],
+        (dict(class_map={46: 1.5}), "class_map[46] must be an int in 0..63, got 1.5"),
+        (dict(class_map={46: True}), "class_map[46] must be an int in 0..63, got True"),
+        (dict(class_map={46: 64}), "class_map[46] must be an int in 0..63, got 64"),
+        (dict(class_map={"46": 1}), "class_map key must be an int in 0..63, got '46'"),
+        (dict(class_map={-1: 1}), "class_map key must be an int in 0..63, got -1")])
+    def test_link_ints_built_in_code_are_checked(self, fields, message):
+        """class_map {46: 1.5} once aborted a run inside PriorityLink."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            LinkConfig(**{"capacity_bps": 1e6, "queue_limit": 1, **fields})
 
 
 class TestPacketCeiling:
@@ -508,21 +530,25 @@ def matches_reference(config, monkeypatch, rng_class=random.Random):
 
 def random_scenario(seed: int) -> ExperimentConfig:
     """A congested link, staggered sources, TCP/UDP/portless protocols, plain
-    and protected flows, some sharing an SA across classes."""
+    and protected flows, some sharing an SA across classes.
+
+    SA 0x21 takes the flows to ports 80..5060 (classes 0, 1 and 2), the tunnel
+    SA 0x22 the other TCP flows, and the rest run in clear."""
     rng = random.Random(seed)
-    sas = [null_sa_spec(0x21, 0), SecurityAssociation(
+    sas = [null_sa_spec(0x21, (80, 5060)), SecurityAssociation(
         spi=0x22, variant=rng.choice(list(ProtocolVariant)), mode=SaMode.TUNNEL,
         cipher=CipherAlg.AES_128_CBC, cipher_key=bytes(16), mac=MacAlg.HMAC_MD5_96,
-        mac_key=bytes(16), selector=Selector(), tunnel_src=addr_to_int("192.0.2.1"),
-        tunnel_dst=addr_to_int("192.0.2.2"), iv_seed=seed)]
+        mac_key=bytes(16), selector=Selector(protocol=IPPROTO_TCP),
+        tunnel_src=addr_to_int("192.0.2.1"), tunnel_dst=addr_to_int("192.0.2.2"), iv_seed=seed)]
     sources = []
     for i in range(rng.randint(2, 5)):
         start = rng.choice((0.0, rng.uniform(0, 1)))
         stop = rng.choice((None, start + rng.uniform(0.5, 2)))
-        sources.append(flow(f"f{i}", rng.choice((5060, 9000, 80)), rng.uniform(20, 150),
-                            rng.randint(16, 1200), spi=rng.choice((None, 0x21, 0x22)),
-                            protocol=rng.choice((IPPROTO_UDP, IPPROTO_TCP, 47)),
-                            start=start, stop=stop))
+        port = rng.choice((5060, 9000, 80))
+        protocol = rng.choice((IPPROTO_UDP, IPPROTO_TCP, 47))
+        spi = 0x21 if port != 9000 else 0x22 if protocol == IPPROTO_TCP else None
+        sources.append(flow(f"f{i}", port, rng.uniform(20, 150), rng.randint(16, 1200),
+                            spi=spi, protocol=protocol, start=start, stop=stop))
     rules = RuleTable(rules=(
         ClassifierRule(selector=Selector(dst_ports=(5060, 5060)), dscp=46),
         ClassifierRule(selector=Selector(protocol=IPPROTO_TCP), dscp=10)))
@@ -567,7 +593,7 @@ class TestAgainstEventDrivenReference:
         long that its sequence numbers fall out of the replay window."""
         rules = RuleTable(rules=(ClassifierRule(
             selector=Selector(dst_ports=(5060, 5060)), dscp=46),))
-        sas = [null_sa_spec(0x31, 0)]
+        sas = [null_sa_spec(0x31, None)]
         sources = [flow("high", 5060, 110, 1000, spi=0x31), flow("low", 9000, 60, 1000, spi=0x31)]
         cfg = simple_config(sources, sas=sas, rules=rules, duration=3.0, link=LinkConfig(
             capacity_bps=1_000_000, queue_limit=100, class_map={46: 1}))
@@ -639,3 +665,71 @@ def test_stop_before_start_offers_nothing():
                                           flow("f", 9000, 50, 100)], duration=4.0))
     assert (stats[0].offered_packets, stats[0].dropped_packets) == (0, 0)
     assert stats[1].offered_packets == 200
+
+
+POLICY_PORTS = (80, 443, 5060, 9000)
+POLICY_SELECTORS = st.builds(
+    Selector,
+    src_net=st.sampled_from((Ipv4Net(0, 0), Ipv4Net(addr_to_int("10.0.1.0"), 24))),
+    protocol=st.sampled_from((None, IPPROTO_UDP, IPPROTO_TCP, 47)),
+    dst_ports=st.one_of(st.none(), st.tuples(st.sampled_from(POLICY_PORTS[:2]),
+                                             st.sampled_from(POLICY_PORTS[2:]))))
+POLICY_SAS = st.lists(st.tuples(POLICY_SELECTORS, st.sampled_from(list(ProtocolVariant)),
+                                st.sampled_from(list(SaMode)),
+                                st.sampled_from((CipherAlg.NULL, CipherAlg.AES_128_CBC))),
+                      max_size=4)
+# (source address, protocol, dst_port, declared protection: "picked" or an SA index or None)
+POLICY_SOURCES = st.lists(st.tuples(st.sampled_from(("10.0.0.1", "10.0.1.1")),
+                                    st.sampled_from((IPPROTO_UDP, IPPROTO_TCP, 47)),
+                                    st.sampled_from(POLICY_PORTS),
+                                    st.one_of(st.just("picked"), st.none(), st.integers(0, 3))),
+                          min_size=1, max_size=4)
+
+
+class TestOnePolicy:
+    """The SA selectors are the one security policy: ExperimentConfig accepts
+    a config exactly when every source's protection names the SA that the
+    first-match walk picks for its five-tuple, and run_simulation protects
+    exactly the flows that walk picks an SA for, under that SA."""
+
+    @given(sa_specs=POLICY_SAS, source_specs=POLICY_SOURCES)
+    @settings(max_examples=60, deadline=None)
+    def test_protection_agrees_with_the_selectors(self, sa_specs, source_specs):
+        sas = [SecurityAssociation(
+            spi=0x40 + i, variant=variant, mode=mode, cipher=cipher,
+            cipher_key=bytes(cipher.key_len), mac=MacAlg.HMAC_SHA1_96, mac_key=bytes(20),
+            selector=selector, tunnel_src=1, tunnel_dst=2, iv_seed=i)
+            for i, (selector, variant, mode, cipher) in enumerate(sa_specs)]
+        sadb = Sadb()
+        for sa in sas:
+            sadb.add_sa(replace(sa))
+        sources, picked = [], {}
+        for i, (src, protocol, dst_port, declared) in enumerate(source_specs):
+            ft = FiveTuple(addr_to_int(src), addr_to_int("10.0.9.9"), protocol, 4000, dst_port)
+            picked[f"f{i}"] = sa = sadb.lookup_outbound(ft)
+            spi = None if sa is None else sa.spi
+            if declared == "picked":
+                declared = spi
+            elif declared is not None:
+                declared += 0x40
+            sources.append(TrafficSource(flow_id=f"f{i}", five_tuple=ft, rate_pps=20,
+                                         payload_size=100, protection_spi=declared))
+        disagreeing = [src for src in sources if src.protection_spi != (
+            None if picked[src.flow_id] is None else picked[src.flow_id].spi)]
+        if disagreeing:
+            with pytest.raises(ConfigError, match=f"^source {disagreeing[0].flow_id}: "
+                                                  "protection .*, but the SA selectors pick"):
+                simple_config(sources, sas=sas, duration=0.5)
+            return
+        cfg = simple_config(sources, sas=sas, duration=0.5)
+        stats = run_simulation(cfg)
+        for src, flow_stats in zip(sources, stats):
+            plain = netsim.build_datagram(src.five_tuple, bytes(src.payload_size))
+            sa = picked[src.flow_id]
+            sent = plain if sa is None else engine.outbound(replace(sa), plain)
+            assert flow_stats.delivered_packets == flow_stats.offered_packets == 10
+            assert flow_stats.delivered_wire_bytes == 10 * len(sent)
+        # the run reads the selectors, never the declaration
+        for src in cfg.sources:
+            object.__setattr__(src, "protection_spi", None)
+        assert run_simulation(cfg) == stats

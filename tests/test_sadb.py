@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -81,12 +82,25 @@ class TestSelectors:
         with pytest.raises(ConfigError, match="^prefix out of range: 33$"):
             Ipv4Net.parse("10.0.0.0/33")
 
-    def test_bad_port_range(self):
-        for ports in ((10, 5), (0, 65536), (-1, 0)):
-            with pytest.raises(ConfigError, match="src_ports range not well-ordered"):
-                Selector(src_ports=ports)
-            with pytest.raises(ConfigError, match="dst_ports range not well-ordered"):
-                Selector(dst_ports=ports)
+    @pytest.mark.parametrize("ports,message", [
+        ((10, 5), "{} hi must be an int in 10..65535, got 5"),
+        ((0, 65536), "{} hi must be an int in 0..65535, got 65536"),
+        ((-1, 0), "{} lo must be an int in 0..65535, got -1"),
+        ((1.0, 2), "{} lo must be an int in 0..65535, got 1.0"),
+        ((1,), "{} must be a (lo, hi) tuple, got (1,)"),
+        ([1, 2], "{} must be a (lo, hi) tuple, got [1, 2]")])
+    def test_bad_port_range(self, ports, message):
+        """(1,) once raised a bare IndexError."""
+        for name in ("src_ports", "dst_ports"):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message.format(name))}$"):
+                Selector(**{name: ports})
+
+    @pytest.mark.parametrize("protocol", [256, -1, "6", 6.0, True])
+    def test_bad_protocol(self, protocol):
+        """The string "6" once raised a bare TypeError."""
+        with pytest.raises(ConfigError, match=re.escape(
+                f"protocol must be an int in 0..255, got {protocol!r}")):
+            Selector(protocol=protocol)
 
     @pytest.mark.parametrize("parse,text", [
         (addr_to_int, "\u0661\u0660.0.0.1"), (addr_to_int, "10.0.0.\u00b2"),
@@ -146,13 +160,21 @@ class TestSadbLookups:
     @pytest.mark.parametrize("mode", list(SaMode))
     @pytest.mark.parametrize("fields,message", [
         (dict(tunnel_src=2 ** 32), "tunnel_src must be an int in 0..4294967295, got 4294967296"),
-        (dict(tunnel_dst=-1), "tunnel_dst must be an int in 0..4294967295, got -1")])
-    def test_tunnel_endpoints_are_ipv4_addresses(self, mode, fields, message):
-        """Refused at construction: encap would fail every packet the SA carries."""
+        (dict(tunnel_dst=-1), "tunnel_dst must be an int in 0..4294967295, got -1"),
+        (dict(spi=257.0), "spi must be an int in 1..4294967295, got 257.0"),
+        (dict(spi=0), "spi must be an int in 1..4294967295, got 0"),
+        (dict(iv_seed=-1), "iv_seed must be an int in 0..18446744073709551615, got -1"),
+        (dict(iv_seed=2 ** 64),
+         "iv_seed must be an int in 0..18446744073709551615, got 18446744073709551616")])
+    def test_int_fields_refused_at_construction(self, mode, fields, message):
+        """Refused at construction: encap would fail every packet the SA carries
+        (spi 257.0 dropped each as invalid_header), or an IV seed would alias
+        another (-1 gave the stream of 2**64 - 1)."""
         sa = make_sa(mode=SaMode.TUNNEL)
         with pytest.raises(ConfigError, match=f"^{message}$"):
             replace(sa, mode=mode, **fields)
-        assert replace(sa, mode=mode, tunnel_src=0, tunnel_dst=0xFFFFFFFF).tunnel_dst == 0xFFFFFFFF
+        edges = replace(sa, mode=mode, tunnel_src=0, tunnel_dst=0xFFFFFFFF, iv_seed=2 ** 64 - 1)
+        assert (edges.tunnel_dst, edges.iv_seed) == (0xFFFFFFFF, 2 ** 64 - 1)
 
 
 class TestSequenceNumbers:
