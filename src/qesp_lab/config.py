@@ -46,7 +46,8 @@ class ExperimentConfig:
     """One experiment.  Besides its own duration and seed (0..SEED_MAX) it checks
     the rules that span its lists: at least one source, unique SPIs and flow_ids,
     every source's stop within the run, and its protection equal to the SPI of
-    the SA the selectors pick for it (first match; None if none), as runs do."""
+    the SA the selectors pick for the five-tuple its datagrams show (first
+    match; None if none), as runs and encap do."""
 
     sas: tuple[SecurityAssociation, ...]
     rules: RuleTable
@@ -69,7 +70,7 @@ class ExperimentConfig:
             if src.stop is not None and not src.stop <= self.duration:
                 raise ConfigError(f"source {src.flow_id}: stop {src.stop} is after "
                                   f"duration {self.duration}")
-            spi = getattr(first_match(self.sas, src.five_tuple), "spi", None)
+            spi = getattr(first_match(self.sas, src.shown_five_tuple), "spi", None)
             if src.protection_spi != spi:
                 raise ConfigError(f"source {src.flow_id}: protection {src.protection_spi}, "
                                   f"but the SA selectors pick {spi}")

@@ -27,6 +27,15 @@ the packet's IV would, by two CBC identities:
 The encryptor's chaining block is mutable per-SA state.  A CipherState is
 not thread-safe and takes no lock: its SA serializes encrypt and decrypt
 under the one lock that also guards sequence, replay and IV state.
+
+The NULL rule: a state's length says whether it does any work.
+CipherState.iv_len is 0 exactly for the NULL (identity) cipher, and
+MacState.icv_len is 0 exactly for the NULL MAC.  The per-packet callers
+(sadb's seal and unseal, engine's ICV steps) test these lengths once per
+packet and then call neither IvGenerator.next_iv, encrypt, decrypt,
+compute_icv nor verify_icv, so a NULL transform costs no call.  They never
+read an Enum member or a state's private contexts to decide.  The functions
+here keep their NULL behaviour (identity, empty ICV) for every other caller.
 """
 
 from __future__ import annotations

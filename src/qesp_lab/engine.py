@@ -28,6 +28,8 @@ Auth coverage comes in two variants:
 Inbound processing order (RFC 4303 §3.4.3): SPI lookup, length check, ICV
 verification, then the anti-replay check and window update and the decrypt
 under the SA's lock (sa.unseal), then pad check, post-decrypt check, rebuild.
+Under the NULL MAC (icv_len 0) the ICV step is skipped both ways: outbound
+computes no ICV, and inbound verifies none, as its ICV slice is empty.
 The RFC allows a cheap replay pre-check ahead of the ICV; here the ICV comes
 first, so a forged packet is AuthFailure whatever its sequence number, and
 the replay window only ever advances on authenticated traffic.  Outbound
@@ -138,13 +140,15 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
         header = wire.pack_esp_header(sa.spi, seq)
     body = header + iv + ciphertext
 
-    total = IPV4_HEADER_LEN + len(body) + sa.mac_state.icv_len
+    icv_len = sa.mac_state.icv_len
+    total = IPV4_HEADER_LEN + len(body) + icv_len
     if total > 0xFFFF:
         raise OversizePacket(f"encapsulated datagram would be {total} bytes")
-    prefix = (_ZEROED_OUTER.pack(0x45, total, ident, ip_protocol, src, dst)
-              if sa.extended_auth else b"")
-    icv = crypto.compute_icv(sa.mac_state, body, prefix)
-    return wire.pack_ipv4(tos, ident, flags_frag, ttl, ip_protocol, src, dst, body + icv)
+    if icv_len:  # else the NULL MAC: no ICV
+        prefix = (_ZEROED_OUTER.pack(0x45, total, ident, ip_protocol, src, dst)
+                  if sa.extended_auth else b"")
+        body += crypto.compute_icv(sa.mac_state, body, prefix)
+    return wire.pack_ipv4(tos, ident, flags_frag, ttl, ip_protocol, src, dst, body)
 
 
 def inbound(sadb: Sadb, datagram: bytes) -> bytes:
@@ -172,11 +176,12 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     if icv_start <= iv_end:
         raise Truncated(f"{label} packet needs >= {iv_end + icv_len + 1} "
                         f"bytes, got {len(body)}")
-    prefix = (_ZEROED_OUTER.pack(0x45, total, ident, protocol, src, dst)
-              if sa.extended_auth else b"")
-    if not crypto.verify_icv(sa.mac_state, memoryview(body)[:icv_start], body[icv_start:],
-                             prefix):
-        raise AuthFailure(f"ICV mismatch on SPI 0x{sa.spi:x}")
+    if icv_len:  # else the NULL MAC: the ICV slice is empty, nothing to verify
+        prefix = (_ZEROED_OUTER.pack(0x45, total, ident, protocol, src, dst)
+                  if sa.extended_auth else b"")
+        if not crypto.verify_icv(sa.mac_state, memoryview(body)[:icv_start],
+                                 body[icv_start:], prefix):
+            raise AuthFailure(f"ICV mismatch on SPI 0x{sa.spi:x}")
     try:
         padded = sa.unseal(seq, body[header_len:iv_end], body[iv_end:icv_start])
     except BadBlockAlignment as exc:

@@ -70,7 +70,9 @@ class TrafficSource:
     payload_size is the transport payload in bytes; the synthesized datagram
     adds the IP header and a UDP (8 B) or TCP (20 B) header around it.
     protection_spi declares the SPI of the SA that the selectors pick for
-    the five-tuple, or None for plaintext; the run picks by selector alone.
+    the flow, or None for plaintext; the run picks by selector alone.  The
+    selectors match shown_five_tuple, the five-tuple the source's datagrams
+    show, as encap's SA lookup reads it.
     The source emits within [start, stop], stop defaulting to the run's
     duration; ExperimentConfig checks stop and protection_spi.  The
     five-tuple's addresses, protocol and ports, which every datagram carries,
@@ -100,6 +102,15 @@ class TrafficSource:
         if self.stop is not None:  # ExperimentConfig compares it with the duration
             _check_number(self.stop, "stop")
         check_int(self.payload_size, "payload_size", 1, MAX_PAYLOAD_SIZE)
+
+    @property
+    def shown_five_tuple(self) -> FiveTuple:
+        """five_tuple as the datagrams show it: a portless protocol's ports are
+        None (wire's no-port rule), whatever ports the source configures."""
+        ft = self.five_tuple
+        if ft.protocol in wire.PORT_PROTOCOLS:
+            return ft
+        return FiveTuple(ft.src_addr, ft.dst_addr, ft.protocol, None, None)
 
 
 @dataclass(frozen=True)
@@ -260,7 +271,7 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
     capacity = config.link.capacity_bps
     link = PriorityLink(config.link)
 
-    flows = [_FlowState(src, src.five_tuple, sadb.lookup_outbound(src.five_tuple))
+    flows = [_FlowState(src, src.five_tuple, sadb.lookup_outbound(src.shown_five_tuple))
              for src in config.sources]
 
     for fl in flows:

@@ -36,7 +36,9 @@ class FiveTuple:
     """Flow identity: addresses, transport protocol and ports.
 
     Read from a packet, the ports are None where wire reads none.  No port
-    constraint matches a None port.  Configured flows default to port 0.
+    constraint matches a None port.  Configured flows default to port 0, and
+    a portless flow's configured ports are read as None for SA selection
+    (netsim.TrafficSource.shown_five_tuple).
     """
 
     src_addr: int
@@ -165,17 +167,25 @@ class SecurityAssociation:
         self._lock = threading.Lock()
 
     def seal(self, data: bytes) -> tuple[int, bytes, bytes]:
-        """Issue seq and IV and encrypt data under them, in one hold of the SA's lock."""
+        """Issue seq and IV and encrypt data under them, in one hold of the SA's lock.
+
+        The identity cipher (iv_len 0) draws no IV and returns data as it is.
+        """
         with self._lock:
-            seq, iv = self.next_seq(), self.next_iv()
-            return seq, iv, encrypt(self.cipher_state, iv, data)
+            seq, state = self.next_seq(), self.cipher_state
+            if not state.iv_len:
+                return seq, b"", data
+            iv = self.next_iv()
+            return seq, iv, encrypt(state, iv, data)
 
     def unseal(self, seq: int, iv: bytes, ciphertext: bytes) -> bytes:
-        """After ICV verification: replay check and update, then decrypt, in one lock hold."""
+        """After ICV verification: replay check and update, then decrypt, in one
+        lock hold; the identity cipher (iv_len 0) returns ciphertext as it is."""
         with self._lock:
             if not self.replay_check_and_update(seq):
                 raise ReplayRejected(f"seq {seq} rejected by replay window")
-            return decrypt(self.cipher_state, iv, ciphertext)
+            state = self.cipher_state
+            return decrypt(state, iv, ciphertext) if state.iv_len else ciphertext
 
     def next_seq(self) -> int:
         """Issue the next outbound sequence number from 1; the caller holds the SA's lock.

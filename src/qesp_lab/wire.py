@@ -32,13 +32,14 @@ the protocol identifier travels in its clear header.
 
 Every header read and write and every port read in the package goes through
 this module, and every read failure is a MalformedPacket subclass (errors
-module).  The no-port rule is written here alone: only a TCP or UDP segment
-has ports, and every other protocol, ESP and Q-ESP included, reads as ports
-None.  extract_ports applies it to a segment and read_qesp_header to a clear
-header, which stores no ports as 0/0 (pack_qesp_header writes None as 0) and
-is refused if it names a portless inner protocol with a nonzero port.  So the
-classifier, SA selection, encap and decap read one five-tuple and reject the
-same headers with the same class.  Neither body is self-describing (the SA
+module).  The no-port rule is written here alone, as PORT_PROTOCOLS: only a
+TCP or UDP segment has ports, and every other protocol, ESP and Q-ESP
+included, reads as ports None.  extract_ports applies it to a segment,
+netsim to a configured flow, and read_qesp_header to a clear header, which
+stores no ports as 0/0 (pack_qesp_header writes None as 0) and is refused if
+it names a portless inner protocol with a nonzero port.  So the classifier,
+SA selection, encap and decap read one five-tuple and reject the same
+headers with the same class.  Neither body is self-describing (the SA
 sets the IV and ICV lengths); engine.inbound splits it by engine.LAYOUTS.
 """
 
@@ -64,6 +65,8 @@ IPPROTO_ESP = 50
 # RFC 3692 experimentation number; unassigned, so it cannot collide with a
 # real transport protocol inside the simulator.
 IPPROTO_QESP = 253
+# The no-port rule: only these protocols' segments carry ports.
+PORT_PROTOCOLS = frozenset((IPPROTO_TCP, IPPROTO_UDP))
 
 # Q-ESP flags: bit 0 selects extended (outer-header) auth coverage.
 QESP_FLAG_EXTENDED_AUTH = 0x01
@@ -202,7 +205,7 @@ def read_qesp_header(b: bytes, offset: int = 0) -> tuple[int | None, ...]:
         raise InvalidHeader(f"undefined flag bits set: 0x{flags:02x}")
     if reserved != 0:
         raise InvalidHeader(f"reserved must be 0, got {reserved}")
-    if protocol == IPPROTO_TCP or protocol == IPPROTO_UDP:
+    if protocol in PORT_PROTOCOLS:
         return fields
     if src_port or dst_port:
         raise InvalidHeader(f"protocol {protocol} has no ports, got {src_port}/{dst_port}")
@@ -217,7 +220,7 @@ def extract_ports(protocol: int, data: bytes,
     carry both is Truncated.  A Q-ESP segment is read one layer deep: its
     clear header must validate, and it has no ports.
     """
-    if protocol == IPPROTO_TCP or protocol == IPPROTO_UDP:
+    if protocol in PORT_PROTOCOLS:
         if len(data) - offset < 4:
             raise Truncated(f"transport segment too short for ports: {len(data) - offset}")
         return _PORTS.unpack_from(data, offset)

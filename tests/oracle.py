@@ -40,6 +40,18 @@ header with ToS, flags, fragment offset, TTL and checksum zeroed.
 An SA's IVs are the stream iv_stream() yields: the first iv-length bytes of
 SHA-256(seed || counter), both big-endian u64, the counter counting from 0.
 
+decap() is the receiver (RFC 4303 §3.4) for a database holding one SA.  Its
+checks come in the lab's order: outer IPv4 header, protocol header (SPI 0,
+Q-ESP's undefined flags, reserved field and ports under a portless protocol),
+SPI and variant, length (header, IV, one ciphertext byte, ICV), ICV, replay
+window (RFC 4303 §3.4.3: 64 numbers, updated as soon as a packet passes it),
+block alignment, pad (pad_length within the payload, then the filler 1, 2,
+3...), then the post-decrypt checks: an ESP tunnel's next_header is 4, a
+tunnel's inner datagram is a valid IPv4 datagram, and Q-ESP's clear protocol
+and ports equal the segment's own (a nested Q-ESP segment must hold a valid
+clear header).  It returns the datagram rebuilt, or the name of the lab's
+error class for the first check that fails.
+
 The golden packet fixtures (tests/fixtures/*.hex) are whitespace-insensitive
 hex of a record stream: each record is a big-endian u32 byte count followed
 by that many datagram bytes.
@@ -191,6 +203,16 @@ def iv_stream(seed: int, cipher: str) -> Iterator[bytes]:
         yield hashlib.sha256(struct.pack(">QQ", seed % 2 ** 64, counter)).digest()[:iv_len]
 
 
+def cbc(cipher: str, key: bytes, iv: bytes, data: bytes, *, decrypt: bool = False) -> bytes:
+    """Block-aligned data CBC-encrypted (or decrypted) under key and iv; NULL is the identity."""
+    algorithm = _CIPHERS[cipher][2]
+    if algorithm is None:
+        return data
+    context = Cipher(algorithm(key), modes.CBC(iv))
+    context = context.decryptor() if decrypt else context.encryptor()
+    return context.update(data) + context.finalize()
+
+
 def encap(datagram: bytes, *, variant: str, mode: str, cipher: str, cipher_key: bytes,
           mac: str, mac_key: bytes, spi: int, seq: int, iv: bytes, extended: bool = False,
           tunnel_src: int | None = None, tunnel_dst: int | None = None) -> bytes:
@@ -210,21 +232,129 @@ def encap(datagram: bytes, *, variant: str, mode: str, cipher: str, cipher_key: 
         tail = b""
     else:
         header, tail = struct.pack(">II", spi, seq), bytes([next_header])
-    block, _, algorithm = _CIPHERS[cipher]
-    pad_len = -(len(plaintext) + 1 + len(tail)) % math.lcm(block, 4)
+    pad_len = -(len(plaintext) + 1 + len(tail)) % math.lcm(_CIPHERS[cipher][0], 4)
     padded = plaintext + bytes(range(1, pad_len + 1)) + bytes([pad_len]) + tail
-    if algorithm is not None:
-        enc = Cipher(algorithm(cipher_key), modes.CBC(iv)).encryptor()
-        padded = enc.update(padded) + enc.finalize()
-    body = header + iv + padded
+    body = header + iv + cbc(cipher, cipher_key, iv, padded)
     if _HASHES[mac] is None:
         return encode(outer, body)
-    covered = body
+    return encode(outer, body + _icv(outer, body + bytes(12), mac, mac_key, extended))
+
+
+def _icv(outer: Header, body: bytes, mac: str, mac_key: bytes, extended: bool) -> bytes:
+    """The ICV of a packet whose body (ICV included, at any value) travels
+    under outer: the truncated HMAC over the body less its ICV, preceded
+    under extended auth by the zeroed outer header."""
+    covered = body[:-12]
     if extended:
         zeroed = replace(outer, tos=0, flags=0, fragment_offset=0, ttl=0)
-        prefix = encode(zeroed, body + bytes(12))[:HEADER_LEN]
-        covered = prefix[:10] + bytes(2) + prefix[12:] + body
-    return encode(outer, body + hmac.new(mac_key, covered, _HASHES[mac]).digest()[:12])
+        prefix = encode(zeroed, body)[:HEADER_LEN]
+        covered = prefix[:10] + bytes(2) + prefix[12:] + covered
+    return hmac.new(mac_key, covered, _HASHES[mac]).digest()[:12]
+
+
+# --- the receiver ---------------------------------------------------------------
+
+# The lab's error class for each reason parse() rejects a datagram.
+_PARSE_VERDICTS = {"short": "Truncated", "version": "InvalidHeader", "ihl": "UnsupportedOptions",
+                   "truncated": "Truncated", "trailing": "InvalidHeader",
+                   "checksum": "BadChecksum"}
+REPLAY_WINDOW = 64
+
+
+def _qesp_header_verdict(header: bytes) -> str | None:
+    """Why a Q-ESP clear header is refused, else None: short, SPI 0, a flag
+    other than bit 0, a nonzero reserved field, or a nonzero port under an
+    inner protocol other than TCP and UDP."""
+    if len(header) < 16:
+        return "Truncated"
+    spi, _, src_port, dst_port, inner, flags, reserved = struct.unpack(">IIHHBBH", header[:16])
+    if spi == 0 or flags & 0xFE or reserved or inner not in (6, 17) and (src_port or dst_port):
+        return "InvalidHeader"
+    return None
+
+
+def decap(datagram: bytes, *, variant: str, mode: str, cipher: str, cipher_key: bytes,
+          mac: str, mac_key: bytes, spi: int, seen: set[int],
+          extended: bool = False) -> bytes | str:
+    """The receiver's verdict on datagram under the one SA these parameters
+    (as for encap) describe: the original datagram, or the name of the lab's
+    error class for the first check it fails.  seen holds the sequence
+    numbers that passed the SA's replay check so far; a packet that passes
+    it adds its own, whatever checks follow."""
+    try:
+        outer, body = parse(datagram)
+    except Rejected as exc:
+        return _PARSE_VERDICTS[exc.reason]
+    arrived = {253: "qesp", 50: "esp"}.get(outer.protocol)
+    if arrived is None:
+        return "InvalidHeader"
+    if arrived == "qesp":
+        verdict = _qesp_header_verdict(body)
+        if verdict:
+            return verdict
+        header_len, inner_protocol, clear_ports = 16, body[12], body[8:12]
+    else:
+        if len(body) < 8:
+            return "Truncated"
+        if body[:4] == bytes(4):
+            return "InvalidHeader"
+        header_len = 8
+    got_spi, seq = struct.unpack(">II", body[:8])
+    if got_spi != spi or arrived != variant:
+        return "UnknownSpi"
+
+    block, iv_len, _ = _CIPHERS[cipher]
+    icv_len = 0 if _HASHES[mac] is None else 12
+    if len(body) < header_len + iv_len + 1 + icv_len:
+        return "Truncated"
+    if icv_len and not hmac.compare_digest(_icv(outer, body, mac, mac_key, extended),
+                                           body[-12:]):
+        return "AuthFailure"
+    top = max(seen, default=0)
+    if seq == 0 or seq <= top and (top - seq >= REPLAY_WINDOW or seq in seen):
+        return "ReplayRejected"
+    seen.add(seq)
+
+    iv = body[header_len:header_len + iv_len]
+    ciphertext = body[header_len + iv_len:len(body) - icv_len]
+    if len(ciphertext) % block:
+        return "BadPadding"
+    padded = cbc(cipher, cipher_key, iv, ciphertext, decrypt=True)
+    trailer = 1 if variant == "qesp" else 2
+    end = len(padded) - trailer
+    if end < 0:
+        return "BadPadding"
+    pad_len = padded[end]
+    if pad_len > end or padded[end - pad_len:end] != bytes(range(1, pad_len + 1)):
+        return "BadPadding"
+    payload = padded[:end - pad_len]
+    if variant == "esp":
+        inner_protocol = padded[-1]
+
+    segment, segment_protocol = payload, inner_protocol
+    if mode == "tunnel":
+        if variant == "esp" and inner_protocol != 4:
+            return "BadPadding"
+        try:
+            inner, segment = parse(payload)
+        except Rejected as exc:
+            return _PARSE_VERDICTS[exc.reason]
+        segment_protocol = inner.protocol
+    if variant == "qesp":
+        shown = bytes(4)
+        if segment_protocol in (6, 17):
+            if len(segment) < 4:
+                return "Truncated"
+            shown = segment[:4]
+        elif segment_protocol == 253:
+            verdict = _qesp_header_verdict(segment)
+            if verdict:
+                return verdict
+        if segment_protocol != inner_protocol or shown != clear_ports:
+            return "FiveTupleMismatch"
+    if mode == "tunnel":
+        return payload
+    return encode(replace(outer, protocol=inner_protocol), payload)
 
 
 # --- golden fixture streams ---------------------------------------------------

@@ -254,6 +254,13 @@ MIXED = FIXTURES / "mixed_priority.json"
                                       "--seed", "1", "--mode", "transport"]),
     ("cli_throughput_tunnel.csv", ["throughput", "--sizes", "64,1024", "--duration", "2",
                                    "--seed", "1", "--mode", "tunnel"]),
+    ("cli_throughput_null_null_tunnel.csv", ["throughput", "--cipher", "null", "--mac", "null",
+                                             "--mode", "tunnel", "--sizes", "64,1024",
+                                             "--duration", "2", "--seed", "1"]),
+    ("cli_throughput_null_sha1_transport.csv", ["throughput", "--cipher", "null",
+                                                "--mac", "hmac-sha1-96", "--mode", "transport",
+                                                "--sizes", "64,1024", "--duration", "2",
+                                                "--seed", "1"]),
 ])
 def test_output_byte_identical_to_recorded(fixture, argv, capsys):
     """CSV rows and summary lines stay byte-for-byte what the recorded run printed."""
@@ -400,6 +407,44 @@ class TestOneShotTools:
                 expected = engine.outbound(cfg.build_sadb().lookup_by_spi(spi), datagram)
                 assert capsys.readouterr().out == expected.hex() + "\n"
         assert picked == {"voice": 769, "video": 769, "web": 770, "gre": None, "plain": None}
+
+    @pytest.mark.parametrize("selector,protection,verdict", [
+        ({"protocol": 47, "dst_ports": [0, 0]}, 771, "error: ConfigError: config: source gre: "
+                                                     "protection 771, but the SA selectors "
+                                                     "pick None\n"),
+        ({"protocol": 47, "dst_ports": [0, 0]}, None, None),
+        ({"protocol": 47}, 771, 771),
+        ({"protocol": 47}, None, "error: ConfigError: config: source gre: protection None, "
+                                 "but the SA selectors pick 771\n"),
+    ], ids=["ports-771", "ports-clear", "any-771", "any-clear"])
+    def test_portless_flow_is_selected_on_the_ports_it_shows(self, selector, protection,
+                                                              verdict, tmp_path, capsys):
+        """A GRE datagram shows no ports, so no port constraint selects its
+        flow, whatever ports the source configures (0/0 by default): the run
+        and encap protect it under the same SA, or both leave it in clear."""
+        spec = json.loads(MIXED.read_text())
+        spec["sas"].append({"spi": 771, "variant": "esp", "mode": "transport",
+                            "cipher": "null", "cipher_key_hex": "", "mac": "null",
+                            "mac_key_hex": "", "selector": selector})
+        gre = next(src for src in spec["sources"] if src["flow_id"] == "gre")
+        gre["protection"] = protection
+        config = tmp_path / "gre.json"
+        config.write_text(json.dumps(spec))
+        if isinstance(verdict, str):
+            assert main(["priority", "--config", str(config)]) == 3
+            assert capsys.readouterr().err == verdict
+            return
+        assert main(["priority", "--config", str(config)]) == 0
+        cfg = load_config(str(config))
+        stats = next(s for s in run_simulation(cfg) if s.flow_id == "gre")
+        assert stats.delivered_packets > 0
+        protected = stats.delivered_wire_bytes > stats.delivered_plain_bytes
+        assert protected is (verdict is not None)
+        five_tuple = next(src.five_tuple for src in cfg.sources if src.flow_id == "gre")
+        datagram = tmp_path / "gre.hex"
+        datagram.write_text(build_datagram(five_tuple, bytes(500), 7).hex())
+        assert main(["encap", "--config", str(config), "--in", str(datagram)]) == (
+            0 if protected else 12)
 
     def test_esp_encap_rejects_a_segment_short_of_its_ports(self, tmp_path, capsys):
         """The mixed fixture's SA 770 is ESP: its outbound reads the ports as

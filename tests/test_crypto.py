@@ -270,6 +270,31 @@ class TestIcv:
         assert crypto.verify_icv(state, buf, expected, prefix)
 
 
+class TestNullRule:
+    """A state's length says whether it does any work: iv_len is 0 exactly for
+    the identity cipher and icv_len 0 exactly for the NULL MAC, so callers may
+    skip the calls on that test alone."""
+
+    @pytest.mark.parametrize("alg", list(CipherAlg), ids=lambda a: a.value)
+    def test_iv_len_is_zero_exactly_for_the_identity_cipher(self, alg):
+        state = CipherState(alg, bytes(alg.key_len))
+        assert (state.iv_len == 0) is (alg is CipherAlg.NULL)
+        data, iv = bytes(range(48)), bytes(state.iv_len)
+        ciphertext = crypto.encrypt(state, iv, data)
+        assert (ciphertext == data) is (state.iv_len == 0)
+        assert crypto.decrypt(state, iv, ciphertext) == data
+        assert (IvGenerator(1).next_iv(state.iv_len) == b"") is (state.iv_len == 0)
+
+    @pytest.mark.parametrize("alg", list(MacAlg), ids=lambda a: a.value)
+    def test_icv_len_is_zero_exactly_for_the_null_mac(self, alg):
+        state = MacState(alg, bytes(alg.key_len))
+        assert (state.icv_len == 0) is (alg is MacAlg.NULL)
+        icv = crypto.compute_icv(state, b"data", b"prefix")
+        assert len(icv) == state.icv_len
+        assert crypto.verify_icv(state, b"data", b"", b"prefix") is (state.icv_len == 0)
+        assert crypto.verify_icv(state, b"data", icv, b"prefix")
+
+
 class TestIvGenerator:
     def test_deterministic_per_seed(self):
         a, b = IvGenerator(42), IvGenerator(42)

@@ -33,6 +33,7 @@ from qesp_lab.errors import (
     FiveTupleMismatch,
     InvalidHeader,
     OversizePacket,
+    QespLabError,
     ReplayRejected,
     SequenceExhausted,
     Truncated,
@@ -51,6 +52,21 @@ def oracle_encap(sa, datagram: bytes, seq: int, iv: bytes) -> bytes:
                         mac=sa.mac.value, mac_key=sa.mac_key, spi=sa.spi, seq=seq, iv=iv,
                         extended=sa.extended_auth, tunnel_src=sa.tunnel_src,
                         tunnel_dst=sa.tunnel_dst)
+
+
+def oracle_decap(sa, packet: bytes, seen: set[int]) -> bytes | str:
+    """oracle.decap under sa's parameters, passed as plain values."""
+    return oracle.decap(packet, variant=sa.variant.value, mode=sa.mode.value,
+                        cipher=sa.cipher.value, cipher_key=sa.cipher_key, mac=sa.mac.value,
+                        mac_key=sa.mac_key, spi=sa.spi, seen=seen, extended=sa.extended_auth)
+
+
+def inbound_verdict(sadb, packet: bytes) -> bytes | str:
+    """engine.inbound's datagram, or the name of the QespLabError it raised."""
+    try:
+        return engine.inbound(sadb, packet)
+    except QespLabError as exc:
+        return type(exc).__name__
 
 
 # 2 modes x 3 ciphers x 3 MACs x {Q-ESP, Q-ESP with extended auth, ESP}
@@ -75,15 +91,20 @@ class TestOracleDifferential:
     @settings(max_examples=12, deadline=None)
     def test_engine_matches_oracle(self, variant, extended, mode, cipher, mac, datagrams,
                                    spi, iv_seed):
-        """A fresh SA's packets equal the oracle's byte for byte and decap back."""
+        """A fresh SA's packets equal the oracle's byte for byte and decap back,
+        in the engine and in the oracle; both refuse a replay and a forgery alike."""
         sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac, spi=spi,
                      extended_auth=extended, iv_seed=iv_seed)
-        receiver = sadb_with(replace(sa))
+        receiver, seen = sadb_with(replace(sa)), set()
         ivs = oracle.iv_stream(iv_seed, cipher.value)
         for seq, datagram in enumerate(datagrams, start=1):
             packet = engine.outbound(sa, datagram)
             assert packet == oracle_encap(sa, datagram, seq, next(ivs))
             assert engine.inbound(receiver, packet) == datagram
+            assert oracle_decap(sa, packet, seen) == datagram
+        forged = packet[:-1] + bytes([packet[-1] ^ 1])
+        for refused in (packet, forged):
+            assert inbound_verdict(receiver, refused) == oracle_decap(sa, refused, seen)
 
 
 GOLDEN_CASES = {
@@ -123,6 +144,7 @@ class TestGoldenFixtures:
             (FIXTURES / f"{name}.hex").read_text())
         db = sadb_with(golden_sa(name))
         assert engine.inbound(db, recorded_out) == recorded_in
+        assert oracle_decap(golden_sa(name), recorded_out, set()) == recorded_in
 
 
 class TestNullNullLayout:
@@ -365,6 +387,87 @@ class TestInboundRejections:
         datagram = make_datagram(payload_len=65481)  # 65509-byte segment
         with pytest.raises(OversizePacket):
             engine.outbound(sa, datagram)
+
+
+# --- the receiver against oracle.decap, under a NULL MAC --------------------------
+
+NESTED_SA = make_sa(spi=0x303, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+PLAIN_DATAGRAMS = st.builds(
+    make_datagram, protocol=st.sampled_from([6, 17, 1, 47]), payload_len=st.integers(0, 40),
+    src_port=st.integers(0, 0xFFFF), dst_port=st.integers(0, 0xFFFF),
+    ident=st.integers(0, 0xFFFF), rng=st.integers(0, 2 ** 32).map(random.Random))
+# One in four TCP/UDP datagrams is sent as a Q-ESP datagram, whose clear
+# header decap reads one layer deep.
+INNER_DATAGRAMS = st.builds(
+    lambda datagram, nest: (engine.outbound(replace(NESTED_SA), datagram)
+                            if nest and datagram[9] in (6, 17) else datagram),
+    PLAIN_DATAGRAMS, st.integers(0, 3).map(lambda k: k == 0))
+MUTATION_KINDS = ["none", "length", "header", "clear_copy", "pad_byte", "pad_length",
+                  "next_header", "ports", "plaintext"]
+# (kind, where, mask): where picks a byte or a length change, mask is XORed in.
+MUTATIONS = st.tuples(st.sampled_from(MUTATION_KINDS), st.integers(0, 2 ** 16),
+                      st.integers(1, 255))
+
+
+def mutated(sa, packet: bytes, what: str, where: int, value: int) -> bytes:
+    """packet with one change: to its length, to a byte of its protocol
+    header (Q-ESP's clear copies of the ports and protocol are bytes 8-12),
+    or to its decrypted body (pad, pad_length, next_header, the segment's
+    ports or a tunnel's inner header, or any byte), then encrypted again
+    under its IV.  The outer IPv4 header is re-encoded, so it stays valid."""
+    outer, body = oracle.parse(packet)
+    header_len = 16 if sa.variant is ProtocolVariant.QESP else 8
+    iv_end = header_len + sa.cipher.iv_len
+    header, iv = bytearray(body[:header_len]), body[header_len:iv_end]
+    padded = bytearray(oracle.cbc(sa.cipher.value, sa.cipher_key, iv, body[iv_end:],
+                                  decrypt=True))
+    end = len(padded) - (1 if sa.variant is ProtocolVariant.QESP else 2)
+    if what == "length":  # cut 1..48 bytes or append 1..24
+        change = where % 72 - 48
+        body = body[:change] if change < 0 else body + bytes([value]) * (change + 1)
+        return oracle.encode(outer, body)
+    if what == "header":
+        header[where % header_len] ^= value
+    elif what == "clear_copy":  # ESP has none: its sequence number instead
+        header[8 + where % 5 if header_len == 16 else 4 + where % 4] ^= value
+    elif what == "pad_byte":  # the last payload byte when there is no pad
+        padded[end - 1 - where % max(padded[end], 1)] ^= value
+    elif what == "ports":  # or the inner header's first bytes, if shorter
+        offset = wire.IPV4_HEADER_LEN if sa.mode is SaMode.TUNNEL else 0
+        padded[min(offset + where % 4, end - 1)] ^= value
+    elif what == "plaintext":
+        padded[where % len(padded)] ^= value
+    elif what == "pad_length":
+        padded[end] ^= value
+    elif what == "next_header":  # Q-ESP has none: its pad_length instead
+        padded[-1] ^= value
+    return oracle.encode(outer, header + iv
+                         + oracle.cbc(sa.cipher.value, sa.cipher_key, iv, bytes(padded)))
+
+
+class TestReceiverAgainstOracle:
+    """Under a NULL MAC every receiver rule after the ICV is reachable: the
+    engine gives oracle.decap's verdict on every mutated packet, in any
+    delivery order, duplicates included."""
+
+    @pytest.mark.parametrize("variant,mode,cipher",
+                             [(variant, mode, cipher) for variant in ALL_VARIANTS
+                              for mode in ALL_MODES for cipher in ALL_CIPHERS],
+                             ids=lambda v: v.value)
+    @given(sent=st.lists(st.tuples(INNER_DATAGRAMS, MUTATIONS), min_size=1, max_size=4),
+           order=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+           extended=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_inbound_gives_the_oracle_verdict(self, variant, mode, cipher, sent, order,
+                                              extended):
+        sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=MacAlg.NULL,
+                     extended_auth=extended and variant is ProtocolVariant.QESP)
+        receiver, seen = sadb_with(replace(sa)), set()
+        packets = [mutated(sa, engine.outbound(sa, datagram), *mutation)
+                   for datagram, mutation in sent]
+        for index in order:
+            packet = packets[index % len(packets)]
+            assert inbound_verdict(receiver, packet) == oracle_decap(sa, packet, seen)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

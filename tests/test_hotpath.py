@@ -5,6 +5,7 @@ classifier."""
 from __future__ import annotations
 
 import ast
+import collections
 import struct
 from dataclasses import replace
 from importlib import resources
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import ALL_MODES, ALL_VARIANTS, make_sa, sadb_with
-from qesp_lab import classifier, engine, wire
+from qesp_lab import classifier, crypto, engine, sadb, wire
 from qesp_lab.classifier import MEMO_LIMIT, ClassifierRule, RuleTable
 from qesp_lab.config import load_config
 from qesp_lab.crypto import CipherAlg, MacAlg
@@ -373,16 +374,19 @@ def test_port_protocols_named_only_in_wire(module):
     assert not names & {"IPPROTO_TCP", "IPPROTO_UDP"}
 
 
-@pytest.mark.parametrize("module,function", [(engine, "outbound"), (engine, "inbound"),
-                                             (classifier, "classify_and_remark")])
+@pytest.mark.parametrize("module,function", [
+    (engine, "outbound"), (engine, "inbound"), (classifier, "classify_and_remark"),
+    (sadb, "SecurityAssociation.seal"), (sadb, "SecurityAssociation.unseal")])
 def test_per_packet_path_reads_no_enum_member(module, function):
     """Reading an Enum member (ProtocolVariant.QESP) costs about ten global
     reads under CPython 3.11, and an Enum-keyed lookup (LAYOUTS[variant]) a
     call of the Python-level Enum.__hash__; the per-packet functions test
-    identity against module aliases instead."""
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
-    body = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == function)
+    identity against module aliases, and seal and unseal tell the NULL
+    cipher by its iv_len, instead."""
+    body = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for name in function.split("."):
+        body = next(node for node in body.body
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name)
     enums = {"ProtocolVariant", "SaMode", "CipherAlg", "MacAlg"}
     reads = [ast.unparse(node) for node in ast.walk(body)
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -390,6 +394,16 @@ def test_per_packet_path_reads_no_enum_member(module, function):
              or isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
              and node.value.id == "LAYOUTS"]
     assert reads == []
+
+
+@pytest.mark.parametrize("module", [sadb, engine], ids=lambda m: m.__name__)
+def test_null_transforms_told_by_public_lengths(module):
+    """sadb and engine tell a NULL transform by iv_len and icv_len, never by
+    a crypto state's private contexts."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    private = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr in ("_enc", "_dec", "_chain", "_inner", "_outer")}
+    assert private == set()
 
 
 class TestRemarkInPlace:
@@ -581,3 +595,35 @@ class TestQespHeaderRuleEverywhere:
         with pytest.raises(InvalidHeader):
             engine.inbound(sadb, packet)
         assert engine.inbound(sadb, voice) == udp(4000, 5060)
+
+
+# --- NULL transforms cost no call ----------------------------------------------
+
+# The per-packet crypto calls, where sadb and engine look them up.
+CRYPTO_CALLS = ((sadb, "encrypt"), (sadb, "decrypt"), (crypto, "compute_icv"),
+                (crypto, "verify_icv"), (crypto.IvGenerator, "next_iv"))
+
+
+@pytest.mark.parametrize("variant,mode", ENCAPSULATIONS, ids=lambda v: v.value)
+@pytest.mark.parametrize("cipher,mac", [(c, m) for c in CipherAlg for m in MacAlg],
+                         ids=lambda a: a.value)
+def test_null_transforms_cost_no_call(cipher, mac, variant, mode, monkeypatch):
+    """One packet out and back in: the identity cipher draws no IV and calls
+    neither encrypt nor decrypt, and the NULL MAC neither computes nor
+    verifies an ICV; a keyed transform makes its calls once each way
+    (verify_icv computes the ICV it compares)."""
+    calls = collections.Counter()
+    for owner, name in CRYPTO_CALLS:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, _name=name, _real=real: calls.update([_name])
+                            or _real(*args))
+    sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac)
+    datagram = udp(4000, 5060)
+    assert engine.inbound(sadb_with(replace(sa)), engine.outbound(sa, datagram)) == datagram
+    expected = collections.Counter()
+    if cipher is not CipherAlg.NULL:
+        expected.update(["next_iv", "encrypt", "decrypt"])
+    if mac is not MacAlg.NULL:
+        expected.update(["compute_icv", "compute_icv", "verify_icv"])
+    assert calls == expected

@@ -532,21 +532,24 @@ def random_scenario(seed: int) -> ExperimentConfig:
     """A congested link, staggered sources, TCP/UDP/portless protocols, plain
     and protected flows, some sharing an SA across classes.
 
-    SA 0x21 takes the flows to ports 80..5060 (classes 0, 1 and 2), the tunnel
-    SA 0x22 the other TCP flows, and the rest run in clear."""
+    SA 0x21 takes the TCP and UDP flows to ports 80..5060 (classes 0, 1 and
+    2), the tunnel SA 0x22 the other TCP flows, the ESP SA 0x23 every
+    protocol-47 flow, whose datagrams show no ports, and the rest run in clear."""
     rng = random.Random(seed)
     sas = [null_sa_spec(0x21, (80, 5060)), SecurityAssociation(
         spi=0x22, variant=rng.choice(list(ProtocolVariant)), mode=SaMode.TUNNEL,
         cipher=CipherAlg.AES_128_CBC, cipher_key=bytes(16), mac=MacAlg.HMAC_MD5_96,
         mac_key=bytes(16), selector=Selector(protocol=IPPROTO_TCP),
-        tunnel_src=addr_to_int("192.0.2.1"), tunnel_dst=addr_to_int("192.0.2.2"), iv_seed=seed)]
+        tunnel_src=addr_to_int("192.0.2.1"), tunnel_dst=addr_to_int("192.0.2.2"), iv_seed=seed),
+        replace(null_sa_spec(0x23, None, ProtocolVariant.ESP), selector=Selector(protocol=47))]
     sources = []
     for i in range(rng.randint(2, 5)):
         start = rng.choice((0.0, rng.uniform(0, 1)))
         stop = rng.choice((None, start + rng.uniform(0.5, 2)))
         port = rng.choice((5060, 9000, 80))
         protocol = rng.choice((IPPROTO_UDP, IPPROTO_TCP, 47))
-        spi = 0x21 if port != 9000 else 0x22 if protocol == IPPROTO_TCP else None
+        spi = (0x23 if protocol == 47 else 0x21 if port != 9000
+               else 0x22 if protocol == IPPROTO_TCP else None)
         sources.append(flow(f"f{i}", port, rng.uniform(20, 150), rng.randint(16, 1200),
                             spi=spi, protocol=protocol, start=start, stop=stop))
     rules = RuleTable(rules=(
@@ -689,7 +692,8 @@ POLICY_SOURCES = st.lists(st.tuples(st.sampled_from(("10.0.0.1", "10.0.1.1")),
 class TestOnePolicy:
     """The SA selectors are the one security policy: ExperimentConfig accepts
     a config exactly when every source's protection names the SA that the
-    first-match walk picks for its five-tuple, and run_simulation protects
+    first-match walk picks for the five-tuple its datagrams show, as encap
+    picks it (ports None for protocol 47), and run_simulation protects
     exactly the flows that walk picks an SA for, under that SA."""
 
     @given(sa_specs=POLICY_SAS, source_specs=POLICY_SOURCES)
@@ -706,7 +710,8 @@ class TestOnePolicy:
         sources, picked = [], {}
         for i, (src, protocol, dst_port, declared) in enumerate(source_specs):
             ft = FiveTuple(addr_to_int(src), addr_to_int("10.0.9.9"), protocol, 4000, dst_port)
-            picked[f"f{i}"] = sa = sadb.lookup_outbound(ft)
+            shown = engine.five_tuple_of(netsim.build_datagram(ft, bytes(100)))
+            picked[f"f{i}"] = sa = sadb.lookup_outbound(shown)
             spi = None if sa is None else sa.spi
             if declared == "picked":
                 declared = spi

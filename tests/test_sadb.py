@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 import oracle
 from conftest import make_sa, sadb_with
 from qesp_lab.crypto import CipherAlg, MacAlg
-from qesp_lab.errors import ConfigError, DuplicateSpi, SequenceExhausted
+from qesp_lab.errors import ConfigError, DuplicateSpi, ReplayRejected, SequenceExhausted
 from qesp_lab.sadb import (
     REPLAY_WINDOW,
+    SEQ_MAX,
     FiveTuple,
     Ipv4Net,
     ProtocolVariant,
@@ -217,6 +218,30 @@ class TestSequenceNumbers:
         assert [seq for seq, _ in combined] == list(range(1, 2001))  # no duplicates, no gaps
         ivs = oracle.iv_stream(sa.iv_seed, sa.cipher.value)
         assert [iv for _, iv in combined] == [next(ivs) for _ in range(2000)]
+
+
+class TestIdentityCipher:
+    """The NULL cipher skips the IV and the cipher, not the sequence and replay rules."""
+
+    @pytest.mark.parametrize("mac", list(MacAlg), ids=lambda m: m.value)
+    def test_spends_sequence_numbers_to_the_ceiling(self, mac):
+        sa = make_sa(cipher=CipherAlg.NULL, mac=mac)
+        assert sa.seal(b"abcd") == (1, b"", b"abcd")
+        sa.seq_next = SEQ_MAX - 1
+        assert sa.seal(b"abcd") == (SEQ_MAX - 1, b"", b"abcd")
+        with pytest.raises(SequenceExhausted):
+            sa.seal(b"abcd")  # seq_next now SEQ_MAX: rekey, no silent wrap
+        assert sa.seq_next == SEQ_MAX
+
+    @pytest.mark.parametrize("mac", list(MacAlg), ids=lambda m: m.value)
+    def test_rejects_replays(self, mac):
+        sa = make_sa(cipher=CipherAlg.NULL, mac=mac)
+        assert sa.unseal(100, b"", b"abcd") == b"abcd"
+        assert sa.unseal(37, b"", b"efgh") == b"efgh"
+        for seq in (100, 37, 36, 0):  # duplicates, too old, zero
+            with pytest.raises(ReplayRejected, match=f"^seq {seq} rejected by replay window$"):
+                sa.unseal(seq, b"", b"abcd")
+        assert (sa.replay_highest, sa.replay_bitmap) == (100, 1 | 1 << 63)
 
 
 class TestAntiReplay:
