@@ -205,7 +205,7 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     segment_protocol, offset = inner_protocol, 0
     if tunnel:
         if not qesp and inner_protocol != IPPROTO_IPIP:
-            raise BadPadding(f"tunnel-mode next_header {inner_protocol} is not IP-in-IP")
+            raise InvalidHeader(f"tunnel-mode next_header {inner_protocol} is not IP-in-IP")
         segment_protocol, offset = wire.read_ipv4(plaintext)[6], IPV4_HEADER_LEN
     if qesp:
         ports = wire.extract_ports(segment_protocol, plaintext, offset)

@@ -12,15 +12,22 @@ under tail drop.  Encapsulation and classification take zero simulated time;
 latency is dequeue completion minus emission.
 
 Sources are open loop, so the whole emission schedule is known before the
-run, and the link has at most one completion pending.  run_simulation sorts
-every emission by (time, flow-major number) and walks them in that order,
-first finishing each service whose completion time is < the emission's time;
-at equal times the emission goes first.  That is the order of one event heap
-holding every emission numbered flow by flow and each completion numbered
-after them, so a given (config, seed) always produces byte-identical
-statistics.  The seeded rng draws all jitter, flow by flow, and then one
-payload per flow, which every packet of that flow carries; datagrams differ
-by IP identification (and, when protected, by sequence number and IV).
+run, and the link has at most one completion pending.  run_simulation owns
+the whole link: the packet in service, its completion time and the waiting
+room, one FIFO per class that tail-drops an arrival finding queue_limit
+packets ahead of it.  The server is work-conserving and non-preemptive: an
+idle link serves an arrival at once, and each service end takes the oldest
+packet of the highest non-empty class.  The walk sorts every emission by
+(time, flow-major number) and takes them in that order, first finishing each
+service whose completion time is < the emission's time; at equal times the
+emission goes first.  That is the order of one event heap holding every
+emission numbered flow by flow and each completion numbered after them, so a
+given (config, seed) always produces byte-identical statistics.  The
+event-driven reference model, with its own strict-priority waiting room,
+lives in tests/test_netsim.py and checks this walk.  The seeded rng draws all
+jitter, flow by flow, and then one payload per flow, which every packet of
+that flow carries; datagrams differ by IP identification (and, when
+protected, by sequence number and IV).
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import classifier, engine, wire
 from .errors import ConfigError, QespLabError, check_int
@@ -185,38 +192,6 @@ class EventScheduler:
             fn()
 
 
-class PriorityLink:
-    """Waiting room of a strict-priority link: per-class FIFO with tail drop.
-
-    The server itself is the caller's: it is work-conserving and
-    non-preemptive, takes dequeue() whenever a service ends, and offers a
-    packet to enqueue() only while a packet is in service (an idle link
-    serves an arrival at once).  Entries are opaque to the link.
-    """
-
-    def __init__(self, cfg: LinkConfig) -> None:
-        self._queue_limit = cfg.queue_limit
-        self._class_map = dict(cfg.class_map)
-        n_classes = max(self._class_map.values(), default=0) + 1
-        self._queues: list[deque[Any]] = [deque() for _ in range(n_classes)]
-        self._highest_first = self._queues[::-1]
-
-    def enqueue(self, entry: Any, dscp: int) -> bool:
-        """Queue an entry in its DSCP's class; False means tail-dropped."""
-        queue = self._queues[self._class_map.get(dscp, 0)]
-        if len(queue) >= self._queue_limit:
-            return False
-        queue.append(entry)
-        return True
-
-    def dequeue(self) -> Any:
-        """Oldest entry of the highest non-empty class, or None when all are empty."""
-        for queue in self._highest_first:
-            if queue:
-                return queue.popleft()
-        return None
-
-
 def _camel_to_snake(name: str) -> str:
     return re.sub(r"(?<=[a-z0-9])(?=[A-Z])", "_", name).lower()
 
@@ -248,12 +223,10 @@ class _FlowState:
     offered_packets: int = 0
     delivered_packets: int = 0
     delivered_wire: int = 0
-    dropped: int = 0
     drop_reasons: dict[str, int] = field(default_factory=dict)
     latency_sum: float = 0.0
 
     def drop(self, reason: str) -> None:
-        self.dropped += 1
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
 
 
@@ -269,7 +242,11 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
     rng = random.Random(config.seed)
     duration = config.duration
     capacity = config.link.capacity_bps
-    link = PriorityLink(config.link)
+    queue_limit = config.link.queue_limit
+    class_map = config.link.class_map
+    # the link's waiting room: one FIFO per class, served highest class first
+    queues = [deque() for _ in range(max(class_map.values(), default=0) + 1)]
+    highest_first = queues[::-1]
 
     flows = [_FlowState(src, src.five_tuple, sadb.lookup_outbound(src.shown_five_tuple))
              for src in config.sources]
@@ -310,9 +287,12 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
                 owner.delivered_packets += 1
                 owner.delivered_wire += len(sent)
                 owner.latency_sum += done - emitted_at
-            in_service = link.dequeue()
-            if in_service is not None:
-                done += len(in_service[2]) * 8 / capacity
+            in_service = None
+            for queue in highest_first:
+                if queue:
+                    in_service = queue.popleft()
+                    done += len(in_service[2]) * 8 / capacity
+                    break
         if fl is None:
             break
         plain = build_datagram(fl.five_tuple, fl.payload, ident)
@@ -325,8 +305,12 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
         if in_service is None:
             in_service = (fl, now, marked)
             done = now + len(marked) * 8 / capacity
-        elif not link.enqueue((fl, now, marked), dscp):
-            fl.drop("queue_full")
+        else:
+            queue = queues[class_map.get(dscp, 0)]
+            if len(queue) < queue_limit:
+                queue.append((fl, now, marked))
+            else:
+                fl.drop("queue_full")
 
     stats = []
     for fl in flows:
@@ -340,7 +324,7 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
             delivered_bytes=delivered * src.payload_size,
             delivered_plain_bytes=delivered * plain_len,
             delivered_wire_bytes=fl.delivered_wire,
-            dropped_packets=fl.dropped,
+            dropped_packets=sum(fl.drop_reasons.values()),
             drop_reasons=dict(fl.drop_reasons),
             mean_latency_s=fl.latency_sum / delivered if delivered else 0.0,
             throughput_kbps=delivered * src.payload_size * 8 / duration / 1000,

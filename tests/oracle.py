@@ -334,7 +334,7 @@ def decap(datagram: bytes, *, variant: str, mode: str, cipher: str, cipher_key: 
     segment, segment_protocol = payload, inner_protocol
     if mode == "tunnel":
         if variant == "esp" and inner_protocol != 4:
-            return "BadPadding"
+            return "InvalidHeader"
         try:
             inner, segment = parse(payload)
         except Rejected as exc:

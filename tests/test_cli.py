@@ -462,6 +462,22 @@ class TestOneShotTools:
         assert main(["decap", "--config", str(MIXED), "--in", str(packet)]) == 4
         assert capsys.readouterr().err == "error: InvalidHeader: spi 0 is reserved for 'no SA'\n"
 
+    def test_decap_rejects_esp_tunnel_content_that_is_not_ip_in_ip(self, capsys):
+        """An ESP tunnel packet under the mixed fixture's SA 770, valid ICV
+        and pad, whose next_header is 17: its content is not an IPv4
+        datagram, a malformed packet (exit 4), not a padding failure (exit 8).
+        The receiver model gives the same verdict."""
+        fixture = FIXTURES / "esp_tunnel_next_header_17.hex"
+        sa = json.loads(MIXED.read_text())["sas"][1]
+        packet = bytes.fromhex("".join(fixture.read_text().split()))
+        assert oracle.decap(packet, variant="esp", mode="tunnel", cipher=sa["cipher"],
+                            cipher_key=bytes.fromhex(sa["cipher_key_hex"]), mac=sa["mac"],
+                            mac_key=bytes.fromhex(sa["mac_key_hex"]), spi=sa["spi"],
+                            seen=set()) == "InvalidHeader"
+        assert main(["decap", "--config", str(MIXED), "--in", str(fixture)]) == 4
+        assert capsys.readouterr().err == (
+            "error: InvalidHeader: tunnel-mode next_header 17 is not IP-in-IP\n")
+
     def test_malformed_hex_input(self, tmp_path, config_file, capsys):
         bad = tmp_path / "bad.hex"
         bad.write_text("zz not hex")
@@ -496,6 +512,8 @@ class TestBenchCrypto:
 
     def test_bad_algs_flag(self, capsys):
         assert main(["bench-crypto", "--algs", "caesar"]) == 3
+        assert capsys.readouterr().err == (
+            "error: ConfigError: --algs: expected cipher/mac pairs, got 'caesar'\n")
 
     def test_unknown_algorithm(self, capsys):
         assert main(["bench-crypto", "--algs", "aes-128-cbc/md4"]) == 3

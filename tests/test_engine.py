@@ -326,6 +326,20 @@ class TestInboundRejections:
         with pytest.raises(BadPadding):
             engine.inbound(db, bytes(out))
 
+    @pytest.mark.parametrize("past", [1, 2])
+    @pytest.mark.parametrize("variant", list(ProtocolVariant), ids=lambda v: v.value)
+    def test_pad_length_just_past_the_payload(self, variant, past):
+        """NULL/NULL: pad_length end + 1 (or + 2) would slice an empty (or
+        one-byte) filler off the trailer's end, which the filler check alone
+        passes, and rebuild a datagram from part of the trailer."""
+        sa = make_sa(variant=variant, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
+        out = bytearray(engine.outbound(sa, make_datagram(payload_len=10)))
+        header_len, trailer = (16, 1) if variant is ProtocolVariant.QESP else (8, 2)
+        end = len(out) - wire.IPV4_HEADER_LEN - header_len - trailer
+        out[-trailer] = end + past
+        with pytest.raises(BadPadding, match=f"^pad_length {end + past} exceeds payload$"):
+            engine.inbound(sadb_with(sa), bytes(out))
+
     def test_misaligned_ciphertext_is_bad_padding_after_the_replay_update(self, udp_datagram):
         """With no ICV, a body one byte short of the AES block reaches the
         decrypt; the replay window has already taken its seq by then."""

@@ -25,7 +25,6 @@ from qesp_lab.netsim import (
     EventScheduler,
     FlowStats,
     LinkConfig,
-    PriorityLink,
     TrafficSource,
     run_simulation,
 )
@@ -70,37 +69,49 @@ def simple_config(sources, link=None, sas=(), rules=RuleTable(), duration=10.0,
 
 
 class ReferenceServer:
-    """PriorityLink's queues behind a server whose every completion is an
-    EventScheduler event: the event-driven form of run_simulation's link.
+    """A strict-priority link whose every completion is an EventScheduler
+    event: the event-driven form of run_simulation's link, with a waiting
+    room of its own.
 
+    The waiting room is one list of (class, arrival number, entry).  A
+    service end takes the entry of the highest class that arrived first; an
+    arrival whose class already holds queue_limit entries is tail-dropped.
     Entries are tuples whose last item is the wire bytes.
     """
 
     def __init__(self, cfg: LinkConfig, scheduler: EventScheduler, deliver) -> None:
-        self.queues = PriorityLink(cfg)
-        self.capacity = cfg.capacity_bps
+        self.cfg = cfg
         self.scheduler = scheduler
         self.deliver = deliver
         self.in_service = None
+        self.waiting: list[tuple[int, int, tuple]] = []
+        self.arrivals = 0
 
     def arrive(self, entry, dscp: int, now: float) -> bool:
         """Serve at once on an idle link, else queue; False means tail-dropped."""
         if self.in_service is None:
             self._start(entry, now)
             return True
-        return self.queues.enqueue(entry, dscp)
+        cls = self.cfg.class_map.get(dscp, 0)
+        if [c for c, _, _ in self.waiting].count(cls) >= self.cfg.queue_limit:
+            return False
+        self.waiting.append((cls, self.arrivals, entry))
+        self.arrivals += 1
+        return True
 
     def _start(self, entry, now: float) -> None:
         self.in_service = entry
-        self.scheduler.schedule(now + len(entry[-1]) * 8 / self.capacity, self._complete)
+        self.scheduler.schedule(now + len(entry[-1]) * 8 / self.cfg.capacity_bps,
+                                self._complete)
 
     def _complete(self) -> None:
         entry, self.in_service = self.in_service, None
         now = self.scheduler.now
         self.deliver(entry, now)
-        following = self.queues.dequeue()
-        if following is not None:
-            self._start(following, now)
+        if self.waiting:
+            chosen = max(self.waiting, key=lambda waiting: (waiting[0], -waiting[1]))
+            self.waiting.remove(chosen)
+            self._start(chosen[2], now)
 
 
 def reference_run(config: ExperimentConfig, scheduler: EventScheduler | None = None,
@@ -250,6 +261,25 @@ class TestLinkHandSteppedTrace:
         scheduler.run()
         assert deliveries == [("low", pytest.approx(0.1)), ("high", pytest.approx(0.2))]
 
+    def test_run_simulation_steps_the_same_trace(self, monkeypatch):
+        """The trace above through run_simulation's own queues: each packet is
+        a one-packet plaintext flow emitted on the grid, 72 B UDP payloads
+        make 100 wire bytes, and C's port is the one marked 46."""
+        monkeypatch.setattr(netsim, "random", type("Rng", (), {"Random": ZeroJitter}))
+        rules = RuleTable(rules=(ClassifierRule(
+            selector=Selector(dst_ports=(5060, 5060)), dscp=46),))
+        sources = [flow(name, port, 100, 72, start=t, stop=t + 0.01)
+                   for name, port, t in (("A", 9000, 0.00), ("B", 9001, 0.02),
+                                         ("C", 5060, 0.03), ("D", 9002, 0.04))]
+        stats = {s.flow_id: s for s in run_simulation(simple_config(
+            sources, rules=rules, duration=1.0,
+            link=LinkConfig(capacity_bps=8000, queue_limit=1, class_map={46: 1})))}
+        assert {name: (s.offered_packets, s.delivered_packets, s.drop_reasons)
+                for name, s in stats.items()} == {
+            "A": (1, 1, {}), "B": (1, 1, {}), "C": (1, 1, {}), "D": (1, 0, {"queue_full": 1})}
+        assert {name: round(stats[name].mean_latency_s, 6) for name in "ACB"} == {
+            "A": 0.10, "C": 0.17, "B": 0.28}
+
 
 class TestRunSimulation:
     def test_uncongested_goodput_is_rate_times_size(self):
@@ -391,7 +421,7 @@ class TestRunSimulation:
         (dict(class_map={"46": 1}), "class_map key must be an int in 0..63, got '46'"),
         (dict(class_map={-1: 1}), "class_map key must be an int in 0..63, got -1")])
     def test_link_ints_built_in_code_are_checked(self, fields, message):
-        """class_map {46: 1.5} once aborted a run inside PriorityLink."""
+        """class_map {46: 1.5} once aborted a run inside the link's queues."""
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             LinkConfig(**{"capacity_bps": 1e6, "queue_limit": 1, **fields})
 
@@ -528,9 +558,17 @@ def matches_reference(config, monkeypatch, rng_class=random.Random):
     return stats, scheduler
 
 
+# The class maps random_scenario draws, under rules that mark voice 46 and
+# TCP 10: voice over TCP, no map (one class), one class above a gap, an
+# explicit class 0 (every DSCP in class 0), and TCP over voice.
+SCENARIO_CLASS_MAPS = ({46: 2, 10: 1}, {}, {46: 5}, {0: 0}, {10: 3, 46: 1})
+SCENARIO_SEEDS = range(12)
+
+
 def random_scenario(seed: int) -> ExperimentConfig:
-    """A congested link, staggered sources, TCP/UDP/portless protocols, plain
-    and protected flows, some sharing an SA across classes.
+    """A congested link of a drawn class map and queue limit (often 1),
+    staggered sources, TCP/UDP/portless protocols, plain and protected flows,
+    some sharing an SA across classes.
 
     SA 0x21 takes the TCP and UDP flows to ports 80..5060 (classes 0, 1 and
     2), the tunnel SA 0x22 the other TCP flows, the ESP SA 0x23 every
@@ -555,8 +593,9 @@ def random_scenario(seed: int) -> ExperimentConfig:
     rules = RuleTable(rules=(
         ClassifierRule(selector=Selector(dst_ports=(5060, 5060)), dscp=46),
         ClassifierRule(selector=Selector(protocol=IPPROTO_TCP), dscp=10)))
-    link = LinkConfig(capacity_bps=rng.uniform(2e5, 1.5e6), queue_limit=rng.randint(1, 12),
-                      class_map={46: 2, 10: 1})
+    link = LinkConfig(capacity_bps=rng.uniform(2e5, 1.5e6),
+                      queue_limit=rng.choice((1, rng.randint(2, 12))),
+                      class_map=dict(rng.choice(SCENARIO_CLASS_MAPS)))
     return simple_config(sources, link=link, sas=sas, rules=rules, duration=3.0, seed=seed)
 
 
@@ -603,9 +642,20 @@ class TestAgainstEventDrivenReference:
         stats, _ = matches_reference(cfg, monkeypatch)
         assert stats[1].drop_reasons.get("replay_rejected", 0) > 0
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", SCENARIO_SEEDS)
     def test_random_scenarios(self, seed, monkeypatch):
         matches_reference(random_scenario(seed), monkeypatch)
+
+    def test_random_scenarios_draw_every_link(self):
+        """The seeds above cover every class map, and queue limit 1 on a link
+        with more than one class that tail-drops."""
+        links = {seed: random_scenario(seed).link for seed in SCENARIO_SEEDS}
+        drawn = [link.class_map for link in links.values()]
+        assert all(class_map in drawn for class_map in SCENARIO_CLASS_MAPS)
+        assert any(link.queue_limit == 1 and len(set(link.class_map.values())) > 1
+                   and sum(s.drop_reasons.get("queue_full", 0)
+                           for s in run_simulation(random_scenario(seed))) > 0
+                   for seed, link in links.items())
 
     def test_exact_ties_put_the_emission_first(self, monkeypatch):
         """Zero jitter: plaintext UDP, 1000 B datagrams, 128 pps each on 1.024

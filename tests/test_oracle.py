@@ -87,8 +87,9 @@ class TestModel:
 
 
 # Each *.hex fixture is a golden record stream, except these, which hold one
-# datagram as bare hex for `qesp-lab classify --in`.
-BARE_FIXTURES = ("qesp_reserved_set.hex", "qesp_portless_ports.hex")
+# datagram as bare hex for `qesp-lab classify --in` or `qesp-lab decap --in`.
+BARE_FIXTURES = ("qesp_reserved_set.hex", "qesp_portless_ports.hex",
+                 "esp_tunnel_next_header_17.hex")
 GOLDEN_FIXTURES = sorted(p for p in FIXTURES.glob("*.hex") if p.name not in BARE_FIXTURES)
 
 

@@ -190,8 +190,11 @@ class TestIpv4:
         assert type(caught.value) is error and str(caught.value) == message
 
     def test_oversize_payload_rejected(self):
-        with pytest.raises(InvalidHeader):
-            wire.pack_ipv4(0, 0, 0, 64, 6, 1, 2, b"\x00" * 65516)
+        """The length check names the payload; without it, struct would refuse
+        total_length 65536 as an out-of-range field."""
+        assert len(wire.pack_ipv4(0, 0, 0, 64, 6, 1, 2, bytes(65515))) == 0xFFFF
+        with pytest.raises(InvalidHeader, match="^payload too long for IPv4: 65516$"):
+            wire.pack_ipv4(0, 0, 0, 64, 6, 1, 2, bytes(65516))
 
     @pytest.mark.parametrize("index,value", [(0, 256), (1, -1), (2, 0x10000), (3, 256),
                                              (4, 256), (5, 2 ** 32), (6, None)],
