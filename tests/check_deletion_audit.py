@@ -1,17 +1,17 @@
 """Check-deletion audit: does a test fail when any one check is deleted?
 
-For each `raise` statement in the chosen qesp_lab modules (by default
-engine, wire, sadb, crypto, config, cli and netsim), and each `return False`
-guard in SecurityAssociation.replay_check_and_update, the script makes a
-mutant: a copy of the tree with that one statement replaced by `pass`.  It
-runs the module's focused test modules on the mutant with `-x`; a mutant
+For each `raise` statement in the qesp_lab modules engine, wire, sadb,
+crypto, config, cli and netsim, and each `return False` guard in
+SecurityAssociation.replay_check_and_update, the script makes a mutant: a
+copy of the tree with that one statement replaced by `pass`.  It runs the
+module's focused test modules on the mutant with `-x`; a mutant
 they do not kill then runs the whole suite with `-x`.  A mutant the whole
 suite does not kill is a survivor: the check is either redundant or pinned
 by no test.
 
 Run it as:
 
-    python3 tests/check_deletion_audit.py [--modules engine,wire,...]
+    python3 tests/check_deletion_audit.py
 
 It prints one line per mutant and then the survivors, and exits 1 if any
 survive.  Hypothesis runs with seed 0 and no saved examples, so a run is
@@ -19,16 +19,16 @@ repeatable; a check that only rare random inputs reach can survive it
 though a lucky random run kills it, and wants a test of its own.
 
 It works in one temporary copy of src/, tests/, docs/ and pyproject.toml,
-which it removes afterwards; the checkout is never written.  Each mutant
-takes a few seconds, or about half a minute when it reaches the whole
-suite; the 80-odd mutants of the default modules take about ten minutes on
-two cores.  The mutants are found and written with the standard library's
-ast module alone.
+which it removes afterwards; the checkout is never written.  Before any
+mutation the whole suite must pass on the copy, so a test that already
+fails there cannot pass off a mutant as killed.  Each mutant takes a few
+seconds, or about half a minute when it reaches the whole suite; CHANGES.md
+gives the measured time of the last full run.  The mutants are found and
+written with the standard library's ast module alone.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -68,11 +68,12 @@ def check_sites(source: str) -> list[ast.stmt]:
 
 def mutate(source: str, node: ast.stmt) -> str:
     """source with the statement at node replaced by `pass`; every other
-    character stays where it was."""
-    lines = source.splitlines(keepends=True)
+    character stays where it was.  ast's column offsets count UTF-8 bytes,
+    so the lines are cut as bytes."""
+    lines = source.encode().splitlines(keepends=True)
     first, last = node.lineno - 1, node.end_lineno - 1
-    joined = lines[first][:node.col_offset] + "pass" + lines[last][node.end_col_offset:]
-    mutant = "".join(lines[:first]) + joined + "".join(lines[last + 1:])
+    joined = lines[first][:node.col_offset] + b"pass" + lines[last][node.end_col_offset:]
+    mutant = (b"".join(lines[:first]) + joined + b"".join(lines[last + 1:])).decode()
     ast.parse(mutant)  # the replacement must leave valid Python
     return mutant
 
@@ -86,19 +87,22 @@ def passes(tree: Path, targets: list[str]) -> bool:
     return result.returncode == 0
 
 
-def audit(tree: Path, modules: list[str]) -> list[str]:
-    """Run every mutant of modules in tree; return the survivors."""
+def audit(tree: Path) -> list[str]:
+    """Run every mutant of every module in FOCUSED in tree; return the
+    survivors."""
     probe = subprocess.run([sys.executable, "-c", "import qesp_lab; print(qesp_lab.__file__)"],
                            cwd=tree, env={**os.environ, "PYTHONPATH": str(tree / "src")},
                            capture_output=True, text=True, check=True)
     if not Path(probe.stdout.strip()).is_relative_to(tree):
         sys.exit(f"qesp_lab imports from {probe.stdout.strip()}, not the copy")
-    for module in modules:
+    for module in FOCUSED:
         if not passes(tree, FOCUSED[module]):
             sys.exit(f"{' '.join(FOCUSED[module])} fail before any mutation")
+    if not passes(tree, []):
+        sys.exit("the whole suite fails before any mutation")
 
     survivors = []
-    for module in modules:
+    for module in FOCUSED:
         path = tree / "src" / "qesp_lab" / f"{module}.py"
         original = path.read_text()
         lines = original.splitlines()
@@ -120,13 +124,6 @@ def audit(tree: Path, modules: list[str]) -> list[str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--modules", default=",".join(FOCUSED),
-                        help=f"comma-separated, from {', '.join(FOCUSED)}")
-    modules = parser.parse_args().modules.split(",")
-    unknown = sorted(set(modules) - set(FOCUSED))
-    if unknown:
-        parser.error(f"unknown modules: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory(prefix="check-deletion-audit-") as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -136,7 +133,7 @@ def main() -> int:
                                 ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
             else:
                 shutil.copy2(source, tree / name)
-        survivors = audit(tree, modules)
+        survivors = audit(tree)
     print(f"\n{len(survivors)} survivor(s)")
     for where in survivors:
         print(f"  {where}")
