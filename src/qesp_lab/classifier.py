@@ -16,11 +16,12 @@ selection, encap and decap raise for it.
 A rule that constrains a port can never match a packet whose ports are
 unavailable, which is exactly how ESP traffic degrades to the default class.
 
-Each RuleTable memoises the DSCP per raw flow key: a known flow costs one dict
-probe, a miss builds the FiveTuple for dscp_for and stores the answer, so the
-memo pays off only when flows repeat.  It is exact (table, rules and selectors
-are frozen, so dscp_for is pure), is emptied at MEMO_LIMIT keys, and takes no
-part in equality, hashing or dataclasses.replace.
+Each RuleTable memoises the DSCP per raw flow key.  classify_and_remark, the
+one per-packet entry point, is the memo's one reader and writer: a known flow
+costs one dict probe, a miss builds the FiveTuple for dscp_for and stores the
+answer, so the memo pays off only when flows repeat.  It is exact (table,
+rules and selectors are frozen, so dscp_for is pure), is emptied at MEMO_LIMIT
+keys, and takes no part in equality, hashing or dataclasses.replace.
 
 Remarking repacks the header with wire.pack_ipv4 from the fields read_ipv4
 returned, with only the DSCP bits of the ToS byte changed (ECN bits kept), so
@@ -65,15 +66,6 @@ class RuleTable:
         rule = first_match(self.rules, ft)
         return self.default_dscp if rule is None else rule.dscp
 
-    def _dscp_of_flow(self, key: tuple) -> int:
-        dscp = self._memo.get(key)
-        if dscp is None:
-            dscp = self.dscp_for(FiveTuple(*key))
-            if len(self._memo) >= MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = dscp
-        return dscp
-
 
 def _flow_key(packet: bytes, fields: tuple[int, ...]) -> tuple:
     """(src, dst, protocol, src_port, dst_port), in FiveTuple field order."""
@@ -90,18 +82,17 @@ def extract_fields(packet: bytes) -> FiveTuple:
     return FiveTuple(*_flow_key(packet, wire.read_ipv4(packet)))
 
 
-def classify(table: RuleTable, packet: bytes) -> int:
-    """DSCP for one packet: first matching rule wins, else the default."""
-    return table._dscp_of_flow(_flow_key(packet, wire.read_ipv4(packet)))
-
-
 def classify_and_remark(table: RuleTable, packet: bytes) -> tuple[int, bytes]:
-    """Classify, then write the chosen DSCP into the packet's ToS byte."""
+    """Classify (first matching rule wins, else the default), then write the
+    chosen DSCP into the packet's ToS byte."""
     fields = wire.read_ipv4(packet)
     key = _flow_key(packet, fields)
     dscp = table._memo.get(key)
     if dscp is None:
-        dscp = table._dscp_of_flow(key)
+        dscp = table.dscp_for(FiveTuple(*key))
+        if len(table._memo) >= MEMO_LIMIT:
+            table._memo.clear()
+        table._memo[key] = dscp
     _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = fields
     new_tos = (dscp << 2) | (tos & 0x03)
     if new_tos == tos:

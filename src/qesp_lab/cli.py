@@ -41,7 +41,9 @@ from .errors import (
     UnknownSpi,
     check_int,
 )
-from .netsim import FlowStats, LinkConfig, TrafficSource, build_datagram, run_simulation
+from .netsim import (
+    MAX_PAYLOAD_SIZE, FlowStats, LinkConfig, TrafficSource, build_datagram, run_simulation,
+)
 from .sadb import SEED_MAX, FiveTuple, ProtocolVariant, SaMode, SecurityAssociation, Selector
 from .wire import IPPROTO_UDP, int_to_addr, parse_decimal
 
@@ -124,8 +126,8 @@ def _parse_sizes(text: str) -> list[int]:
         sizes = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise ConfigError(f"--sizes: not an integer list: {text!r}") from None
-    if not sizes or any(s < 1 or s > 65000 for s in sizes):
-        raise ConfigError("--sizes: values must be in [1, 65000]")
+    if not sizes or any(s < 1 or s > MAX_PAYLOAD_SIZE for s in sizes):
+        raise ConfigError(f"--sizes: values must be in [1, {MAX_PAYLOAD_SIZE}]")
     return sizes
 
 

@@ -188,10 +188,10 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
         # Only reachable under a NULL MAC; a real ICV catches tampering first.
         raise BadPadding(str(exc)) from None
 
-    # The trailer: pad, pad_length, then ESP's next_header.
+    # The trailer: pad, pad_length, then ESP's next_header.  The body holds at
+    # least one ciphertext byte (checked above), so end >= -1, and a body
+    # shorter than its trailer fails the pad_length test.
     end = len(padded) - trailer_fixed
-    if end < 0:
-        raise BadPadding("decrypted payload shorter than its trailer")
     pad_len = padded[end]
     if pad_len > end:
         raise BadPadding(f"pad_length {pad_len} exceeds payload")

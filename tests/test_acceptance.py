@@ -163,8 +163,8 @@ def test_04_five_tuple_exposure():
                           default_dscp=rng.randint(0, 63))
         packet = random_plain_packet(rng)
         sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
-        assert classifier.classify(table, packet) == \
-            classifier.classify(table, engine.outbound(sa, packet))
+        assert classifier.classify_and_remark(table, packet)[0] == \
+            classifier.classify_and_remark(table, engine.outbound(sa, packet))[0]
 
     esp_sa_template = dict(variant=ProtocolVariant.ESP, spi=0x202)
     for _ in range(1000):
@@ -182,7 +182,8 @@ def test_04_five_tuple_exposure():
         table = RuleTable(rules=tuple(rules), default_dscp=rng.randint(0, 63))
         packet = random_plain_packet(rng)
         sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL, **esp_sa_template)
-        assert classifier.classify(table, engine.outbound(sa, packet)) == table.default_dscp
+        sent = engine.outbound(sa, packet)
+        assert classifier.classify_and_remark(table, sent)[0] == table.default_dscp
     _passed(4, "five-tuple exposure and ESP degradation")
 
 

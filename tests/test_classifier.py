@@ -60,7 +60,8 @@ class TestExtraction:
         assert fields.protocol == 1
         assert (fields.src_port, fields.dst_port) == (None, None)
         table = RuleTable(rules=(ClassifierRule(Selector(dst_ports=(0, 0)), EF),))
-        assert classifier.classify(table, plain) == classifier.classify(table, qesp_of(plain)) == 0
+        assert (classifier.classify_and_remark(table, plain)[0]
+                == classifier.classify_and_remark(table, qesp_of(plain))[0] == 0)
 
     def test_malformed_rejected(self):
         with pytest.raises(MalformedPacket):
@@ -69,33 +70,33 @@ class TestExtraction:
 
 class TestClassification:
     def test_qesp_keeps_voice_class(self, udp_datagram):
-        assert classifier.classify(VOICE_TABLE, udp_datagram) == EF
-        assert classifier.classify(VOICE_TABLE, qesp_of(udp_datagram)) == EF
+        assert classifier.classify_and_remark(VOICE_TABLE, udp_datagram)[0] == EF
+        assert classifier.classify_and_remark(VOICE_TABLE, qesp_of(udp_datagram))[0] == EF
 
     def test_esp_falls_to_default(self, udp_datagram):
-        assert classifier.classify(VOICE_TABLE, esp_of(udp_datagram)) == 0
+        assert classifier.classify_and_remark(VOICE_TABLE, esp_of(udp_datagram))[0] == 0
 
     def test_empty_table_is_default(self, udp_datagram):
-        assert classifier.classify(RuleTable(default_dscp=7), udp_datagram) == 7
+        assert classifier.classify_and_remark(RuleTable(default_dscp=7), udp_datagram)[0] == 7
 
     def test_first_match_wins(self, udp_datagram):
         table = RuleTable(rules=(
             ClassifierRule(selector=Selector(protocol=17), dscp=10),
             PORT_5060_RULE), default_dscp=0)
-        assert classifier.classify(table, udp_datagram) == 10
+        assert classifier.classify_and_remark(table, udp_datagram)[0] == 10
 
     def test_rule_on_esp_protocol_number_still_matches(self, udp_datagram):
         table = RuleTable(rules=(
             ClassifierRule(selector=Selector(protocol=50), dscp=20),), default_dscp=0)
-        assert classifier.classify(table, esp_of(udp_datagram)) == 20
+        assert classifier.classify_and_remark(table, esp_of(udp_datagram))[0] == 20
 
     def test_port_rule_never_matches_unavailable_ports(self, udp_datagram):
         table = RuleTable(rules=(
             ClassifierRule(selector=Selector(src_ports=(0, 65535)), dscp=30),),
             default_dscp=0)
         # the rule is maximally permissive, but ESP ports are unavailable
-        assert classifier.classify(table, esp_of(udp_datagram)) == 0
-        assert classifier.classify(table, udp_datagram) == 30
+        assert classifier.classify_and_remark(table, esp_of(udp_datagram))[0] == 0
+        assert classifier.classify_and_remark(table, udp_datagram)[0] == 30
 
 
     @pytest.mark.parametrize("bad", [-1, 64, 1.5, True, "0"])
@@ -166,8 +167,8 @@ class TestClassifierEquivalence:
                               default_dscp=rng.randint(0, 63))
             packet = random_plain_packet(rng)
             encapsulated = qesp_of(packet, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
-            assert classifier.classify(table, packet) == \
-                classifier.classify(table, encapsulated), f"pair {i}"
+            assert classifier.classify_and_remark(table, packet)[0] == \
+                classifier.classify_and_remark(table, encapsulated)[0], f"pair {i}"
 
     def test_port_constrained_tables_degrade_all_esp(self):
         rng = random.Random(78)
@@ -186,4 +187,4 @@ class TestClassifierEquivalence:
                 rules.append(rule)
             table = RuleTable(rules=tuple(rules), default_dscp=rng.randint(0, 63))
             packet = random_plain_packet(rng)
-            assert classifier.classify(table, esp_of(packet)) == table.default_dscp
+            assert classifier.classify_and_remark(table, esp_of(packet))[0] == table.default_dscp

@@ -10,7 +10,7 @@ import threading
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -360,7 +360,7 @@ class TestInboundRejections:
                                mac=MacAlg.NULL))
         packet = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_ESP, 1, 2,
                                 wire.pack_esp_header(0x101, 1) + b"\x04")
-        with pytest.raises(BadPadding, match="^decrypted payload shorter than its trailer$"):
+        with pytest.raises(BadPadding, match="^pad_length 4 exceeds payload$"):
             engine.inbound(db, packet)
 
     def test_esp_tunnel_inner_datagram_is_validated(self, udp_datagram):
@@ -471,6 +471,10 @@ class TestReceiverAgainstOracle:
     @given(sent=st.lists(st.tuples(INNER_DATAGRAMS, MUTATIONS), min_size=1, max_size=4),
            order=st.lists(st.integers(0, 3), min_size=1, max_size=6),
            extended=st.booleans())
+    # An ESP tunnel next_header of 23 or 17, not IP-in-IP (4): drawn at some
+    # seeds only, so pinned here for every seed.
+    @example(sent=[(make_datagram(), ("next_header", 0, 0x13))], order=[0], extended=False)
+    @example(sent=[(make_datagram(), ("next_header", 0, 4 ^ 17))], order=[0, 0], extended=False)
     @settings(max_examples=50, deadline=None)
     def test_inbound_gives_the_oracle_verdict(self, variant, mode, cipher, sent, order,
                                               extended):

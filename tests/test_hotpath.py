@@ -216,16 +216,17 @@ class TestAgainstReferences:
         """
         sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
         encapsulated = outcome(engine.outbound, sa, packet)
-        plain = outcome(classifier.classify, table, packet)
+        plain = outcome(classifier.classify_and_remark, table, packet)
         if isinstance(encapsulated, type) or isinstance(plain, type):
             assert encapsulated is plain  # both layers reject it, with one class
         elif packet[9] == wire.IPPROTO_QESP:
             src, dst = struct.unpack_from(">II", packet, 12)
             one_layer = FiveTuple(src, dst, wire.IPPROTO_QESP, None, None)
             assert classifier.extract_fields(encapsulated) == one_layer
-            assert classifier.classify(table, encapsulated) == table.dscp_for(one_layer)
+            assert (classifier.classify_and_remark(table, encapsulated)[0]
+                    == table.dscp_for(one_layer))
         else:
-            assert classifier.classify(table, encapsulated) == plain
+            assert classifier.classify_and_remark(table, encapsulated)[0] == plain[0]
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     @pytest.mark.parametrize("mode", ALL_MODES)
@@ -270,7 +271,7 @@ class TestShortSegmentIsMalformedEverywhere:
     @SHORT
     def test_plain_classify(self, short):
         with pytest.raises(MalformedPacket):
-            classifier.classify(RuleTable(), short)
+            classifier.classify_and_remark(RuleTable(), short)
 
     @SHORT
     def test_five_tuple_of(self, short):
@@ -297,7 +298,7 @@ class TestShortSegmentIsMalformedEverywhere:
     def test_tcp_too(self, variant):
         short_tcp = wire.pack_ipv4(0, 1, 0, 64, wire.IPPROTO_TCP, SRC, DST, b"\x00\x50\x01")
         with pytest.raises(MalformedPacket):
-            classifier.classify(RuleTable(), short_tcp)
+            classifier.classify_and_remark(RuleTable(), short_tcp)
         sa = make_sa(variant=variant)
         with pytest.raises(MalformedPacket):
             engine.outbound(sa, short_tcp)
@@ -308,8 +309,8 @@ class TestShortSegmentIsMalformedEverywhere:
         assert wire.extract_ports(wire.IPPROTO_UDP, udp, wire.IPV4_HEADER_LEN) == (4000, 5060)
         table = RuleTable(rules=(ClassifierRule(Selector(dst_ports=(5060, 5060)), 46),))
         sa = make_sa(cipher=CipherAlg.NULL, mac=MacAlg.NULL)
-        assert classifier.classify(table, udp) == 46
-        assert classifier.classify(table, engine.outbound(sa, udp)) == 46
+        assert classifier.classify_and_remark(table, udp)[0] == 46
+        assert classifier.classify_and_remark(table, engine.outbound(sa, udp))[0] == 46
 
 
 class TestPortlessProtocols:
@@ -480,8 +481,6 @@ class TestFlowMemo:
         for packet in stream:
             expected = outcome(reference_classify_and_remark, table, packet)
             assert outcome(classifier.classify_and_remark, table, packet) == expected
-            assert outcome(classifier.classify, table, packet) == (
-                expected[0] if isinstance(expected, tuple) else expected)
 
     def test_bounded_and_exact_past_the_limit(self):
         table = RuleTable(rules=(ClassifierRule(Selector(src_ports=(0, 999)), 10), VOICE),
@@ -506,23 +505,24 @@ class TestFlowMemo:
         assert [classifier.classify_and_remark(table, p)[0] for p in voice] == [46, 46, 46]
         # The Q-ESP copy shows the same flow key at its fixed offsets.
         qesp = engine.outbound(null_sa(ProtocolVariant.QESP, SaMode.TRANSPORT), voice[0])
-        assert classifier.classify(table, voice[1]) == classifier.classify(table, qesp) == 46
+        assert (classifier.classify_and_remark(table, voice[1])[0]
+                == classifier.classify_and_remark(table, qesp)[0] == 46)
         assert walked == [FiveTuple(SRC, DST, wire.IPPROTO_UDP, 4000, 5060)]
-        assert classifier.classify(table, udp(4000, 80)) == 0
+        assert classifier.classify_and_remark(table, udp(4000, 80))[0] == 0
         assert len(walked) == 2
 
     def test_warm_memo_keeps_value_semantics(self):
         """The memo takes no part in equality, hashing, repr or replace()."""
         warm, fresh = RuleTable((VOICE,), 3), RuleTable((VOICE,), 3)
-        assert classifier.classify(warm, udp(4000, 5060)) == 46
-        assert classifier.classify(warm, udp(4000, 80)) == 3
+        assert classifier.classify_and_remark(warm, udp(4000, 5060))[0] == 46
+        assert classifier.classify_and_remark(warm, udp(4000, 80))[0] == 3
         assert len(warm._memo) == 2 and not fresh._memo
         assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
         assert {fresh: "table"}[warm] == "table"
         assert replace(warm) == fresh and not replace(warm)._memo
         lowered = replace(warm, default_dscp=0)
         assert lowered == RuleTable((VOICE,), 0)
-        assert classifier.classify(lowered, udp(4000, 80)) == 0
+        assert classifier.classify_and_remark(lowered, udp(4000, 80))[0] == 0
 
 
 # --- one Q-ESP header rule: a clear header decap rejects, no layer reads --------
@@ -573,7 +573,7 @@ class TestQespHeaderRuleEverywhere:
         sa = make_sa(mode=mode, extended_auth=extended_auth)
         packet = mutated_qesp(engine.outbound(sa, udp(4000, 5060)), *mutation)
         outer_sa = make_sa(spi=0x303, cipher=CipherAlg.NULL, mac=MacAlg.NULL)
-        verdicts = {verdict(classifier.classify, BUNDLED.rules, packet),
+        verdicts = {verdict(classifier.classify_and_remark, BUNDLED.rules, packet),
                     verdict(engine.five_tuple_of, packet),
                     verdict(engine.outbound, outer_sa, packet),
                     verdict(engine.inbound, sadb_with(sa), packet)}
@@ -588,10 +588,10 @@ class TestQespHeaderRuleEverywhere:
         under the bundled voice rule while decap rejected it."""
         sadb = BUNDLED.build_sadb()
         voice = engine.outbound(sadb.lookup_by_spi(257), udp(4000, 5060))
-        assert classifier.classify(BUNDLED.rules, voice) == 46
+        assert classifier.classify_and_remark(BUNDLED.rules, voice)[0] == 46
         packet = mutated_qesp(voice, field, value)
         with pytest.raises(InvalidHeader):
-            classifier.classify(BUNDLED.rules, packet)
+            classifier.classify_and_remark(BUNDLED.rules, packet)
         with pytest.raises(InvalidHeader):
             engine.inbound(sadb, packet)
         assert engine.inbound(sadb, voice) == udp(4000, 5060)
