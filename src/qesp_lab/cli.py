@@ -123,7 +123,7 @@ def _write_out(path: str, text: str) -> None:
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        sizes = [int(part) for part in text.split(",") if part]
+        sizes = [parse_decimal(part) for part in text.split(",") if part]
     except ValueError:
         raise ConfigError(f"--sizes: not an integer list: {text!r}") from None
     if not sizes or any(s < 1 or s > MAX_PAYLOAD_SIZE for s in sizes):
@@ -283,6 +283,8 @@ def cmd_bench_crypto(args: argparse.Namespace) -> int:
 # --- one-shot packet utilities ------------------------------------------------
 
 def cmd_encap(args: argparse.Namespace) -> int:
+    if args.spi is not None:
+        check_int(args.spi, "--spi", 1, 0xFFFFFFFF)
     cfg = load_config(args.config)
     sadb = cfg.build_sadb()
     datagram = _read_hex_file(args.infile)

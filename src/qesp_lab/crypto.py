@@ -9,6 +9,11 @@ Block ciphers are delegated to OpenSSL via the `cryptography` package; MACs
 are HMAC (RFC 2104) built here on stdlib hashlib.  Padding, truncation, and
 IV generation are implemented here too.
 
+The loading rule: `cryptography` is imported by the first CipherState built
+for a block cipher (AES-128-CBC or 3DES-CBC), not when this module loads.  A
+process whose SAs are all NULL-cipher, or that builds no SA (the keyless
+classifier), never loads OpenSSL's cipher bindings.
+
 Keyed state is built once per SA, not per packet: a CipherState holds one
 persistent CBC encryptor and one persistent CBC decryptor, a MacState the
 hash states keyed with K ^ ipad and K ^ opad (RFC 2104 §4), which each packet
@@ -45,13 +50,6 @@ import hashlib
 import hmac
 import math
 import struct
-
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
-try:  # moved out of the primitives namespace in cryptography >= 43
-    from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
-except ImportError:  # pragma: no cover
-    from cryptography.hazmat.primitives.ciphers.algorithms import TripleDES
 
 from .errors import BadBlockAlignment, BadIvLength, BadKeyLength
 
@@ -149,7 +147,16 @@ class CipherState:
         self._chain = 0  # last ciphertext block as an int; 0 is the start IV
         if alg is CipherAlg.NULL:
             return
-        algorithm = algorithms.AES(key) if alg is CipherAlg.AES_128_CBC else TripleDES(key)
+        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+        if alg is CipherAlg.AES_128_CBC:
+            algorithm = algorithms.AES(key)
+        else:
+            try:  # moved out of the primitives namespace in cryptography >= 43
+                from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
+            except ImportError:  # pragma: no cover
+                from cryptography.hazmat.primitives.ciphers.algorithms import TripleDES
+            algorithm = TripleDES(key)
         start = modes.CBC(bytes(self.block_size))
         self._enc = Cipher(algorithm, start).encryptor()
         self._dec = Cipher(algorithm, start).decryptor()

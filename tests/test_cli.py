@@ -96,6 +96,15 @@ class TestThroughput:
         assert main(["throughput", "--sizes", "64,nope"]) == 3
         assert "error: ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", ["1_0", "+8", " 8", "\u0668", "64,+8", "1_0,+8, \u0668"])
+    def test_sizes_are_ascii_decimal(self, sizes, capsys):
+        """int() reads 1_0 as 10 and +8, " 8" and the Arabic-Indic ٨ as 8; seeds
+        and config keys refuse them, and so does --sizes."""
+        assert main(["throughput", "--sizes", sizes, "--cipher", "null", "--mac", "null",
+                     "--duration", "0.1"]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: ConfigError: --sizes: not an integer list: {sizes!r}\n")
+
     @pytest.mark.parametrize("sizes", ["0", "65001"])
     def test_sizes_out_of_range(self, sizes, capsys):
         assert main(["throughput", "--sizes", sizes]) == 3
@@ -286,6 +295,14 @@ class TestOneShotTools:
         assert main(["encap", "--config", config_file, "--in", packet_file,
                      "--spi", "0x101"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("spi", ["-1", "0", "0x100000000"])
+    def test_encap_spi_out_of_range(self, spi, config_file, packet_file, capsys):
+        """SPI 0 means 'no SA' and an SPI is 32 bits: a config error, not UnknownSpi."""
+        assert main(["encap", "--config", config_file, "--in", packet_file,
+                     "--spi", spi]) == 3
+        assert capsys.readouterr() == ("", (
+            f"error: ConfigError: --spi must be an int in 1..4294967295, got {int(spi, 0)}\n"))
 
     def test_encap_spi_naming_no_sa(self, config_file, packet_file, capsys):
         assert main(["encap", "--config", config_file, "--in", packet_file,

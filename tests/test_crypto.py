@@ -5,13 +5,19 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from qesp_lab import crypto
 from qesp_lab.crypto import CipherAlg, CipherState, IvGenerator, MacAlg, MacState
 from qesp_lab.errors import BadBlockAlignment, BadIvLength, BadKeyLength
@@ -293,6 +299,64 @@ class TestNullRule:
         assert len(icv) == state.icv_len
         assert crypto.verify_icv(state, b"data", b"", b"prefix") is (state.icv_len == 0)
         assert crypto.verify_icv(state, b"data", icv, b"prefix")
+
+
+# Run in a fresh interpreter: this one has `cryptography` loaded already
+# (this module and tests/oracle.py import it).
+LOADING_RULE_SCRIPT = textwrap.dedent("""
+    import struct, sys
+    from qesp_lab import cli, classifier, engine, wire
+    from qesp_lab.classifier import ClassifierRule, RuleTable
+    from qesp_lab.crypto import CipherAlg, MacAlg
+    from qesp_lab.sadb import ProtocolVariant, Sadb, SaMode, SecurityAssociation, Selector
+
+    VOICE = Selector(protocol=17, dst_ports=(5060, 5060))
+    TABLE = RuleTable(rules=(ClassifierRule(VOICE, 46),))
+    BODY = bytes(range(64))
+    DATAGRAM = wire.pack_ipv4(0, 1, 0, 64, 17, 0x0A000001, 0x0A000909,
+                              struct.pack(">HHHH", 4000, 5060, 8 + len(BODY), 0) + BODY)
+
+    def round_trip(variant, mode, cipher, mac):
+        tunnel = 0xC0000201 if mode is SaMode.TUNNEL else None
+        sa = SecurityAssociation(
+            spi=0x101, variant=variant, mode=mode, cipher=cipher,
+            cipher_key=bytes(range(cipher.key_len)), mac=mac,
+            mac_key=bytes(range(mac.key_len)), tunnel_src=tunnel, tunnel_dst=tunnel)
+        sadb = Sadb()
+        sadb.add_sa(sa)
+        dscp, packet = classifier.classify_and_remark(TABLE, engine.outbound(sa, DATAGRAM))
+        assert dscp == (46 if variant is ProtocolVariant.QESP else 0), (sa, dscp)
+        assert engine.inbound(sadb, packet)[20:] == DATAGRAM[20:], sa
+
+    for variant in ProtocolVariant:
+        for mode in SaMode:
+            for mac in (MacAlg.NULL, MacAlg.HMAC_SHA1_96):
+                round_trip(variant, mode, CipherAlg.NULL, mac)
+    assert cli.main(["throughput", "--cipher", "null", "--mac", "null", "--mode", "tunnel",
+                     "--sizes", "64,1024", "--duration", "2", "--seed", "1",
+                     "--out", sys.argv[1]]) == 0
+    assert "cryptography" not in sys.modules, "a NULL-cipher run loaded cryptography"
+
+    round_trip(ProtocolVariant.QESP, SaMode.TRANSPORT, CipherAlg.AES_128_CBC,
+               MacAlg.HMAC_SHA1_96)
+    assert "cryptography" in sys.modules, "an AES-128-CBC SA ran without cryptography"
+    round_trip(ProtocolVariant.ESP, SaMode.TUNNEL, CipherAlg.TRIPLE_DES_CBC,
+               MacAlg.HMAC_MD5_96)
+""")
+
+
+def test_cryptography_loads_only_for_a_block_cipher_sa(tmp_path):
+    """Importing every module and running NULL-cipher SAs through encap,
+    classify_and_remark and decap (and the NULL/NULL throughput sweep)
+    never imports `cryptography`; an AES or 3DES SA loads it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = tmp_path / "throughput.csv"
+    result = subprocess.run([sys.executable, "-c", LOADING_RULE_SCRIPT, str(out)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == (FIXTURES / "cli_throughput_null_null_tunnel.csv").read_bytes()
 
 
 class TestIvGenerator:
