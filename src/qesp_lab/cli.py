@@ -100,13 +100,13 @@ def resolve_seed(flag_seed: str | None, config_seed: int) -> int:
 
 def _read_hex_file(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     try:
-        return bytes.fromhex("".join(text.split()))
-    except ValueError:
+        return bytes.fromhex("".join(raw.decode("utf-8").split()))
+    except ValueError:  # UnicodeDecodeError included
         raise MalformedPacket(f"{path} is not a hex-encoded packet") from None
 
 
@@ -252,6 +252,7 @@ def bench_encapsulation(variant: ProtocolVariant, cipher: CipherAlg, mac: MacAlg
     try:
         for _ in range(repeats):
             sa = replace(template)
+            engine.outbound(sa, datagram)  # its first packet opens the CBC contexts
             start = time.perf_counter_ns()
             for _ in range(iters):
                 engine.outbound(sa, datagram)

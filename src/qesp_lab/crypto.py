@@ -9,12 +9,12 @@ Block ciphers are delegated to OpenSSL via the `cryptography` package; MACs
 are HMAC (RFC 2104) built here on stdlib hashlib.  Padding, truncation, and
 IV generation are implemented here too.
 
-The loading rule: `cryptography` is imported by the first CipherState built
-for a block cipher (AES-128-CBC or 3DES-CBC), not when this module loads.  A
-process whose SAs are all NULL-cipher, or that builds no SA (the keyless
-classifier), never loads OpenSSL's cipher bindings.
+The loading rule: `cryptography` is imported by the first encrypt or decrypt
+under a block cipher (AES-128-CBC or 3DES-CBC), which opens that state's CBC
+contexts.  So a process that never ciphers a packet (the keyless classifier,
+a config load, NULL-cipher runs) never loads OpenSSL's cipher bindings.
 
-Keyed state is built once per SA, not per packet: a CipherState holds one
+Keyed state is per SA, not per packet: a CipherState holds one
 persistent CBC encryptor and one persistent CBC decryptor, a MacState the
 hash states keyed with K ^ ipad and K ^ opad (RFC 2104 §4), which each packet
 copies and feeds its coverage in place.  SA keys (16/20 B) are shorter than
@@ -132,10 +132,10 @@ def _check_key(alg: CipherAlg | MacAlg, key: bytes) -> None:
 
 
 class CipherState:
-    """One SA's keyed cipher: persistent CBC contexts plus the constants the
-    per-packet path reads (block_size, iv_len, effective_block)."""
+    """One SA's keyed cipher: the constants the per-packet path reads (block_size,
+    iv_len, effective_block) and CBC contexts, opened by the first encrypt or decrypt."""
 
-    __slots__ = ("alg", "block_size", "iv_len", "effective_block", "_enc", "_dec", "_chain")
+    __slots__ = ("alg", "block_size", "iv_len", "effective_block", "_key", "_enc", "_dec", "_chain")
 
     def __init__(self, alg: CipherAlg, key: bytes) -> None:
         _check_key(alg, key)
@@ -143,23 +143,24 @@ class CipherState:
         self.block_size = alg.block_size
         self.iv_len = alg.iv_len
         self.effective_block = alg.effective_block
+        self._key = key
         self._enc = self._dec = None
         self._chain = 0  # last ciphertext block as an int; 0 is the start IV
-        if alg is CipherAlg.NULL:
-            return
-        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-        if alg is CipherAlg.AES_128_CBC:
-            algorithm = algorithms.AES(key)
-        else:
-            try:  # moved out of the primitives namespace in cryptography >= 43
-                from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
-            except ImportError:  # pragma: no cover
-                from cryptography.hazmat.primitives.ciphers.algorithms import TripleDES
-            algorithm = TripleDES(key)
-        start = modes.CBC(bytes(self.block_size))
-        self._enc = Cipher(algorithm, start).encryptor()
-        self._dec = Cipher(algorithm, start).decryptor()
+
+def _open_cbc(state: CipherState) -> None:
+    """Open a block cipher state's CBC encryptor and decryptor, both from a zero IV."""
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+    if state.alg is CipherAlg.AES_128_CBC:
+        algorithm = algorithms.AES(state._key)
+    else:
+        try:  # moved out of the primitives namespace in cryptography >= 43
+            from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
+        except ImportError:  # pragma: no cover
+            from cryptography.hazmat.primitives.ciphers.algorithms import TripleDES
+        algorithm = TripleDES(state._key)
+    cipher = Cipher(algorithm, modes.CBC(bytes(state.block_size)))
+    state._enc, state._dec = cipher.encryptor(), cipher.decryptor()
 
 
 class MacState:
@@ -214,7 +215,12 @@ def encrypt(state: CipherState, iv: bytes, plaintext: bytes) -> bytes:
     if len(iv) != state.iv_len or len(plaintext) % block:
         _check_cipher_args(state, iv, plaintext)
     enc = state._enc
-    if enc is None or not plaintext:  # NULL, or no first block to chain
+    if enc is None:
+        if not state.iv_len:  # NULL is the identity
+            return plaintext
+        _open_cbc(state)
+        enc = state._enc
+    if not plaintext:  # no first block to chain
         return plaintext
     first = int.from_bytes(plaintext[:block], "big") ^ int.from_bytes(iv, "big") ^ state._chain
     ciphertext = enc.update(first.to_bytes(block, "big") + plaintext[block:])
@@ -226,9 +232,13 @@ def decrypt(state: CipherState, iv: bytes, ciphertext: bytes) -> bytes:
     """Inverse of encrypt()."""
     if len(iv) != state.iv_len or len(ciphertext) % state.block_size:
         _check_cipher_args(state, iv, ciphertext)
-    if state._dec is None:
-        return ciphertext
-    return state._dec.update(iv + ciphertext)[state.block_size:]
+    dec = state._dec
+    if dec is None:
+        if not state.iv_len:  # NULL is the identity
+            return ciphertext
+        _open_cbc(state)
+        dec = state._dec
+    return dec.update(iv + ciphertext)[state.block_size:]
 
 
 def compute_icv(state: MacState, data: bytes, prefix: bytes = b"") -> bytes:

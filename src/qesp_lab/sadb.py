@@ -122,13 +122,12 @@ class SecurityAssociation:
     replay_highest tracks the greatest authenticated sequence number seen
     inbound.
 
-    The keyed crypto state is built once, here, not per packet: cipher_state
-    holds persistent CBC contexts (see the crypto module for the chaining
-    identities that keep their output byte-identical to a fresh context per
-    packet) and mac_state the keyed HMAC pad states.  One lock guards all of
-    the SA's mutable state (sequence, replay window, IV stream, CBC chain).
-    seal and unseal each take it once per packet, so one SA serializes its
-    packets while distinct SAs may be processed concurrently.
+    cipher_state holds the persistent CBC contexts, which the SA's first
+    encrypt or decrypt opens (see the crypto module), and mac_state the keyed
+    HMAC pad states.  One lock guards all of the SA's mutable state (sequence,
+    replay window, IV stream, CBC chain).  seal and unseal each take it once
+    per packet, so one SA serializes its packets while distinct SAs may be
+    processed concurrently.
     """
 
     spi: int

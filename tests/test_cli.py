@@ -10,9 +10,10 @@ import pytest
 
 import oracle
 from conftest import FIXTURES, make_datagram
-from qesp_lab import cli, engine, wire
+from qesp_lab import cli, crypto, engine, wire
 from qesp_lab.cli import main
 from qesp_lab.config import load_config
+from qesp_lab.crypto import CipherAlg
 from qesp_lab.errors import (
     BadChecksum,
     BadKeyLength,
@@ -21,6 +22,7 @@ from qesp_lab.errors import (
     UnsupportedOptions,
 )
 from qesp_lab.netsim import build_datagram, run_simulation
+from qesp_lab.sadb import ProtocolVariant
 
 CLI_CONFIG = {
     "duration": 1.0,
@@ -495,10 +497,48 @@ class TestOneShotTools:
         assert capsys.readouterr().err == (
             "error: InvalidHeader: tunnel-mode next_header 17 is not IP-in-IP\n")
 
-    def test_malformed_hex_input(self, tmp_path, config_file, capsys):
+    @pytest.mark.parametrize("command", ["classify", "encap", "decap"])
+    @pytest.mark.parametrize("content", [b"zz not hex", b"\xff\xfe45"],
+                             ids=["not-hex", "not-utf8"])
+    def test_malformed_hex_input(self, command, content, tmp_path, config_file, capsys):
+        """Bytes that are not UTF-8 hex text are a malformed packet (exit 4);
+        undecodable bytes once escaped as a UnicodeDecodeError traceback."""
         bad = tmp_path / "bad.hex"
-        bad.write_text("zz not hex")
-        assert main(["decap", "--config", config_file, "--in", str(bad)]) == 4
+        bad.write_bytes(content)
+        assert main([command, "--config", config_file, "--in", str(bad)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: MalformedPacket: {bad} is not a hex-encoded packet\n")
+
+    @pytest.mark.parametrize("command", ["classify", "encap", "decap"])
+    @pytest.mark.parametrize("key,message", [
+        ("cipher_key_hex", "aes-128-cbc needs a 16-byte key, got 2"),
+        ("mac_key_hex", "hmac-sha1-96 needs a 20-byte key, got 2")])
+    def test_wrong_key_length_exits_at_load(self, command, key, message, tmp_path,
+                                            packet_file, capsys):
+        """A key is checked when its SA is built, not when it first ciphers or
+        MACs a packet: even the keyless classify refuses the config."""
+        config = tmp_path / "short_key.json"
+        sa = {**CLI_CONFIG["sas"][0], key: "aabb"}
+        config.write_text(json.dumps({**CLI_CONFIG, "sas": [sa]}))
+        assert main([command, "--config", str(config), "--in", packet_file]) == 3
+        assert capsys.readouterr().err == f"error: ConfigError: config.sas[0]: {message}\n"
+
+
+def test_only_a_ciphering_sa_opens_cbc_contexts(monkeypatch, capsys):
+    """Loading the bundled config, building SADBs from it and re-varianting it
+    open no CBC context; one priority A/B run opens one pair per SA that
+    carries a packet (2 SAs x 2 runs) and prints the recorded output."""
+    opened, open_cbc = [], crypto._open_cbc
+    monkeypatch.setattr(crypto, "_open_cbc",
+                        lambda state: opened.append(state.alg) or open_cbc(state))
+    cfg = load_config(str(resources.files("qesp_lab").joinpath("data/priority.json")))
+    cfg.build_sadb()
+    for variant in ProtocolVariant:
+        cfg.with_variant(variant).build_sadb()
+    assert opened == []
+    assert main(["priority", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / "cli_priority_seed1.txt").read_bytes()
+    assert opened == [CipherAlg.AES_128_CBC] * 4
 
 
 # The timing gates below compare two costs measured in the same process.  A
@@ -553,8 +593,7 @@ class TestBenchCrypto:
     def test_variant_parity_at_equal_algorithms(self):
         """Q-ESP and ESP encapsulation cost stays within 5% at equal algs."""
         from qesp_lab.cli import bench_encapsulation
-        from qesp_lab.crypto import CipherAlg, MacAlg
-        from qesp_lab.sadb import ProtocolVariant
+        from qesp_lab.crypto import MacAlg
 
         def cost(variant: ProtocolVariant) -> float:
             # Best of five 10-packet rounds: a round is short enough to miss

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import FIXTURES
 from qesp_lab import crypto
 from qesp_lab.crypto import CipherAlg, CipherState, IvGenerator, MacAlg, MacState
@@ -214,6 +216,19 @@ class TestPersistentCbcState:
                     rng.choice([crypto.encrypt, crypto.decrypt])(
                         state, iv, data + rng.randbytes(rng.randint(1, block - 1)))
 
+    @pytest.mark.parametrize("alg", [CipherAlg.AES_128_CBC, CipherAlg.TRIPLE_DES_CBC])
+    @pytest.mark.parametrize("first", ["encrypt", "decrypt"])
+    def test_either_call_may_come_first(self, alg, first):
+        """The first call opens both contexts, whichever it is: what follows it
+        still matches fresh contexts."""
+        rng = random.Random(f"{alg.value} {first}")
+        key = rng.randbytes(alg.key_len)
+        state = CipherState(alg, key)
+        for op in (first, "decrypt" if first == "encrypt" else "encrypt") * 2:
+            iv, data = rng.randbytes(alg.iv_len), rng.randbytes(alg.block_size * 3)
+            assert (getattr(crypto, op)(state, iv, data)
+                    == fresh_cbc(alg, key, iv, data, decrypt=op == "decrypt"))
+
 
 class TestIcv:
     @pytest.mark.parametrize("alg,key,data,full_hex", [
@@ -345,18 +360,46 @@ LOADING_RULE_SCRIPT = textwrap.dedent("""
 """)
 
 
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run script with args in a fresh interpreter that imports qesp_lab from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True)
+
+
 def test_cryptography_loads_only_for_a_block_cipher_sa(tmp_path):
     """Importing every module and running NULL-cipher SAs through encap,
     classify_and_remark and decap (and the NULL/NULL throughput sweep)
     never imports `cryptography`; an AES or 3DES SA loads it."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = tmp_path / "throughput.csv"
-    result = subprocess.run([sys.executable, "-c", LOADING_RULE_SCRIPT, str(out)],
-                            env=env, capture_output=True, text=True)
+    result = run_fresh(LOADING_RULE_SCRIPT, str(out))
     assert result.returncode == 0, result.stderr
     assert out.read_bytes() == (FIXTURES / "cli_throughput_null_null_tunnel.csv").read_bytes()
+
+
+KEYLESS_CLASSIFY_SCRIPT = textwrap.dedent("""
+    import sys
+    from qesp_lab import cli
+
+    assert cli.main(["classify", "--config", sys.argv[1], "--in", sys.argv[2]]) == 0
+    assert "cryptography" not in sys.modules, "the keyless classifier loaded cryptography"
+""")
+
+
+def test_keyless_classify_never_loads_cryptography(tmp_path):
+    """qesp-lab classify reads the golden Q-ESP packet's clear header under the
+    bundled AES-128-CBC config without loading `cryptography`: loading a
+    config opens no CBC context."""
+    _, packet = oracle.dump_from_hex((FIXTURES / "qesp_transport_aes128_sha1.hex").read_text())
+    packet_file = tmp_path / "golden.hex"
+    packet_file.write_text(packet.hex())
+    bundled = str(resources.files("qesp_lab").joinpath("data/priority.json"))
+    result = run_fresh(KEYLESS_CLASSIFY_SCRIPT, bundled, str(packet_file))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("src=10.0.0.1 dst=10.0.9.9 protocol=17 "
+                             "src_port=4000 dst_port=5060 dscp=46\n")
 
 
 class TestIvGenerator:

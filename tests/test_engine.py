@@ -580,3 +580,23 @@ class TestOverheadAccounting:
             predicted = engine.per_packet_overhead(
                 variant, mode, cipher, mac, len(datagram) - 20)
             assert len(out) - len(datagram) == predicted
+
+    @pytest.mark.parametrize("variant,mode,cipher,mac", list(itertools.product(
+        ALL_VARIANTS, ALL_MODES, ALL_CIPHERS, ALL_MACS)))
+    def test_largest_payload_meets_the_size_limit(self, variant, mode, cipher, mac):
+        """The largest UDP payload encapsulates to at most 65535 bytes and one
+        byte more is OversizePacket.  Every result is 20 + header + IV +
+        ciphertext aligned to lcm(block, 4) + ICV long, a multiple of 4, so the
+        largest lands within one aligned block below 65535, never on it."""
+        payload = 0xFFFF - 28
+        while 28 + payload + engine.per_packet_overhead(
+                variant, mode, cipher, mac, 8 + payload) > 0xFFFF:
+            payload -= 1
+        sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac)
+        datagram = make_datagram(payload_len=payload)
+        out = engine.outbound(sa, datagram)
+        assert len(out) - len(datagram) == engine.per_packet_overhead(
+            variant, mode, cipher, mac, len(datagram) - 20)
+        assert len(out) % 4 == 0 and 0 <= 0xFFFF - len(out) < cipher.effective_block
+        with pytest.raises(OversizePacket):
+            engine.outbound(sa, make_datagram(payload_len=payload + 1))
