@@ -10,8 +10,9 @@ Subcommands::
     classify      print extracted fields and DSCP for one datagram
 
 Every failure maps to a documented exit code (see EXIT_CODES) with a one-line
-``error: <Kind>: <detail>`` diagnostic on stderr.  Seed precedence for
-simulations: --seed flag, then QESP_LAB_SEED, then the config file.
+``error: <Kind>: <detail>`` diagnostic on stderr; a closed stdout (a reader
+such as ``head`` that left early) exits EXIT_OTHER silently.  Seed precedence
+for simulations: --seed flag, then QESP_LAB_SEED, then the config file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from importlib import resources
 
 from . import classifier, engine
 from .classifier import RuleTable
-from .config import ExperimentConfig, load_config
+from .config import load_config
 from .crypto import CipherAlg, MacAlg
 from .errors import (
     AuthFailure,
@@ -42,7 +43,8 @@ from .errors import (
     check_int,
 )
 from .netsim import (
-    MAX_PAYLOAD_SIZE, FlowStats, LinkConfig, TrafficSource, build_datagram, run_simulation,
+    MAX_PAYLOAD_SIZE, ExperimentConfig, FlowStats, LinkConfig, TrafficSource, build_datagram,
+    run_simulation,
 )
 from .sadb import SEED_MAX, FiveTuple, ProtocolVariant, SaMode, SecurityAssociation, Selector
 from .wire import IPPROTO_UDP, int_to_addr, parse_decimal
@@ -64,7 +66,7 @@ EXIT_CODES: tuple[tuple[type, int], ...] = (
     (OversizePacket, 11),
     (NoMatchingSa, 12),
 )
-EXIT_OTHER = 13
+EXIT_OTHER = 13  # a QespLabError with no row above, or a closed stdout
 
 DEFAULT_SIZES = "64,128,256,512,1024,2048,4096"
 DEFAULT_PPS = 100.0
@@ -382,13 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+        return code
     except QespLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except BrokenPipeError:  # reader gone: devnull takes the final flush ("Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OTHER
 
 
 if __name__ == "__main__":

@@ -1,92 +1,39 @@
 """Experiment configuration: strict JSON schema -> validated objects.
 
-The schema is documented in docs/config.md.  Each JSON object of it has one
-module-level key table, {key: (reader, default)}, listing its keys in the order
-they are checked.  _fields refuses a non-object, an unknown key and a missing
-key whose default is REQUIRED; it reads each present value with
-reader(value, path), which checks JSON shape (type, finiteness, enum name, hex
-and address syntax) and names the field ("config.link.capacity_bps: expected
-a number").  Each value range is checked once, by the constructor of the
-object that owns the value; _build prefixes its error with that object's path
-("config.link: queue_limit must be >= 1, got 0").  The config's
-SecurityAssociation objects are templates that no run touches: build_sadb()
-gives each run fresh copies, so repeated runs never share sequence, replay or
-IV state.
+This module reads JSON and defines no object class.  The schema is documented
+in docs/config.md.  Each JSON object of it has one module-level key table,
+{key: (reader, default)}, listing its keys in the order they are checked.
+_fields refuses a non-object, an unknown key and a missing key whose default
+is REQUIRED; it reads each present value with reader(value, path), which
+checks JSON shape (type, finiteness, enum name, hex and address syntax) and
+names the field ("config.link.capacity_bps: expected a number"), and returns
+{key: value}, which each reader passes to the constructor by name.  Each
+value range is checked once, by the constructor of the object that owns the
+value; _build prefixes its error with that object's path ("config.link:
+queue_limit must be >= 1, got 0").
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
 
 from .classifier import ClassifierRule, RuleTable
 from .crypto import CipherAlg, MacAlg
-from .errors import ConfigError, QespLabError, check_int
-from .netsim import LinkConfig, TrafficSource, check_positive
+from .errors import ConfigError, QespLabError
+from .netsim import ExperimentConfig, LinkConfig, TrafficSource
 from .sadb import (
     ANY_NET,
-    SEED_MAX,
     FiveTuple,
     Ipv4Net,
     ProtocolVariant,
-    Sadb,
     SaMode,
     SecurityAssociation,
     Selector,
-    first_match,
 )
 from .wire import addr_to_int, parse_decimal
 
 _FLOAT_MAX = sys.float_info.max
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment.  Besides its own duration and seed (0..SEED_MAX) it checks
-    the rules that span its lists: at least one source, unique SPIs and flow_ids,
-    every source's stop within the run, and its protection equal to the SPI of
-    the SA the selectors pick for the five-tuple its datagrams show (first
-    match; None if none), as runs and encap do."""
-
-    sas: tuple[SecurityAssociation, ...]
-    rules: RuleTable
-    sources: tuple[TrafficSource, ...]
-    link: LinkConfig
-    duration: float
-    seed: int
-    output: str | None = None
-
-    def __post_init__(self) -> None:
-        check_positive(self.duration, "duration")
-        check_int(self.seed, "seed", 0, SEED_MAX)
-        if not self.sources:
-            raise ConfigError("needs at least one traffic source")
-        if len({sa.spi for sa in self.sas}) != len(self.sas):
-            raise ConfigError("duplicate SPI values")
-        if len({src.flow_id for src in self.sources}) != len(self.sources):
-            raise ConfigError("duplicate flow_id values")
-        for src in self.sources:
-            if src.stop is not None and not src.stop <= self.duration:
-                raise ConfigError(f"source {src.flow_id}: stop {src.stop} is after "
-                                  f"duration {self.duration}")
-            spi = getattr(first_match(self.sas, src.shown_five_tuple), "spi", None)
-            if src.protection_spi != spi:
-                raise ConfigError(f"source {src.flow_id}: protection {src.protection_spi}, "
-                                  f"but the SA selectors pick {spi}")
-
-    def build_sadb(self) -> Sadb:
-        sadb = Sadb()
-        for sa in self.sas:
-            sadb.add_sa(replace(sa))
-        return sadb
-
-    def with_variant(self, variant: ProtocolVariant) -> "ExperimentConfig":
-        """Every SA re-keyed to another protocol variant (for A/B runs)."""
-        qesp = variant is ProtocolVariant.QESP
-        return replace(self, sas=tuple(replace(sa, variant=variant,
-                                               extended_auth=sa.extended_auth and qesp)
-                                       for sa in self.sas))
 
 
 def _build(where: str, cls, **fields):
@@ -100,8 +47,8 @@ def _build(where: str, cls, **fields):
 REQUIRED = object()  # the default of a key that must be present
 
 
-def _fields(obj, where: str, spec: dict) -> list:
-    """obj's values in spec's key order, each read as reader(value, "where.key").
+def _fields(obj, where: str, spec: dict) -> dict:
+    """{key: value} in spec's key order, each value read as reader(value, "where.key").
     An absent key gets its default, called if callable: no two share a RuleTable."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -111,9 +58,9 @@ def _fields(obj, where: str, spec: dict) -> list:
     for key, (_, default) in spec.items():
         if default is REQUIRED and key not in obj:
             raise ConfigError(f"{where}.{key}: missing required field")
-    return [reader(obj[key], f"{where}.{key}") if key in obj
+    return {key: reader(obj[key], f"{where}.{key}") if key in obj
             else default() if callable(default) else default
-            for key, (reader, default) in spec.items()]
+            for key, (reader, default) in spec.items()}
 
 
 def _typed(cls, noun: str):
@@ -205,14 +152,14 @@ _SELECTOR_KEYS = {"protocol": (_protocol, None), "src": (_net, ANY_NET), "dst": 
 
 
 def parse_selector(obj, where: str) -> Selector:
-    protocol, src, dst, src_ports, dst_ports = _fields(obj, where, _SELECTOR_KEYS)
-    return _build(where, Selector, src_net=src, dst_net=dst, protocol=protocol,
-                  src_ports=src_ports, dst_ports=dst_ports)
+    f = _fields(obj, where, _SELECTOR_KEYS)
+    return _build(where, Selector, src_net=f.pop("src"), dst_net=f.pop("dst"), **f)
 
 
 _TUNNEL_KEYS = {"src": (_addr, REQUIRED), "dst": (_addr, REQUIRED)}
 _SA_KEYS = {
-    "tunnel": (lambda value, where: _fields(value, where, _TUNNEL_KEYS), (None, None)),
+    "tunnel": (lambda value, where: tuple(_fields(value, where, _TUNNEL_KEYS).values()),
+               (None, None)),
     "extended_auth": (_bool, False), "spi": (_int, REQUIRED),
     "variant": (_enum(ProtocolVariant), REQUIRED), "mode": (_enum(SaMode), REQUIRED),
     "cipher": (_enum(CipherAlg), REQUIRED), "cipher_key_hex": (_hex, b""),
@@ -221,28 +168,24 @@ _SA_KEYS = {
 
 
 def parse_sa(obj, where: str) -> SecurityAssociation:
-    ((tunnel_src, tunnel_dst), extended_auth, spi, variant, mode, cipher, cipher_key, mac,
-     mac_key, selector, iv_seed) = _fields(obj, where, _SA_KEYS)
-    return _build(where, SecurityAssociation, spi=spi, variant=variant, mode=mode,
-                  cipher=cipher, cipher_key=cipher_key, mac=mac, mac_key=mac_key,
-                  selector=selector, extended_auth=extended_auth,
-                  tunnel_src=tunnel_src, tunnel_dst=tunnel_dst, iv_seed=iv_seed)
+    f = _fields(obj, where, _SA_KEYS)
+    tunnel_src, tunnel_dst = f.pop("tunnel")
+    return _build(where, SecurityAssociation, tunnel_src=tunnel_src, tunnel_dst=tunnel_dst,
+                  cipher_key=f.pop("cipher_key_hex"), mac_key=f.pop("mac_key_hex"), **f)
 
 
 _RULE_KEYS = {"selector": (parse_selector, REQUIRED), "dscp": (_int, REQUIRED)}
 
 
 def _rule(obj, where: str) -> ClassifierRule:
-    selector, dscp = _fields(obj, where, _RULE_KEYS)
-    return _build(where, ClassifierRule, selector=selector, dscp=dscp)
+    return _build(where, ClassifierRule, **_fields(obj, where, _RULE_KEYS))
 
 
 _RULES_KEYS = {"rules": (_list(_rule), ()), "default_dscp": (_int, 0)}
 
 
 def parse_rules(obj, where: str) -> RuleTable:
-    rules, default_dscp = _fields(obj, where, _RULES_KEYS)
-    return _build(where, RuleTable, rules=rules, default_dscp=default_dscp)
+    return _build(where, RuleTable, **_fields(obj, where, _RULES_KEYS))
 
 
 _SOURCE_KEYS = {
@@ -254,12 +197,10 @@ _SOURCE_KEYS = {
 
 
 def parse_source(obj, where: str) -> TrafficSource:
-    (flow_id, src, dst, protocol, src_port, dst_port, protection, stop, rate_pps, payload_size,
-     start) = _fields(obj, where, _SOURCE_KEYS)
-    return _build(where, TrafficSource, flow_id=flow_id,
-                  five_tuple=FiveTuple(src, dst, protocol, src_port, dst_port),
-                  rate_pps=rate_pps, payload_size=payload_size, start=start, stop=stop,
-                  protection_spi=protection)
+    f = _fields(obj, where, _SOURCE_KEYS)
+    five_tuple = FiveTuple(*map(f.pop, ("src", "dst", "protocol", "src_port", "dst_port")))
+    return _build(where, TrafficSource, five_tuple=five_tuple,
+                  protection_spi=f.pop("protection"), **f)
 
 
 _LINK_KEYS = {"class_map": (_class_map, dict), "capacity_bps": (_num, REQUIRED),
@@ -267,9 +208,7 @@ _LINK_KEYS = {"class_map": (_class_map, dict), "capacity_bps": (_num, REQUIRED),
 
 
 def parse_link(obj, where: str) -> LinkConfig:
-    class_map, capacity_bps, queue_limit = _fields(obj, where, _LINK_KEYS)
-    return _build(where, LinkConfig, capacity_bps=capacity_bps, queue_limit=queue_limit,
-                  class_map=class_map)
+    return _build(where, LinkConfig, **_fields(obj, where, _LINK_KEYS))
 
 
 _CONFIG_KEYS = {"sas": (_list(parse_sa), ()), "sources": (_list(parse_source), REQUIRED),
@@ -278,9 +217,7 @@ _CONFIG_KEYS = {"sas": (_list(parse_sa), ()), "sources": (_list(parse_source), R
 
 
 def parse_config(obj, where: str = "config") -> ExperimentConfig:
-    sas, sources, output, rules, link, duration, seed = _fields(obj, where, _CONFIG_KEYS)
-    return _build(where, ExperimentConfig, sas=sas, rules=rules, sources=sources, link=link,
-                  duration=duration, seed=seed, output=output)
+    return _build(where, ExperimentConfig, **_fields(obj, where, _CONFIG_KEYS))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -290,6 +227,6 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, bad UTF-8, over int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or digits; deep nesting
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     return parse_config(raw)

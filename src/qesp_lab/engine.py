@@ -117,10 +117,10 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
     travels intact inside the ciphertext.
     """
     qesp = sa.variant is _QESP
-    ip_protocol, _, trailer_fixed, _ = _QESP_LAYOUT if qesp else _ESP_LAYOUT
+    ip_protocol, header_len, trailer_fixed, _ = _QESP_LAYOUT if qesp else _ESP_LAYOUT
     _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = wire.read_ipv4(datagram)
-    # Read before a sequence number is spent on a malformed segment, so both
-    # variants refuse what SA selection and the classifier refuse.
+    # Both refusals come before a sequence number is spent.  Reading the ports
+    # first refuses what SA selection and the classifier refuse, in both variants.
     src_port, dst_port = wire.extract_ports(protocol, datagram, IPV4_HEADER_LEN)
 
     if sa.mode is _TUNNEL:
@@ -129,8 +129,12 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
     else:
         plaintext, next_header = datagram[IPV4_HEADER_LEN:], protocol
 
-    pad_len = crypto.compute_pad_len(len(plaintext), trailer_fixed,
-                                     sa.cipher_state.effective_block)
+    cipher_state, icv_len = sa.cipher_state, sa.mac_state.icv_len
+    pad_len = crypto.compute_pad_len(len(plaintext), trailer_fixed, cipher_state.effective_block)
+    total = (IPV4_HEADER_LEN + header_len + cipher_state.iv_len + len(plaintext) + pad_len
+             + trailer_fixed + icv_len)
+    if total > 0xFFFF:
+        raise OversizePacket(f"encapsulated datagram would be {total} bytes")
     seq, iv, ciphertext = sa.seal(plaintext + crypto.make_pad(pad_len)
                                   + bytes((pad_len,) if qesp else (pad_len, next_header)))
     if qesp:
@@ -140,10 +144,6 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
         header = wire.pack_esp_header(sa.spi, seq)
     body = header + iv + ciphertext
 
-    icv_len = sa.mac_state.icv_len
-    total = IPV4_HEADER_LEN + len(body) + icv_len
-    if total > 0xFFFF:
-        raise OversizePacket(f"encapsulated datagram would be {total} bytes")
     if icv_len:  # else the NULL MAC: no ICV
         prefix = (_ZEROED_OUTER.pack(0x45, total, ident, ip_protocol, src, dst)
                   if sa.extended_auth else b"")

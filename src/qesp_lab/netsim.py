@@ -38,17 +38,14 @@ import random
 import re
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from . import classifier, engine, wire
 from .errors import ConfigError, QespLabError, check_int
-from .sadb import FiveTuple, SecurityAssociation
+from .sadb import SEED_MAX, FiveTuple, ProtocolVariant, Sadb, SecurityAssociation, first_match
 from .wire import DEFAULT_TTL, IPPROTO_TCP, IPPROTO_UDP
-
-if TYPE_CHECKING:
-    from .config import ExperimentConfig
 
 MAX_PAYLOAD_SIZE = 65000
 # run_simulation holds every emission in memory, so a run may offer at most
@@ -81,7 +78,7 @@ class TrafficSource:
     selectors match shown_five_tuple, the five-tuple the source's datagrams
     show, as encap's SA lookup reads it.
     The source emits within [start, stop], stop defaulting to the run's
-    duration; ExperimentConfig checks stop and protection_spi.  The
+    duration; ExperimentConfig, below, checks stop and protection_spi.  The
     five-tuple's addresses, protocol and ports, which every datagram carries,
     are checked here, not by FiveTuple, which the classifier builds for every
     flow it reads.
@@ -142,6 +139,56 @@ class LinkConfig:
             # 64 classes give every DSCP its own; the link allocates max + 1 queues
             check_int(dscp, "class_map key", 0, 63)
             check_int(cls, f"class_map[{dscp}]", 0, 63)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment.  Besides its own duration and seed (0..SEED_MAX) it checks
+    the rules that span its lists: at least one source, unique SPIs and flow_ids,
+    every source's stop within the run, and its protection equal to the SPI of
+    the SA the selectors pick for the five-tuple its datagrams show (first
+    match; None if none), as runs and encap do."""
+
+    sas: tuple[SecurityAssociation, ...]
+    rules: classifier.RuleTable
+    sources: tuple[TrafficSource, ...]
+    link: LinkConfig
+    duration: float
+    seed: int
+    output: str | None = None
+
+    def __post_init__(self) -> None:
+        check_positive(self.duration, "duration")
+        check_int(self.seed, "seed", 0, SEED_MAX)
+        if not self.sources:
+            raise ConfigError("needs at least one traffic source")
+        if len({sa.spi for sa in self.sas}) != len(self.sas):
+            raise ConfigError("duplicate SPI values")
+        if len({src.flow_id for src in self.sources}) != len(self.sources):
+            raise ConfigError("duplicate flow_id values")
+        for src in self.sources:
+            if src.stop is not None and not src.stop <= self.duration:
+                raise ConfigError(f"source {src.flow_id}: stop {src.stop} is after "
+                                  f"duration {self.duration}")
+            spi = getattr(first_match(self.sas, src.shown_five_tuple), "spi", None)
+            if src.protection_spi != spi:
+                raise ConfigError(f"source {src.flow_id}: protection {src.protection_spi}, "
+                                  f"but the SA selectors pick {spi}")
+
+    def build_sadb(self) -> Sadb:
+        """Fresh copies of the SAs, which are templates that no run touches, so
+        repeated runs never share sequence, replay or IV state."""
+        sadb = Sadb()
+        for sa in self.sas:
+            sadb.add_sa(replace(sa))
+        return sadb
+
+    def with_variant(self, variant: ProtocolVariant) -> ExperimentConfig:
+        """Every SA re-keyed to another protocol variant (for A/B runs)."""
+        qesp = variant is ProtocolVariant.QESP
+        return replace(self, sas=tuple(replace(sa, variant=variant,
+                                               extended_auth=sa.extended_auth and qesp)
+                                       for sa in self.sas))
 
 
 @dataclass(frozen=True)
@@ -230,7 +277,7 @@ class _FlowState:
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
 
 
-def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
+def run_simulation(config: ExperimentConfig) -> list[FlowStats]:
     """Run one experiment to completion and return per-flow statistics.
 
     The run drains fully: every emitted packet is either delivered or
@@ -271,12 +318,12 @@ def run_simulation(config: "ExperimentConfig") -> list[FlowStats]:
     for fl in flows:
         fl.payload = rng.randbytes(fl.source.payload_size)
     emissions.sort(key=itemgetter(0))
-    emissions.append((math.inf, 0, None))  # drains the link, then ends the walk
+    emissions.append((math.inf, 0, None))  # drains the link (done may be inf), ends the walk
 
     in_service = None  # (flow, emit time, wire bytes) of the packet on the link
     done = 0.0  # its completion time
     for now, ident, fl in emissions:
-        while in_service is not None and done < now:
+        while in_service is not None and (done < now or fl is None):
             owner, emitted_at, sent = in_service
             try:
                 if owner.sa is not None:

@@ -47,7 +47,7 @@ FOCUSED = {
     "crypto": ["tests/test_crypto.py"],
     "config": ["tests/test_config.py"],
     "cli": ["tests/test_cli.py"],
-    "netsim": ["tests/test_netsim.py"],
+    "netsim": ["tests/test_netsim.py", "tests/test_config.py"],
 }
 # Functions whose `return False` statements are checks too.
 GUARD_FUNCTIONS = {"replay_check_and_update"}

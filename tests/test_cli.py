@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import statistics
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +235,13 @@ class TestPriority:
             capsys.readouterr().err)
 
 
+def test_config_nested_too_deep_to_parse(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["priority", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: ConfigError: {path} is not valid JSON: ")
+
+
 class TestUnwritableOutput:
     """An output path that cannot be opened is a config error (exit 3), as an
     unreadable input is, not a traceback."""
@@ -248,6 +260,53 @@ class TestUnwritableOutput:
         path.write_text(json.dumps({**CLI_CONFIG, "output": str(out)}))
         assert main(["priority", "--config", str(path)]) == 3
         assert capsys.readouterr().err.startswith("error: ConfigError: cannot write")
+
+
+class TestClosedOutput:
+    """A reader that leaves early (`| head -1`) ends the run with exit 13 and
+    nothing on stderr, whether stdout is buffered or not."""
+
+    @staticmethod
+    def run_into_pipe(argv, lines_read, unbuffered=False):
+        """Run qesp-lab in a fresh interpreter whose stdout is a one-page pipe;
+        read lines_read lines, or none with the read end closed from the start,
+        then close the read end.  Returns (exit code, stderr, pipe capacity)."""
+        read_fd, write_fd = os.pipe()
+        capacity = fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, 4096)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+            str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with os.fdopen(read_fd, "rb", buffering=0) as reader:
+            if not lines_read:
+                reader.close()
+            proc = subprocess.Popen([sys.executable, "-m", "qesp_lab.cli", *argv],
+                                    stdout=write_fd, stderr=subprocess.PIPE, env=env)
+            os.close(write_fd)
+            for _ in range(lines_read):
+                assert reader.readline()
+        return proc.wait(timeout=60), proc.stderr.read().decode(), capacity
+
+    def test_reader_leaves_after_one_line(self):
+        """The CSV is several times the pipe's capacity, so its write is still
+        blocked when the reader leaves.  It runs buffered: unbuffered, the
+        interpreter reports no error for the short write."""
+        sizes = ",".join(str(size) for size in range(1, 513))  # 27558 bytes of CSV
+        code, err, capacity = self.run_into_pipe(
+            ["throughput", "--sizes", sizes, "--duration", "0.01", "--cipher", "null",
+             "--mac", "null"], 1)
+        assert capacity <= 8192
+        assert (code, err) == (cli.EXIT_OTHER, "")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_summary_lines_find_no_reader(self, tmp_path, unbuffered):
+        """With the CSV in a file, the first write to stdout is a summary line."""
+        code, err, _ = self.run_into_pipe(
+            ["priority", "--seed", "1", "--out", str(tmp_path / "out.csv")], 0, unbuffered)
+        assert (code, err) == (cli.EXIT_OTHER, "")
+        recorded = (FIXTURES / "cli_priority_seed1.txt").read_text().splitlines(keepends=True)
+        assert (tmp_path / "out.csv").read_text() == "".join(recorded[:-2])
 
 
 # TCP, protocol 47, plaintext and start/stop flows; a Q-ESP transport SA shared

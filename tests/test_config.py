@@ -217,6 +217,13 @@ class TestDiagnostics:
             with pytest.raises(ConfigError, match="not valid JSON"):
                 load_config(str(path))
 
+    def test_nesting_too_deep_to_parse(self, tmp_path):
+        """json refuses it with a RecursionError, not a ValueError."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{path} is not valid JSON: ")):
+            load_config(str(path))
+
     @pytest.mark.parametrize("class_map,message", [
         ({"\u00b2": 1}, "key '\u00b2' is not a DSCP value"),  # isdigit() but not int()
         ({"\u0664\u0666": 1}, "key '\u0664\u0666' is not a DSCP value"),  # int() reads 46

@@ -402,6 +402,17 @@ class TestInboundRejections:
         with pytest.raises(OversizePacket):
             engine.outbound(sa, datagram)
 
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_oversize_refusal_spends_no_sa_state(self, variant, mode, udp_datagram):
+        """A refused datagram spends no sequence number, IV or encryption: the
+        SA's next packet is, byte for byte, the first packet of a fresh copy."""
+        sa = make_sa(variant=variant, mode=mode)
+        fresh = replace(sa)
+        with pytest.raises(OversizePacket):
+            engine.outbound(sa, make_datagram(payload_len=65500))  # a 65528 B datagram
+        assert engine.outbound(sa, udp_datagram) == engine.outbound(fresh, udp_datagram)
+
 
 # --- the receiver against oracle.decap, under a NULL MAC --------------------------
 

@@ -10,6 +10,7 @@ import random
 import re
 from dataclasses import replace
 from functools import partial
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, JitterDrawn
 from qesp_lab import classifier, engine, netsim
 from qesp_lab.classifier import ClassifierRule, RuleTable
-from qesp_lab.config import ExperimentConfig, load_config
+from qesp_lab.config import load_config
 from qesp_lab.crypto import CipherAlg, MacAlg
 from qesp_lab.errors import ConfigError, QespLabError
 from qesp_lab.netsim import (
     EventScheduler,
+    ExperimentConfig,
     FlowStats,
     LinkConfig,
     TrafficSource,
@@ -629,6 +631,16 @@ class TestAgainstEventDrivenReference:
         cfg = load_config(str(FIXTURES / "mixed_priority.json"))
         stats, _ = matches_reference(replace(cfg.with_variant(variant), seed=seed), monkeypatch)
         assert sum(s.dropped_packets for s in stats) > 0
+
+    def test_service_times_that_overflow_to_inf(self, monkeypatch):
+        """A finite capacity so small that every service time overflows to inf:
+        the first completion never comes before an emission, yet the link still
+        drains at the end, so no packet is lost from the count."""
+        cfg = load_config(str(resources.files("qesp_lab").joinpath("data/priority.json")))
+        stats, _ = matches_reference(replace(cfg, link=replace(cfg.link, capacity_bps=1e-320)),
+                                     monkeypatch)
+        assert [s.delivered_packets for s in stats] == [21, 20]
+        assert all(s.delivered_packets + s.dropped_packets == s.offered_packets for s in stats)
 
     def test_shared_sa_reordered_into_replay_drops(self, monkeypatch):
         """Two flows on one SA in different classes: the low class waits so
