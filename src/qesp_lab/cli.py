@@ -10,8 +10,9 @@ Subcommands::
     classify      print extracted fields and DSCP for one datagram
 
 Every failure maps to a documented exit code (see EXIT_CODES) with a one-line
-``error: <Kind>: <detail>`` diagnostic on stderr; a closed stdout (a reader
-such as ``head`` that left early) exits EXIT_OTHER silently.  Seed precedence
+``error: <Kind>: <detail>`` diagnostic on stderr, a stdout that fails (a full
+device) included; a closed stdout (a reader such as ``head`` that left early)
+exits EXIT_OTHER silently.  Seed precedence
 for simulations: --seed flag, then QESP_LAB_SEED, then the config file.
 """
 
@@ -55,7 +56,7 @@ class NoMatchingSa(QespLabError):
 
 
 EXIT_CODES: tuple[tuple[type, int], ...] = (
-    (ConfigError, 3),
+    (ConfigError, 3),  # also an unreadable or unwritable file, stdout included
     (MalformedPacket, 4),  # every header read failure is one of its subclasses
     (UnknownSpi, 5),
     (AuthFailure, 6),
@@ -112,9 +113,31 @@ def _read_hex_file(path: str) -> bytes:
         raise MalformedPacket(f"{path} is not a hex-encoded packet") from None
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout whole and flush it: the byte layer takes it in a loop,
+    as an unbuffered one may take part, so a reader that has left raises
+    BrokenPipeError.  Any other failure is a ConfigError."""
+    stdout = sys.stdout
+    buffer = getattr(stdout, "buffer", None)
+    if buffer is None:  # a text-only stream, e.g. io.StringIO under redirect_stdout
+        stdout.write(text)
+        return
+    data = memoryview(text.encode(stdout.encoding, stdout.errors))
+    try:
+        stdout.flush()
+        while data:
+            data = data[buffer.write(data):]
+        buffer.flush()
+    except OSError as exc:  # devnull takes the final flush ("Note on SIGPIPE", signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise ConfigError(f"cannot write stdout: {exc}") from None
+
+
 def _write_out(path: str, text: str) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     try:
         with open(path, "w", encoding="utf-8") as f:
@@ -211,8 +234,7 @@ def cmd_priority(args: argparse.Namespace) -> int:
 
     out = args.out if args.out is not None else (cfg.output or "-")
     _write_out(out, "\n".join(lines) + "\n")
-    for line in summaries:
-        print(line)
+    _write_stdout("".join(line + "\n" for line in summaries))
     return 0
 
 
@@ -318,9 +340,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     dscp = cfg.rules.dscp_for(fields)
     ports = (("-" if fields.src_port is None else str(fields.src_port)),
              ("-" if fields.dst_port is None else str(fields.dst_port)))
-    print(f"src={int_to_addr(fields.src_addr)} dst={int_to_addr(fields.dst_addr)} "
-          f"protocol={fields.protocol} src_port={ports[0]} dst_port={ports[1]} "
-          f"dscp={dscp}")
+    _write_stdout(f"src={int_to_addr(fields.src_addr)} dst={int_to_addr(fields.dst_addr)} "
+                  f"protocol={fields.protocol} src_port={ports[0]} dst_port={ports[1]} "
+                  f"dscp={dscp}\n")
     return 0
 
 
@@ -386,14 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
-        return code
+        return args.func(args)  # every stdout write is flushed by _write_stdout
     except QespLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    except BrokenPipeError:  # reader gone: devnull takes the final flush ("Note on SIGPIPE")
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader has left; _write_stdout silenced stdout
         return EXIT_OTHER
 
 

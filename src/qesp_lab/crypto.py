@@ -50,6 +50,7 @@ import hashlib
 import hmac
 import math
 import struct
+from typing import Callable
 
 from .errors import BadBlockAlignment, BadIvLength, BadKeyLength
 
@@ -61,64 +62,36 @@ ICV_TRUNC_LEN = 12  # 96-bit MAC truncation
 
 
 class CipherAlg(enum.Enum):
-    """Payload encryption algorithm of an SA."""
+    """Payload encryption algorithm of an SA: a row is (name, block_size, iv_len,
+    key_len), the name its value; effective_block is lcm(block_size, 4)."""
 
-    NULL = "null"
-    AES_128_CBC = "aes-128-cbc"
-    TRIPLE_DES_CBC = "3des-cbc"
+    NULL = ("null", 1, 0, 0)  # RFC 2410
+    AES_128_CBC = ("aes-128-cbc", 16, 16, 16)  # RFC 3602
+    TRIPLE_DES_CBC = ("3des-cbc", 8, 8, 24)  # RFC 2451
 
-    @property
-    def block_size(self) -> int:
-        return _CIPHER_PARAMS[self][0]
-
-    @property
-    def iv_len(self) -> int:
-        return _CIPHER_PARAMS[self][1]
-
-    @property
-    def key_len(self) -> int:
-        return _CIPHER_PARAMS[self][2]
-
-    @property
-    def effective_block(self) -> int:
-        """Padding granularity: lcm(block_size, 4)."""
-        return math.lcm(self.block_size, WORD_ALIGN)
-
-
-# (block_size, iv_len, key_len)
-_CIPHER_PARAMS = {
-    CipherAlg.NULL: (1, 0, 0),
-    CipherAlg.AES_128_CBC: (16, 16, 16),
-    CipherAlg.TRIPLE_DES_CBC: (8, 8, 24),
-}
+    def __new__(cls, value: str, block_size: int, iv_len: int, key_len: int) -> CipherAlg:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.block_size, member.iv_len, member.key_len = block_size, iv_len, key_len
+        member.effective_block = math.lcm(block_size, WORD_ALIGN)
+        return member
 
 
 class MacAlg(enum.Enum):
-    """Integrity algorithm of an SA; ICV is the 96-bit truncated MAC."""
+    """Integrity algorithm of an SA: a row is (name, key_len, digestmod), the name
+    its value, digestmod the HMAC's hash (None for NULL); icv_len is 12 or 0."""
 
-    NULL = "null"
-    HMAC_MD5_96 = "hmac-md5-96"
-    HMAC_SHA1_96 = "hmac-sha1-96"
+    NULL = ("null", 0, None)
+    HMAC_MD5_96 = ("hmac-md5-96", 16, hashlib.md5)  # RFC 2403
+    HMAC_SHA1_96 = ("hmac-sha1-96", 20, hashlib.sha1)  # RFC 2404
 
-    @property
-    def icv_len(self) -> int:
-        return 0 if self is MacAlg.NULL else ICV_TRUNC_LEN
+    def __new__(cls, value: str, key_len: int, digestmod: Callable | None) -> MacAlg:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.key_len, member.digestmod = key_len, digestmod
+        member.icv_len = ICV_TRUNC_LEN if digestmod else 0
+        return member
 
-    @property
-    def key_len(self) -> int:
-        return _MAC_KEY_LEN[self]
-
-
-_MAC_KEY_LEN = {
-    MacAlg.NULL: 0,
-    MacAlg.HMAC_MD5_96: 16,
-    MacAlg.HMAC_SHA1_96: 20,
-}
-
-_MAC_HASH = {
-    MacAlg.HMAC_MD5_96: hashlib.md5,
-    MacAlg.HMAC_SHA1_96: hashlib.sha1,
-}
 
 # RFC 2104 pads over the 64-byte MD5/SHA-1 block, as translate() tables.
 _HMAC_BLOCK = 64
@@ -175,8 +148,8 @@ class MacState:
         if alg is MacAlg.NULL:
             return
         block = key.ljust(_HMAC_BLOCK, b"\0")
-        self._inner = _MAC_HASH[alg](block.translate(_IPAD))
-        self._outer = _MAC_HASH[alg](block.translate(_OPAD))
+        self._inner = alg.digestmod(block.translate(_IPAD))
+        self._outer = alg.digestmod(block.translate(_OPAD))
 
 
 def compute_pad_len(payload_len: int, trailer_fixed: int, effective_block: int) -> int:

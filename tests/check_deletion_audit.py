@@ -1,22 +1,31 @@
-"""Check-deletion audit: does a test fail when any one check is deleted?
+"""Check-deletion audit: does a test fail when any one check is deleted or
+moved by one?
 
-For each `raise` statement in the qesp_lab modules engine, wire, sadb,
-crypto, config, cli and netsim, and each `return False` guard in
-SecurityAssociation.replay_check_and_update, the script makes a mutant: a
-copy of the tree with that one statement replaced by `pass`.  It runs the
-module's focused test modules on the mutant with `-x`; a mutant
-they do not kill then runs the whole suite with `-x`.  A mutant the whole
-suite does not kill is a survivor: the check is either redundant or pinned
-by no test.
+The script makes two kinds of mutant, each a copy of the tree with one edit
+in one of the qesp_lab modules engine, wire, sadb, crypto, config, cli,
+netsim and classifier:
+
+* a deleted check: one `raise` statement, or one `return False` guard in
+  SecurityAssociation.replay_check_and_update, replaced by `pass`;
+* a boundary mutant: one ordering operator swapped with its neighbour
+  (`<` and `<=`, `>` and `>=`), so the check lets one value more or one
+  fewer through.
+
+It runs the module's focused test modules on each mutant with `-x`; a
+mutant they do not kill then runs the whole suite with `-x`.  A mutant the
+whole suite does not kill is a survivor: the check is either redundant or
+pinned by no test.  A boundary mutant listed in EQUIVALENT, with the reason
+it cannot change behaviour, is reported but not run.
 
 Run it as:
 
     python3 tests/check_deletion_audit.py
 
 It prints one line per mutant and then the survivors, and exits 1 if any
-survive.  Hypothesis runs with seed 0 and no saved examples, so a run is
-repeatable; a check that only rare random inputs reach can survive it
-though a lucky random run kills it, and wants a test of its own.
+survive; it stops before any mutant if an EQUIVALENT entry names none.
+Hypothesis runs with seed 0 and no saved examples, so a run is repeatable;
+a check that only rare random inputs reach can survive it though a lucky
+random run kills it, and wants a test of its own.
 
 It works in one temporary copy of src/, tests/, docs/ and pyproject.toml,
 which it removes afterwards; the checkout is never written.  Before any
@@ -24,17 +33,19 @@ mutation the whole suite must pass on the copy, so a test that already
 fails there cannot pass off a mutant as killed.  Each mutant takes a few
 seconds, or about half a minute when it reaches the whole suite; CHANGES.md
 gives the measured time of the last full run.  The mutants are found and
-written with the standard library's ast module alone.
+written with the standard library's ast and tokenize modules alone.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,9 +59,22 @@ FOCUSED = {
     "config": ["tests/test_config.py"],
     "cli": ["tests/test_cli.py"],
     "netsim": ["tests/test_netsim.py", "tests/test_config.py"],
+    "classifier": ["tests/test_classifier.py", "tests/test_hotpath.py"],
 }
 # Functions whose `return False` statements are checks too.
 GUARD_FUNCTIONS = {"replay_check_and_update"}
+# The boundary swap of each ordering operator.
+FLIPPED = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
+# Boundary mutants that cannot change behaviour, by module and the source
+# text of the comparison, each with the reason.
+EQUIVALENT = {
+    ("engine", "total > 0xFFFF"):
+        "every encapsulated datagram is a multiple of 4 bytes, so never 65535",
+    ("wire", "total_length > n"):
+        "it sits inside `if total_length != n`, so the two are never equal",
+    ("sadb", "shift >= REPLAY_WINDOW"):
+        "at shift 64 both branches leave the bitmap 1",
+}
 PYTEST = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0")
 
 
@@ -78,6 +102,55 @@ def mutate(source: str, node: ast.stmt) -> str:
     return mutant
 
 
+def boundary_sites(source: str) -> list[tuple[int, int, str, str]]:
+    """Every ordering operator in source, in source order, as (line, UTF-8
+    byte column, operator, source text of the comparison it makes)."""
+    tokens = {}  # (line, byte column) -> operator, for every ordering operator
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.OP and token.string in FLIPPED:
+            line, col = token.start
+            tokens[line, len(token.line[:col].encode())] = token.string
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for left, op, right in zip(operands, node.ops, operands[1:]):
+            if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
+                # the first ordering operator after the left operand is op
+                line, col = min(key for key in tokens
+                                if (left.end_lineno, left.end_col_offset) <= key)
+                text = " ".join((ast.get_source_segment(source, left), tokens[line, col],
+                                 ast.get_source_segment(source, right)))
+                sites.append((line, col, tokens[line, col], text))
+    return sorted(sites)
+
+
+def flip(source: str, site: tuple[int, int, str, str]) -> str:
+    """source with the ordering operator at site swapped by FLIPPED."""
+    line, col, op, _ = site
+    lines = source.encode().splitlines(keepends=True)
+    text = lines[line - 1]
+    assert text[col:col + len(op)] == op.encode()
+    lines[line - 1] = text[:col] + FLIPPED[op].encode() + text[col + len(op):]
+    mutant = b"".join(lines).decode()
+    ast.parse(mutant)  # the swap must leave valid Python
+    return mutant
+
+
+def mutants(module: str, source: str) -> list[tuple[str, str | None]]:
+    """(description, mutant source) for every mutant of module, deleted checks
+    first; the source is None for a mutant listed in EQUIVALENT."""
+    lines = source.splitlines()
+    found = [(f"{module}.py:{node.lineno}: {lines[node.lineno - 1].strip()}",
+              mutate(source, node)) for node in check_sites(source)]
+    for site in boundary_sites(source):
+        line, _, op, text = site
+        where = f"{module}.py:{line}: {text} -> {FLIPPED[op]}"
+        found.append((where, None if (module, text) in EQUIVALENT else flip(source, site)))
+    return found
+
+
 def passes(tree: Path, targets: list[str]) -> bool:
     """Whether pytest, run in tree on targets (all tests if empty), passes."""
     shutil.rmtree(tree / ".hypothesis", ignore_errors=True)  # no examples carry over
@@ -95,6 +168,10 @@ def audit(tree: Path) -> list[str]:
                            capture_output=True, text=True, check=True)
     if not Path(probe.stdout.strip()).is_relative_to(tree):
         sys.exit(f"qesp_lab imports from {probe.stdout.strip()}, not the copy")
+    sites = {(module, text) for module in FOCUSED for *_, text in boundary_sites(
+        (tree / "src" / "qesp_lab" / f"{module}.py").read_text())}
+    if set(EQUIVALENT) - sites:
+        sys.exit(f"EQUIVALENT entries that name no mutant: {sorted(set(EQUIVALENT) - sites)}")
     for module in FOCUSED:
         if not passes(tree, FOCUSED[module]):
             sys.exit(f"{' '.join(FOCUSED[module])} fail before any mutation")
@@ -105,11 +182,12 @@ def audit(tree: Path) -> list[str]:
     for module in FOCUSED:
         path = tree / "src" / "qesp_lab" / f"{module}.py"
         original = path.read_text()
-        lines = original.splitlines()
         try:
-            for node in check_sites(original):
-                where = f"{module}.py:{node.lineno}: {lines[node.lineno - 1].strip()}"
-                path.write_text(mutate(original, node))
+            for where, mutant in mutants(module, original):
+                if mutant is None:
+                    print(f"{'EQUIVALENT':27} {where}", flush=True)
+                    continue
+                path.write_text(mutant)
                 if not passes(tree, FOCUSED[module]):
                     verdict = "killed by the focused tests"
                 elif not passes(tree, []):

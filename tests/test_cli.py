@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
+import io
 import json
 import os
 import statistics
@@ -117,6 +119,12 @@ class TestThroughput:
         assert main(["throughput", "--sizes", sizes]) == 3
         assert capsys.readouterr().err == (
             "error: ConfigError: --sizes: values must be in [1, 65000]\n")
+
+    def test_sizes_at_the_range_ends(self, capsys):
+        assert main(["throughput", "--sizes", "1,65000", "--cipher", "null", "--mac", "null",
+                     "--duration", "0.01"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert sorted({row.split(",")[0] for row in rows}) == ["1", "65000"]
 
     def test_goodput_linear_in_size(self, tmp_path):
         """At a fixed 100 pps the sweep is a 0.8 Kbps/byte line."""
@@ -263,39 +271,47 @@ class TestUnwritableOutput:
 
 
 class TestClosedOutput:
-    """A reader that leaves early (`| head -1`) ends the run with exit 13 and
-    nothing on stderr, whether stdout is buffered or not."""
+    """A stdout that takes no more output ends the run with a documented exit
+    code, whether stdout is buffered or not: a reader that leaves early
+    (`| head -1`) gives exit 13 and nothing on stderr, a full device exit 3
+    and one `error:` line."""
 
     @staticmethod
-    def run_into_pipe(argv, lines_read, unbuffered=False):
-        """Run qesp-lab in a fresh interpreter whose stdout is a one-page pipe;
-        read lines_read lines, or none with the read end closed from the start,
-        then close the read end.  Returns (exit code, stderr, pipe capacity)."""
-        read_fd, write_fd = os.pipe()
-        capacity = fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, 4096)
+    def child_env(unbuffered):
+        """The environment of a fresh interpreter that imports this checkout's
+        qesp_lab, with an unbuffered stdout or a buffered one."""
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (
             str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))))
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    def run_into_pipe(self, argv, lines_read, unbuffered=False):
+        """Run qesp-lab in a fresh interpreter whose stdout is a one-page pipe;
+        read lines_read lines, or none with the read end closed from the start,
+        then close the read end.  Returns (exit code, stderr, pipe capacity)."""
+        read_fd, write_fd = os.pipe()
+        capacity = fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, 4096)
         with os.fdopen(read_fd, "rb", buffering=0) as reader:
             if not lines_read:
                 reader.close()
             proc = subprocess.Popen([sys.executable, "-m", "qesp_lab.cli", *argv],
-                                    stdout=write_fd, stderr=subprocess.PIPE, env=env)
+                                    stdout=write_fd, stderr=subprocess.PIPE,
+                                    env=self.child_env(unbuffered))
             os.close(write_fd)
             for _ in range(lines_read):
                 assert reader.readline()
         return proc.wait(timeout=60), proc.stderr.read().decode(), capacity
 
-    def test_reader_leaves_after_one_line(self):
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_leaves_after_one_line(self, unbuffered):
         """The CSV is several times the pipe's capacity, so its write is still
-        blocked when the reader leaves.  It runs buffered: unbuffered, the
-        interpreter reports no error for the short write."""
+        blocked when the reader leaves."""
         sizes = ",".join(str(size) for size in range(1, 513))  # 27558 bytes of CSV
         code, err, capacity = self.run_into_pipe(
             ["throughput", "--sizes", sizes, "--duration", "0.01", "--cipher", "null",
-             "--mac", "null"], 1)
+             "--mac", "null"], 1, unbuffered)
         assert capacity <= 8192
         assert (code, err) == (cli.EXIT_OTHER, "")
 
@@ -307,6 +323,24 @@ class TestClosedOutput:
         assert (code, err) == (cli.EXIT_OTHER, "")
         recorded = (FIXTURES / "cli_priority_seed1.txt").read_text().splitlines(keepends=True)
         assert (tmp_path / "out.csv").read_text() == "".join(recorded[:-2])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["priority", "--seed", "1"],
+        ["priority", "--seed", "1", "--out", "{tmp}/out.csv"],
+        ["throughput", "--sizes", "64,1024", "--duration", "2", "--seed", "1"],
+    ], ids=["priority", "priority-csv-in-file", "throughput"])
+    def test_full_device(self, tmp_path, argv, unbuffered):
+        """Every write to a full device fails: the CSV's, or with the CSV in a
+        file, the summary lines'.  One diagnostic, no traceback."""
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qesp_lab.cli", *(a.format(tmp=tmp_path) for a in argv)],
+                stdout=full, stderr=subprocess.PIPE, env=self.child_env(unbuffered), timeout=60)
+        (line,) = proc.stderr.decode().splitlines()
+        assert (proc.returncode, line.split(" [Errno")[0]) == (
+            3, "error: ConfigError: cannot write stdout:")
 
 
 # TCP, protocol 47, plaintext and start/stop flows; a Q-ESP transport SA shared
@@ -336,6 +370,13 @@ def test_output_byte_identical_to_recorded(fixture, argv, capsys):
     """CSV rows and summary lines stay byte-for-byte what the recorded run printed."""
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (FIXTURES / fixture).read_bytes()
+
+
+def test_text_only_stdout_takes_the_same_output():
+    """A stdout with no byte layer, such as io.StringIO, gets the text itself."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["priority", "--seed", "1"]) == 0
+    assert out.getvalue().encode() == (FIXTURES / "cli_priority_seed1.txt").read_bytes()
 
 
 class TestOneShotTools:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -299,6 +300,13 @@ class TestFiniteNumbers:
     @pytest.mark.parametrize("where,key", FLOAT_FIELDS)
     def test_finite_values_still_accepted(self, where, key):
         assert parse_config(with_number(where, key, 1.5)) is not None
+
+    def test_largest_finite_float_is_a_number(self):
+        """+-sys.float_info.max are finite: each reaches its field's own bound."""
+        big = sys.float_info.max
+        assert parse_config(with_number(("link",), "capacity_bps", big)).link.capacity_bps == big
+        with pytest.raises(ConfigError, match="start must be >= 0"):
+            parse_config(with_number(("sources", 0), "start", -big))
 
     def test_cli_exits_with_config_code(self, tmp_path, capsys):
         from qesp_lab.cli import main

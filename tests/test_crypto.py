@@ -90,16 +90,45 @@ class TestPadding:
         assert crypto.check_pad(bytes(range(1, 256)))
         assert not crypto.check_pad(bytes(range(1, 256))[:-1] + b"\x00")
 
-    def test_effective_block(self):
-        assert CipherAlg.NULL.effective_block == 4
-        assert CipherAlg.AES_128_CBC.effective_block == 16
-        assert CipherAlg.TRIPLE_DES_CBC.effective_block == 8
-
     @pytest.mark.parametrize("alg", list(CipherAlg))
     def test_state_carries_the_algorithm_constants(self, alg):
         state = CipherState(alg, bytes(alg.key_len))
         assert (state.block_size, state.iv_len, state.effective_block) == (
             alg.block_size, alg.iv_len, alg.effective_block)
+
+
+# Each algorithm's parameters as its RFC gives them, kept apart from crypto's
+# rows: (block size, IV, key, effective block) and (key, ICV, hash) in bytes.
+RFC_CIPHERS = {
+    "null": (1, 0, 0, 4),  # RFC 2410; ESP still aligns to 4 bytes
+    "aes-128-cbc": (16, 16, 16, 16),  # RFC 3602
+    "3des-cbc": (8, 8, 24, 8),  # RFC 2451
+}
+RFC_MACS = {
+    "null": (0, 0, None),
+    "hmac-md5-96": (16, 12, "md5"),  # RFC 2403
+    "hmac-sha1-96": (20, 12, "sha1"),  # RFC 2404
+}
+
+
+class TestAlgorithmRows:
+    """Every member's row against the RFC tables; a member with no entry there fails."""
+
+    @pytest.mark.parametrize("alg", list(CipherAlg))
+    def test_cipher_row(self, alg):
+        assert (alg.block_size, alg.iv_len, alg.key_len, alg.effective_block) == (
+            RFC_CIPHERS[alg.value])
+        assert CipherAlg(alg.value) is alg
+
+    @pytest.mark.parametrize("alg", list(MacAlg))
+    def test_mac_row(self, alg):
+        digest = alg.digestmod and alg.digestmod().name
+        assert (alg.key_len, alg.icv_len, digest) == RFC_MACS[alg.value]
+        assert MacAlg(alg.value) is alg
+
+    def test_every_rfc_entry_is_a_member(self):
+        assert set(RFC_CIPHERS) == {alg.value for alg in CipherAlg}
+        assert set(RFC_MACS) == {alg.value for alg in MacAlg}
 
 
 AES = CipherState(CipherAlg.AES_128_CBC, AES_KEY)
