@@ -25,6 +25,7 @@ import sys
 import time
 from dataclasses import replace
 from importlib import resources
+from typing import Callable
 
 from . import classifier, engine
 from .classifier import RuleTable
@@ -144,6 +145,16 @@ def _write_out(path: str, text: str) -> None:
             f.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def _ascii_number(read: Callable[[str], float]) -> Callable[[str], float]:
+    """An argparse type for a numeric flag: refuse the non-ASCII digits, '_'
+    separators and surrounding whitespace that int() and float() take, then read."""
+    def number(text: str) -> float:
+        if not text.isascii() or "_" in text or text.strip() != text:
+            raise ValueError(f"not an ASCII number: {text!r}")
+        return read(text)
+    return number
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -357,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("throughput", help="goodput sweep over packet sizes")
     p.add_argument("--sizes", default=DEFAULT_SIZES,
                    help="comma-separated payload sizes in bytes")
-    p.add_argument("--pps", type=float, default=DEFAULT_PPS)
+    p.add_argument("--pps", type=_ascii_number(float), default=DEFAULT_PPS)
     p.add_argument("--variant", choices=("qesp", "esp", "both"), default="both")
     p.add_argument("--cipher", choices=[c.value for c in CipherAlg],
                    default=CipherAlg.AES_128_CBC.value)
     p.add_argument("--mac", choices=[m.value for m in MacAlg],
                    default=MacAlg.HMAC_SHA1_96.value)
     p.add_argument("--mode", choices=("transport", "tunnel"), default="transport")
-    p.add_argument("--duration", type=float, default=DEFAULT_DURATION)
+    p.add_argument("--duration", type=_ascii_number(float), default=DEFAULT_DURATION)
     p.add_argument("--seed", default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_throughput)
@@ -380,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="64,256,1024,4096")
     p.add_argument("--algs", default="all",
                    help='"all" or comma list of cipher/mac pairs')
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--iters", type=_ascii_number(int), default=200)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_bench_crypto)
 
     p = sub.add_parser("encap", help="encapsulate one datagram")
     p.add_argument("--config", required=True)
     p.add_argument("--in", dest="infile", required=True, metavar="HEXFILE")
-    p.add_argument("--spi", type=lambda s: int(s, 0), default=None)
+    p.add_argument("--spi", type=_ascii_number(lambda s: int(s, 0)), default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_encap)
 

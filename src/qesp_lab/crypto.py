@@ -17,7 +17,8 @@ a config load, NULL-cipher runs) never loads OpenSSL's cipher bindings.
 Keyed state is per SA, not per packet: a CipherState holds one
 persistent CBC encryptor and one persistent CBC decryptor, a MacState the
 hash states keyed with K ^ ipad and K ^ opad (RFC 2104 §4), which each packet
-copies and feeds its coverage in place.  SA keys (16/20 B) are shorter than
+copies and feeds its coverage in place.  A state holds keyed state only; every
+size is read off its algorithm's row.  SA keys (16/20 B) are shorter than
 the 64-byte block, so RFC 2104's long-key branch cannot occur.
 
 The persistent CBC contexts give byte for byte what a fresh context under
@@ -33,14 +34,13 @@ The encryptor's chaining block is mutable per-SA state.  A CipherState is
 not thread-safe and takes no lock: its SA serializes encrypt and decrypt
 under the one lock that also guards sequence, replay and IV state.
 
-The NULL rule: a state's length says whether it does any work.
-CipherState.iv_len is 0 exactly for the NULL (identity) cipher, and
-MacState.icv_len is 0 exactly for the NULL MAC.  The per-packet callers
-(sadb's seal and unseal, engine's ICV steps) test these lengths once per
-packet and then call neither IvGenerator.next_iv, encrypt, decrypt,
-compute_icv nor verify_icv, so a NULL transform costs no call.  They never
-read an Enum member or a state's private contexts to decide.  The functions
-here keep their NULL behaviour (identity, empty ICV) for every other caller.
+The NULL rule is a zero in the row: CipherAlg.iv_len is 0 exactly for the
+NULL (identity) cipher, and MacAlg.icv_len is 0 exactly for the NULL MAC.
+The per-packet callers (sadb's seal and unseal, engine's ICV steps) test
+sa.cipher.iv_len and sa.mac.icv_len once per packet and then call neither
+IvGenerator.next_iv, encrypt, decrypt, compute_icv nor verify_icv, so a NULL
+transform costs no call.  The functions here serve the block ciphers and the
+HMACs only.
 """
 
 from __future__ import annotations
@@ -105,17 +105,14 @@ def _check_key(alg: CipherAlg | MacAlg, key: bytes) -> None:
 
 
 class CipherState:
-    """One SA's keyed cipher: the constants the per-packet path reads (block_size,
-    iv_len, effective_block) and CBC contexts, opened by the first encrypt or decrypt."""
+    """One SA's keyed cipher: its algorithm row, key, and CBC contexts, opened by
+    the first encrypt or decrypt."""
 
-    __slots__ = ("alg", "block_size", "iv_len", "effective_block", "_key", "_enc", "_dec", "_chain")
+    __slots__ = ("alg", "_key", "_enc", "_dec", "_chain")
 
     def __init__(self, alg: CipherAlg, key: bytes) -> None:
         _check_key(alg, key)
         self.alg = alg
-        self.block_size = alg.block_size
-        self.iv_len = alg.iv_len
-        self.effective_block = alg.effective_block
         self._key = key
         self._enc = self._dec = None
         self._chain = 0  # last ciphertext block as an int; 0 is the start IV
@@ -132,18 +129,17 @@ def _open_cbc(state: CipherState) -> None:
         except ImportError:  # pragma: no cover
             from cryptography.hazmat.primitives.ciphers.algorithms import TripleDES
         algorithm = TripleDES(state._key)
-    cipher = Cipher(algorithm, modes.CBC(bytes(state.block_size)))
+    cipher = Cipher(algorithm, modes.CBC(bytes(state.alg.block_size)))
     state._enc, state._dec = cipher.encryptor(), cipher.decryptor()
 
 
 class MacState:
-    """One SA's keyed MAC: inner and outer padded-key hash states, and icv_len."""
+    """One SA's keyed MAC: inner and outer padded-key hash states (None for NULL)."""
 
-    __slots__ = ("icv_len", "_inner", "_outer")
+    __slots__ = ("_inner", "_outer")
 
     def __init__(self, alg: MacAlg, key: bytes) -> None:
         _check_key(alg, key)
-        self.icv_len = alg.icv_len
         self._inner = self._outer = None
         if alg is MacAlg.NULL:
             return
@@ -174,23 +170,22 @@ def check_pad(pad: bytes) -> bool:
     return pad == _FILLER[:len(pad)]
 
 
-def _check_cipher_args(state: CipherState, iv: bytes, data: bytes) -> None:
+def _check_cipher_args(alg: CipherAlg, iv: bytes, data: bytes) -> None:
     """Raise the error for bad cipher arguments; called only once a length test failed."""
-    if len(iv) != state.iv_len:
-        raise BadIvLength(f"{state.alg.value} needs a {state.iv_len}-byte IV, got {len(iv)}")
+    if len(iv) != alg.iv_len:
+        raise BadIvLength(f"{alg.value} needs a {alg.iv_len}-byte IV, got {len(iv)}")
     raise BadBlockAlignment(
-        f"{state.alg.value} input length {len(data)} not a multiple of {state.block_size}")
+        f"{alg.value} input length {len(data)} not a multiple of {alg.block_size}")
 
 
 def encrypt(state: CipherState, iv: bytes, plaintext: bytes) -> bytes:
-    """CBC-encrypt block-aligned plaintext under iv; NULL is the identity."""
-    block = state.block_size
-    if len(iv) != state.iv_len or len(plaintext) % block:
-        _check_cipher_args(state, iv, plaintext)
+    """CBC-encrypt block-aligned plaintext under iv."""
+    alg = state.alg
+    block = alg.block_size
+    if len(iv) != alg.iv_len or len(plaintext) % block:
+        _check_cipher_args(alg, iv, plaintext)
     enc = state._enc
     if enc is None:
-        if not state.iv_len:  # NULL is the identity
-            return plaintext
         _open_cbc(state)
         enc = state._enc
     if not plaintext:  # no first block to chain
@@ -203,24 +198,20 @@ def encrypt(state: CipherState, iv: bytes, plaintext: bytes) -> bytes:
 
 def decrypt(state: CipherState, iv: bytes, ciphertext: bytes) -> bytes:
     """Inverse of encrypt()."""
-    if len(iv) != state.iv_len or len(ciphertext) % state.block_size:
-        _check_cipher_args(state, iv, ciphertext)
+    alg = state.alg
+    if len(iv) != alg.iv_len or len(ciphertext) % alg.block_size:
+        _check_cipher_args(alg, iv, ciphertext)
     dec = state._dec
     if dec is None:
-        if not state.iv_len:  # NULL is the identity
-            return ciphertext
         _open_cbc(state)
         dec = state._dec
-    return dec.update(iv + ciphertext)[state.block_size:]
+    return dec.update(iv + ciphertext)[alg.block_size:]
 
 
 def compute_icv(state: MacState, data: bytes, prefix: bytes = b"") -> bytes:
     """First 12 bytes of the HMAC over prefix || data, data hashed where it
-    lies (any contiguous buffer, memoryview included); empty for the NULL MAC."""
-    inner = state._inner
-    if inner is None:
-        return b""
-    inner = inner.copy()
+    lies (any contiguous buffer, memoryview included)."""
+    inner = state._inner.copy()
     if prefix:
         inner.update(prefix)
     inner.update(data)
@@ -230,8 +221,7 @@ def compute_icv(state: MacState, data: bytes, prefix: bytes = b"") -> bytes:
 
 
 def verify_icv(state: MacState, data: bytes, icv: bytes, prefix: bytes = b"") -> bool:
-    """Constant-time ICV verification of prefix || data; NULL MAC accepts
-    exactly the empty ICV."""
+    """Constant-time ICV verification of prefix || data."""
     return hmac.compare_digest(compute_icv(state, data, prefix), icv)
 
 
@@ -248,8 +238,6 @@ class IvGenerator:
         self._counter = 0
 
     def next_iv(self, iv_len: int) -> bytes:
-        if iv_len == 0:
-            return b""
         block = hashlib.sha256(struct.pack(">QQ", self._seed, self._counter)).digest()
         self._counter += 1
         return block[:iv_len]

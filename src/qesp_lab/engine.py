@@ -3,8 +3,9 @@
 One encap path (outbound) and one decap path (inbound) serve both protocols:
 Q-ESP is classic ESP (RFC 4303) with a 16-byte clear header (SPI, Seq, inner
 ports and protocol, flags) instead of ESP's 8-byte one, no next-header byte
-in its trailer, and optional ICV coverage of the outer header.  LAYOUTS holds
-the per-variant wire facts, which per_packet_overhead reads too; the paths
+in its trailer, and optional ICV coverage of the outer header.  Each
+sadb.ProtocolVariant row holds its variant's wire facts (IP protocol, header
+and fixed trailer lengths), which per_packet_overhead reads too; the paths
 branch on the variant only for the header, ESP's next-header tail and the
 Q-ESP five-tuple cross-check.  Both variants read the ports before a seal,
 so ESP refuses every segment Q-ESP refuses.  Decap checks the decrypted
@@ -46,14 +47,15 @@ The ICV coverage is hashed in place: the zeroed outer header of extended auth
 goes to the MAC as a separate prefix, and decap passes the covered body as a
 memoryview slice, so neither direction joins or copies the coverage.
 
-The per-packet path reads no Enum member (a slow metaclass lookup) and hashes
-none (a Python-level __hash__): it tests identity against module aliases.
+The per-packet path reads no member off its Enum class (a slow metaclass
+lookup) and hashes none (a Python-level __hash__): it tests identity against
+module aliases, and reads each variant and algorithm parameter off the SA's
+own members (sa.variant, sa.cipher, sa.mac).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
 
 from . import crypto, wire
 from .crypto import CipherAlg, MacAlg
@@ -68,37 +70,12 @@ from .errors import (
     UnknownSpi,
 )
 from .sadb import FiveTuple, ProtocolVariant, Sadb, SaMode, SecurityAssociation
-from .wire import (
-    DEFAULT_TTL,
-    ESP_HEADER_LEN,
-    IPPROTO_ESP,
-    IPPROTO_QESP,
-    IPV4_HEADER_LEN,
-    QESP_FLAG_EXTENDED_AUTH,
-    QESP_HEADER_LEN,
-)
+from .wire import DEFAULT_TTL, IPV4_HEADER_LEN, QESP_FLAG_EXTENDED_AUTH
 
 IPPROTO_IPIP = 4  # ESP tunnel-mode next_header
 
-
-class Layout(NamedTuple):
-    """What one encapsulation variant puts on the wire."""
-
-    ip_protocol: int    # outer IP protocol number
-    header_len: int     # protocol header ahead of the IV
-    trailer_fixed: int  # trailer bytes after the pad
-    label: str          # protocol name in error messages
-
-
-LAYOUTS = {
-    # pad_length only: the protocol identifier travels in the clear header.
-    ProtocolVariant.QESP: Layout(IPPROTO_QESP, QESP_HEADER_LEN, 1, "Q-ESP"),
-    # pad_length + next_header.
-    ProtocolVariant.ESP: Layout(IPPROTO_ESP, ESP_HEADER_LEN, 2, "ESP"),
-}
-_BY_PROTOCOL = {layout.ip_protocol: (variant, layout) for variant, layout in LAYOUTS.items()}
+_BY_PROTOCOL = {variant.ip_protocol: variant for variant in ProtocolVariant}
 _QESP, _TUNNEL = ProtocolVariant.QESP, SaMode.TUNNEL
-_QESP_LAYOUT, _ESP_LAYOUT = LAYOUTS[_QESP], LAYOUTS[ProtocolVariant.ESP]
 
 # Extended coverage: the outer header with its mutable fields (ToS,
 # flags_frag, TTL, checksum) read as zero, so in-transit DSCP remarking, TTL
@@ -116,8 +93,9 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
     segment (transport mode) or the whole inner datagram (tunnel mode)
     travels intact inside the ciphertext.
     """
-    qesp = sa.variant is _QESP
-    ip_protocol, header_len, trailer_fixed, _ = _QESP_LAYOUT if qesp else _ESP_LAYOUT
+    variant = sa.variant
+    qesp = variant is _QESP
+    ip_protocol, trailer_fixed = variant.ip_protocol, variant.trailer_fixed
     _, tos, _, ident, flags_frag, ttl, protocol, _, src, dst = wire.read_ipv4(datagram)
     # Both refusals come before a sequence number is spent.  Reading the ports
     # first refuses what SA selection and the classifier refuse, in both variants.
@@ -129,9 +107,9 @@ def outbound(sa: SecurityAssociation, datagram: bytes) -> bytes:
     else:
         plaintext, next_header = datagram[IPV4_HEADER_LEN:], protocol
 
-    cipher_state, icv_len = sa.cipher_state, sa.mac_state.icv_len
-    pad_len = crypto.compute_pad_len(len(plaintext), trailer_fixed, cipher_state.effective_block)
-    total = (IPV4_HEADER_LEN + header_len + cipher_state.iv_len + len(plaintext) + pad_len
+    cipher, icv_len = sa.cipher, sa.mac.icv_len
+    pad_len = crypto.compute_pad_len(len(plaintext), trailer_fixed, cipher.effective_block)
+    total = (IPV4_HEADER_LEN + variant.header_len + cipher.iv_len + len(plaintext) + pad_len
              + trailer_fixed + icv_len)
     if total > 0xFFFF:
         raise OversizePacket(f"encapsulated datagram would be {total} bytes")
@@ -157,7 +135,8 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     _, tos, total, ident, flags_frag, ttl, protocol, _, src, dst = wire.read_ipv4(datagram)
     if protocol not in _BY_PROTOCOL:
         raise InvalidHeader(f"IP protocol {protocol} is not an encapsulation")
-    variant, (_, header_len, trailer_fixed, label) = _BY_PROTOCOL[protocol]
+    variant = _BY_PROTOCOL[protocol]
+    header_len = variant.header_len
     body = datagram[IPV4_HEADER_LEN:]
     qesp = variant is _QESP
     if qesp:
@@ -166,15 +145,15 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
         spi, seq = wire.read_esp_header(body)
     sa = sadb.lookup_by_spi(spi)
     if sa is None or sa.variant is not variant:
-        raise UnknownSpi(f"no {label} SA for SPI 0x{spi:x}")
+        raise UnknownSpi(f"no {variant.label} SA for SPI 0x{spi:x}")
 
     # The format is not self-describing: the IV and ICV lengths come from the
     # SA, and at least one ciphertext byte must sit between them.
-    iv_end = header_len + sa.cipher_state.iv_len
-    icv_len = sa.mac_state.icv_len
+    iv_end = header_len + sa.cipher.iv_len
+    icv_len = sa.mac.icv_len
     icv_start = len(body) - icv_len
     if icv_start <= iv_end:
-        raise Truncated(f"{label} packet needs >= {iv_end + icv_len + 1} "
+        raise Truncated(f"{variant.label} packet needs >= {iv_end + icv_len + 1} "
                         f"bytes, got {len(body)}")
     if icv_len:  # else the NULL MAC: the ICV slice is empty, nothing to verify
         prefix = (_ZEROED_OUTER.pack(0x45, total, ident, protocol, src, dst)
@@ -191,7 +170,7 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     # The trailer: pad, pad_length, then ESP's next_header.  The body holds at
     # least one ciphertext byte (checked above), so end >= -1, and a body
     # shorter than its trailer fails the pad_length test.
-    end = len(padded) - trailer_fixed
+    end = len(padded) - variant.trailer_fixed
     pad_len = padded[end]
     if pad_len > end:
         raise BadPadding(f"pad_length {pad_len} exceeds payload")
@@ -225,11 +204,10 @@ def per_packet_overhead(variant: ProtocolVariant, mode: SaMode, cipher: CipherAl
     next_header byte (and 8-byte header) for its 16-byte clear header:
     +7 bytes before padding effects.
     """
-    layout = LAYOUTS[variant]
     tunnel_extra = IPV4_HEADER_LEN if mode is SaMode.TUNNEL else 0
     pad_len = crypto.compute_pad_len(transport_payload_len + tunnel_extra,
-                                     layout.trailer_fixed, cipher.effective_block)
-    return (layout.header_len + cipher.iv_len + pad_len + layout.trailer_fixed
+                                     variant.trailer_fixed, cipher.effective_block)
+    return (variant.header_len + cipher.iv_len + pad_len + variant.trailer_fixed
             + mac.icv_len + tunnel_extra)
 
 

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 from .crypto import CipherAlg, CipherState, IvGenerator, MacAlg, MacState, decrypt, encrypt
 from .errors import ConfigError, DuplicateSpi, ReplayRejected, SequenceExhausted, check_int
-from .wire import addr_to_int, parse_decimal
+from .wire import (
+    ESP_HEADER_LEN,
+    IPPROTO_ESP,
+    IPPROTO_QESP,
+    QESP_HEADER_LEN,
+    addr_to_int,
+    parse_decimal,
+)
 
 REPLAY_WINDOW = 64
 SEQ_MAX = 0xFFFFFFFF
@@ -22,8 +29,23 @@ _MASK64 = SEED_MAX = (1 << 64) - 1  # SEED_MAX: top run seed and IV seed
 
 
 class ProtocolVariant(enum.Enum):
-    QESP = "qesp"
-    ESP = "esp"
+    """Encapsulation protocol of an SA: a row is (name, ip_protocol, header_len,
+    trailer_fixed, label), the name its value.  header_len is the clear header
+    ahead of the IV, trailer_fixed the trailer bytes after the pad, and label
+    the protocol's name in error messages."""
+
+    # pad_length only: the protocol identifier travels in the clear header.
+    QESP = ("qesp", IPPROTO_QESP, QESP_HEADER_LEN, 1, "Q-ESP")
+    # pad_length + next_header (RFC 4303 §2).
+    ESP = ("esp", IPPROTO_ESP, ESP_HEADER_LEN, 2, "ESP")
+
+    def __new__(cls, value: str, ip_protocol: int, header_len: int, trailer_fixed: int,
+                label: str) -> ProtocolVariant:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.ip_protocol, member.header_len = ip_protocol, header_len
+        member.trailer_fixed, member.label = trailer_fixed, label
+        return member
 
 
 class SaMode(enum.Enum):
@@ -171,11 +193,11 @@ class SecurityAssociation:
         The identity cipher (iv_len 0) draws no IV and returns data as it is.
         """
         with self._lock:
-            seq, state = self.next_seq(), self.cipher_state
-            if not state.iv_len:
+            seq = self.next_seq()
+            if not self.cipher.iv_len:
                 return seq, b"", data
             iv = self.next_iv()
-            return seq, iv, encrypt(state, iv, data)
+            return seq, iv, encrypt(self.cipher_state, iv, data)
 
     def unseal(self, seq: int, iv: bytes, ciphertext: bytes) -> bytes:
         """After ICV verification: replay check and update, then decrypt, in one
@@ -183,8 +205,7 @@ class SecurityAssociation:
         with self._lock:
             if not self.replay_check_and_update(seq):
                 raise ReplayRejected(f"seq {seq} rejected by replay window")
-            state = self.cipher_state
-            return decrypt(state, iv, ciphertext) if state.iv_len else ciphertext
+            return decrypt(self.cipher_state, iv, ciphertext) if self.cipher.iv_len else ciphertext
 
     def next_seq(self) -> int:
         """Issue the next outbound sequence number from 1; the caller holds the SA's lock.
@@ -200,7 +221,7 @@ class SecurityAssociation:
 
     def next_iv(self) -> bytes:
         """Next IV of the SA's stream; the caller holds the SA's lock."""
-        return self._iv_gen.next_iv(self.cipher_state.iv_len)
+        return self._iv_gen.next_iv(self.cipher.iv_len)
 
     def replay_check_and_update(self, seq: int) -> bool:
         """Anti-replay decision after ICV verification; the caller holds the SA's lock.

@@ -40,7 +40,8 @@ stores no ports as 0/0 (pack_qesp_header writes None as 0) and is refused if
 it names a portless inner protocol with a nonzero port.  So the classifier,
 SA selection, encap and decap read one five-tuple and reject the same
 headers with the same class.  Neither body is self-describing (the SA
-sets the IV and ICV lengths); engine.inbound splits it by engine.LAYOUTS.
+sets the IV and ICV lengths); engine.inbound splits it by the SA's
+sadb.ProtocolVariant row and algorithm rows.
 """
 
 from __future__ import annotations

@@ -155,6 +155,40 @@ class TestSimulationFlags:
         assert "packets in one run" in capsys.readouterr().err
 
 
+class TestNumericFlagSyntax:
+    """Numeric flags take ASCII numbers only, as --seed and --sizes do: int() and
+    float() alone also take '_' separators, non-ASCII digits and padding."""
+
+    # Each flag's command line and a value it accepts.
+    FLAGS = {
+        "--iters": (["bench-crypto", "--sizes", "64", "--algs", "null/null"], "10"),
+        "--pps": (["throughput", "--sizes", "64", "--duration", "0.01"], "10"),
+        "--duration": (["throughput", "--sizes", "64"], "10"),
+        "--spi": (["encap", "--config", "{config}", "--in", "{packet}"], "257"),
+    }
+
+    @pytest.mark.parametrize("spoil", [
+        lambda v: v[:1] + "_" + v[1:],
+        lambda v: "".join(chr(0x660 + int(d)) for d in v),  # Arabic-Indic digits
+        lambda v: f" {v}",
+    ], ids=["underscore", "non-ascii", "padded"])
+    @pytest.mark.parametrize("flag", list(FLAGS))
+    def test_refused_with_usage_exit(self, flag, spoil, config_file, packet_file, capsys):
+        argv, value = self.FLAGS[flag]
+        argv = [arg.format(config=config_file, packet=packet_file) for arg in argv]
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, flag, spoil(value)])
+        assert exited.value.code == 2
+        assert (f"argument {flag}: invalid number value: {spoil(value)!r}"
+                in capsys.readouterr().err)
+
+    def test_hex_spi_and_exponent_pps_still_read(self, config_file, packet_file, capsys):
+        assert main(["encap", "--config", config_file, "--in", packet_file,
+                     "--spi", "0x101"]) == 0
+        assert main(["throughput", "--sizes", "64", "--duration", "0.01", "--pps", "1e-3"]) == 0
+        capsys.readouterr()
+
+
 class TestPriority:
     def test_bundled_scenario(self, tmp_path, capsys):
         out = tmp_path / "prio.csv"

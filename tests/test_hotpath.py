@@ -380,10 +380,9 @@ def test_port_protocols_named_only_in_wire(module):
     (sadb, "SecurityAssociation.seal"), (sadb, "SecurityAssociation.unseal")])
 def test_per_packet_path_reads_no_enum_member(module, function):
     """Reading an Enum member (ProtocolVariant.QESP) costs about ten global
-    reads under CPython 3.11, and an Enum-keyed lookup (LAYOUTS[variant]) a
-    call of the Python-level Enum.__hash__; the per-packet functions test
-    identity against module aliases, and seal and unseal tell the NULL
-    cipher by its iv_len, instead."""
+    reads under CPython 3.11; the per-packet functions test identity against
+    module aliases, and read each variant and algorithm parameter off the SA's
+    own members (sa.variant.header_len, sa.cipher.iv_len) instead."""
     body = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     for name in function.split("."):
         body = next(node for node in body.body
@@ -391,16 +390,14 @@ def test_per_packet_path_reads_no_enum_member(module, function):
     enums = {"ProtocolVariant", "SaMode", "CipherAlg", "MacAlg"}
     reads = [ast.unparse(node) for node in ast.walk(body)
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-             and node.value.id in enums
-             or isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
-             and node.value.id == "LAYOUTS"]
+             and node.value.id in enums]
     assert reads == []
 
 
 @pytest.mark.parametrize("module", [sadb, engine], ids=lambda m: m.__name__)
 def test_null_transforms_told_by_public_lengths(module):
-    """sadb and engine tell a NULL transform by iv_len and icv_len, never by
-    a crypto state's private contexts."""
+    """sadb and engine tell a NULL transform by its row's iv_len or icv_len,
+    never by a crypto state's private contexts."""
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     private = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                and node.attr in ("_enc", "_dec", "_chain", "_inner", "_outer")}

@@ -61,6 +61,13 @@ class TestSelectors:
         assert sel.matches(packet)
         assert not sel.matches(replace(packet, dst_port=5061))
 
+    @pytest.mark.parametrize("name", ["src_port", "dst_port"])
+    def test_port_range_is_inclusive(self, name):
+        sel = Selector(**{f"{name}s": (1000, 2000)})
+        packet = FiveTuple(src_addr=1, dst_addr=2, protocol=17, src_port=0, dst_port=0)
+        matched = [sel.matches(replace(packet, **{name: port})) for port in (999, 1000, 2000, 2001)]
+        assert matched == [False, True, True, False]
+
     def test_unreadable_ports_match_no_port_constraint(self):
         esp = FiveTuple(src_addr=1, dst_addr=2, protocol=50, src_port=None, dst_port=None)
         assert not Selector(src_ports=(0, 65535)).matches(esp)

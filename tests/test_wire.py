@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 
 import pytest
@@ -217,6 +218,24 @@ class TestAddresses:
     def test_octet_out_of_range(self, text):
         with pytest.raises(ValueError, match=f"^octet out of range in {text!r}$"):
             wire.addr_to_int(text)
+
+    def test_top_octet_reads(self):
+        assert wire.addr_to_int("255.255.255.255") == 0xFFFFFFFF
+
+    @pytest.mark.parametrize("text", ["1_0", "+8", " 8", "\u0668", ""])
+    def test_decimal_is_ascii_digits_only(self, text):
+        """int() alone takes each of these but the empty string."""
+        with pytest.raises(ValueError, match=f"^not a decimal number: {re.escape(repr(text))}$"):
+            wire.parse_decimal(text)
+
+
+@pytest.mark.parametrize("protocol", [wire.IPPROTO_TCP, wire.IPPROTO_UDP])
+def test_ports_need_four_segment_bytes(protocol):
+    segment = struct.pack(">HH", 4000, 5060)
+    assert wire.extract_ports(protocol, segment) == (4000, 5060)
+    assert wire.extract_ports(protocol, bytes(20) + segment, 20) == (4000, 5060)
+    with pytest.raises(Truncated, match="^transport segment too short for ports: 3$"):
+        wire.extract_ports(protocol, bytes(20) + segment[:3], 20)
 
 
 AES, SHA1 = CipherAlg.AES_128_CBC, MacAlg.HMAC_SHA1_96
