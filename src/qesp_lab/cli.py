@@ -9,20 +9,19 @@ Subcommands::
     decap         decapsulate one datagram from a hex file
     classify      print extracted fields and DSCP for one datagram
 
-Every failure maps to a documented exit code (see EXIT_CODES) with a one-line
-``error: <Kind>: <detail>`` diagnostic on stderr, a stdout that fails (a full
-device) included; a closed stdout (a reader such as ``head`` that left early)
-exits EXIT_OTHER silently.  Seed precedence
+Every failure exits with its class's documented ``exit_code`` (see errors)
+and a one-line ``error: <Kind>: <detail>`` diagnostic on stderr, a stdout that
+fails (a full device) included; a closed stdout (a reader such as ``head``
+that left early) exits QespLabError.exit_code silently.  Seed precedence
 for simulations: --seed flag, then QESP_LAB_SEED, then the config file.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
+import functools
 import os
 import sys
-import time
 from dataclasses import replace
 from importlib import resources
 from typing import Callable
@@ -31,19 +30,7 @@ from . import classifier, engine
 from .classifier import RuleTable
 from .config import load_config
 from .crypto import CipherAlg, MacAlg
-from .errors import (
-    AuthFailure,
-    BadPadding,
-    ConfigError,
-    FiveTupleMismatch,
-    MalformedPacket,
-    OversizePacket,
-    QespLabError,
-    ReplayRejected,
-    SequenceExhausted,
-    UnknownSpi,
-    check_int,
-)
+from .errors import ConfigError, MalformedPacket, NoMatchingSa, QespLabError, UnknownSpi, check_int
 from .netsim import (
     MAX_PAYLOAD_SIZE, ExperimentConfig, FlowStats, LinkConfig, TrafficSource, build_datagram,
     run_simulation,
@@ -51,24 +38,6 @@ from .netsim import (
 from .sadb import SEED_MAX, FiveTuple, ProtocolVariant, SaMode, SecurityAssociation, Selector
 from .wire import IPPROTO_UDP, int_to_addr, parse_decimal
 
-
-class NoMatchingSa(QespLabError):
-    """encap found no SA for the packet (no --spi and no selector match)."""
-
-
-EXIT_CODES: tuple[tuple[type, int], ...] = (
-    (ConfigError, 3),  # also an unreadable or unwritable file, stdout included
-    (MalformedPacket, 4),  # every header read failure is one of its subclasses
-    (UnknownSpi, 5),
-    (AuthFailure, 6),
-    (ReplayRejected, 7),
-    (BadPadding, 8),
-    (FiveTupleMismatch, 9),
-    (SequenceExhausted, 10),
-    (OversizePacket, 11),
-    (NoMatchingSa, 12),
-)
-EXIT_OTHER = 13  # a QespLabError with no row above, or a closed stdout
 
 DEFAULT_SIZES = "64,128,256,512,1024,2048,4096"
 DEFAULT_PPS = 100.0
@@ -78,13 +47,6 @@ THROUGHPUT_CAPACITY_BPS = 100e6  # far above any swept flow: uncongested
 FLOW_STATS_COLUMNS = ("flow_id", "offered_bytes", "delivered_bytes",
                       "delivered_packets", "dropped_packets",
                       "mean_latency_s", "throughput_kbps")
-
-
-def exit_code_for(exc: QespLabError) -> int:
-    for cls, code in EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    return EXIT_OTHER
 
 
 def resolve_seed(flag_seed: str | None, config_seed: int) -> int:
@@ -198,8 +160,7 @@ def _sweep_config(size: int, cipher: CipherAlg, mac: MacAlg, mode: SaMode, pps: 
 
 def cmd_throughput(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
-    variants = ([ProtocolVariant.QESP, ProtocolVariant.ESP]
-                if args.variant == "both" else [ProtocolVariant(args.variant)])
+    variants = list(ProtocolVariant) if args.variant == "both" else [ProtocolVariant(args.variant)]
     cipher = CipherAlg(args.cipher)
     mac = MacAlg(args.mac)
     mode = SaMode(args.mode)
@@ -210,6 +171,9 @@ def cmd_throughput(args: argparse.Namespace) -> int:
         cfg = _sweep_config(size, cipher, mac, mode, args.pps, args.duration, seed)
         for variant in variants:
             stats = run_simulation(cfg.with_variant(variant))[0]
+            if stats.offered_packets == 0:  # a zero goodput that measured nothing
+                raise ConfigError(f"--pps {args.pps!r} over --duration {args.duration!r} "
+                                  "offers no packet")
             # transport segment = UDP header + payload
             overhead = engine.per_packet_overhead(variant, mode, cipher, mac, 8 + size)
             lines.append(f"{size},{variant.value},{stats.throughput_kbps:.3f},"
@@ -231,7 +195,7 @@ def cmd_priority(args: argparse.Namespace) -> int:
 
     lines = ["run," + ",".join(FLOW_STATS_COLUMNS)]
     summaries = []
-    for variant in (ProtocolVariant.QESP, ProtocolVariant.ESP):
+    for variant in ProtocolVariant:
         run_cfg = replace(cfg.with_variant(variant), seed=seed)
         run_stats = run_simulation(run_cfg)
         for stats in run_stats:
@@ -268,11 +232,13 @@ def _parse_algs(text: str) -> list[tuple[CipherAlg, MacAlg]]:
 
 def bench_encapsulation(variant: ProtocolVariant, cipher: CipherAlg, mac: MacAlg,
                         size: int, iters: int, repeats: int = 3) -> float:
-    """Best-of-repeats mean ns per outbound encapsulation.
-
-    GC is paused around the timed loop (as timeit does) so allocation debt
-    from the surrounding process does not land inside the measurement.
+    """Best-of-repeats mean ns per outbound encapsulation, each repeat on a
+    fresh SA whose first, untimed packet opens its CBC contexts.  timeit pauses
+    GC around the timed loop, so allocation debt from the surrounding process
+    does not land inside the measurement.
     """
+    import timeit  # here, not at module level: `qesp-lab priority` never needs it
+
     template = SecurityAssociation(
         spi=0x200, variant=variant, mode=SaMode.TRANSPORT, cipher=cipher,
         cipher_key=bytes(range(cipher.key_len)), mac=mac, mac_key=bytes(range(mac.key_len)),
@@ -282,21 +248,12 @@ def bench_encapsulation(variant: ProtocolVariant, cipher: CipherAlg, mac: MacAlg
     datagram = build_datagram(ft, bytes(size))
 
     best = float("inf")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            sa = replace(template)
-            engine.outbound(sa, datagram)  # its first packet opens the CBC contexts
-            start = time.perf_counter_ns()
-            for _ in range(iters):
-                engine.outbound(sa, datagram)
-            elapsed = time.perf_counter_ns() - start
-            best = min(best, elapsed / iters)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return best
+    for _ in range(repeats):
+        sa = replace(template)
+        engine.outbound(sa, datagram)  # its first packet opens the CBC contexts
+        best = min(best, timeit.timeit(functools.partial(engine.outbound, sa, datagram),
+                                       number=iters))
+    return best / iters * 1e9
 
 
 def cmd_bench_crypto(args: argparse.Namespace) -> int:
@@ -305,7 +262,7 @@ def cmd_bench_crypto(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
     pairs = _parse_algs(args.algs)
     lines = ["variant,cipher,mac,size,ns_per_packet,mbps"]
-    for variant in (ProtocolVariant.QESP, ProtocolVariant.ESP):
+    for variant in ProtocolVariant:
         for cipher, mac in pairs:
             for size in sizes:
                 ns = bench_encapsulation(variant, cipher, mac, size, args.iters)
@@ -369,12 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default=DEFAULT_SIZES,
                    help="comma-separated payload sizes in bytes")
     p.add_argument("--pps", type=_ascii_number(float), default=DEFAULT_PPS)
-    p.add_argument("--variant", choices=("qesp", "esp", "both"), default="both")
+    p.add_argument("--variant", choices=[v.value for v in ProtocolVariant] + ["both"],
+                   default="both")
     p.add_argument("--cipher", choices=[c.value for c in CipherAlg],
                    default=CipherAlg.AES_128_CBC.value)
     p.add_argument("--mac", choices=[m.value for m in MacAlg],
                    default=MacAlg.HMAC_SHA1_96.value)
-    p.add_argument("--mode", choices=("transport", "tunnel"), default="transport")
+    p.add_argument("--mode", choices=[m.value for m in SaMode], default="transport")
     p.add_argument("--duration", type=_ascii_number(float), default=DEFAULT_DURATION)
     p.add_argument("--seed", default=None)
     p.add_argument("--out", default="-")
@@ -422,9 +380,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)  # every stdout write is flushed by _write_stdout
     except QespLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
     except BrokenPipeError:  # the reader has left; _write_stdout silenced stdout
-        return EXIT_OTHER
+        return QespLabError.exit_code
 
 
 if __name__ == "__main__":

@@ -27,10 +27,10 @@ Hypothesis runs with seed 0 and no saved examples, so a run is repeatable;
 a check that only rare random inputs reach can survive it though a lucky
 random run kills it, and wants a test of its own.
 
-It works in one temporary copy of src/, tests/, docs/ and pyproject.toml,
-which it removes afterwards; the checkout is never written.  Before any
-mutation the whole suite must pass on the copy, so a test that already
-fails there cannot pass off a mutant as killed.  Each mutant takes a few
+It works in one temporary copy of src/, tests/, docs/, README.md and
+pyproject.toml, which it removes afterwards; the checkout is never written.
+Before any mutation the whole suite must pass on the copy, so a test that
+already fails there cannot pass off a mutant as killed.  Each mutant takes a few
 seconds, or about half a minute when it reaches the whole suite; CHANGES.md
 gives the measured time of the last full run.  The mutants are found and
 written with the standard library's ast and tokenize modules alone.
@@ -49,7 +49,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "docs", "pyproject.toml")
+COPIED = ("src", "tests", "docs", "README.md", "pyproject.toml")
 # Each auditable module and the test modules that aim at it.
 FOCUSED = {
     "engine": ["tests/test_engine.py"],

@@ -7,6 +7,7 @@ import fcntl
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 
 import oracle
 from conftest import FIXTURES, make_datagram
-from qesp_lab import cli, crypto, engine, wire
+from qesp_lab import cli, crypto, engine, errors, wire
 from qesp_lab.cli import main
 from qesp_lab.config import load_config
 from qesp_lab.crypto import CipherAlg
@@ -25,6 +26,7 @@ from qesp_lab.errors import (
     BadChecksum,
     BadKeyLength,
     InvalidHeader,
+    QespLabError,
     Truncated,
     UnsupportedOptions,
 )
@@ -154,6 +156,22 @@ class TestSimulationFlags:
         assert main(["throughput", "--sizes", "64", *flags]) == 3
         assert "packets in one run" in capsys.readouterr().err
 
+    def test_sweep_that_offers_no_packet_refused(self, tmp_path, capsys):
+        """0.01 s at 1e-3 pps offers no packet: a goodput of 0 would measure nothing."""
+        out = tmp_path / "tput.csv"
+        assert main(["throughput", "--sizes", "64", "--pps", "1e-3", "--duration", "0.01",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: ConfigError: --pps 0.001 over --duration 0.01 offers no packet\n")
+        assert not out.exists()
+
+    def test_one_packet_sweep_runs(self, capsys):
+        assert main(["throughput", "--sizes", "64", "--pps", "1", "--duration", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        # one 64-byte payload in one second is 0.512 Kbps of goodput
+        assert [row.split(",")[:3] for row in rows] == [["64", "qesp", "0.512"],
+                                                        ["64", "esp", "0.512"]]
+
 
 class TestNumericFlagSyntax:
     """Numeric flags take ASCII numbers only, as --seed and --sizes do: int() and
@@ -185,7 +203,7 @@ class TestNumericFlagSyntax:
     def test_hex_spi_and_exponent_pps_still_read(self, config_file, packet_file, capsys):
         assert main(["encap", "--config", config_file, "--in", packet_file,
                      "--spi", "0x101"]) == 0
-        assert main(["throughput", "--sizes", "64", "--duration", "0.01", "--pps", "1e-3"]) == 0
+        assert main(["throughput", "--sizes", "64", "--duration", "1000", "--pps", "1e-3"]) == 0
         capsys.readouterr()
 
 
@@ -347,14 +365,14 @@ class TestClosedOutput:
             ["throughput", "--sizes", sizes, "--duration", "0.01", "--cipher", "null",
              "--mac", "null"], 1, unbuffered)
         assert capacity <= 8192
-        assert (code, err) == (cli.EXIT_OTHER, "")
+        assert (code, err) == (QespLabError.exit_code, "")
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_summary_lines_find_no_reader(self, tmp_path, unbuffered):
         """With the CSV in a file, the first write to stdout is a summary line."""
         code, err, _ = self.run_into_pipe(
             ["priority", "--seed", "1", "--out", str(tmp_path / "out.csv")], 0, unbuffered)
-        assert (code, err) == (cli.EXIT_OTHER, "")
+        assert (code, err) == (QespLabError.exit_code, "")
         recorded = (FIXTURES / "cli_priority_seed1.txt").read_text().splitlines(keepends=True)
         assert (tmp_path / "out.csv").read_text() == "".join(recorded[:-2])
 
@@ -747,23 +765,30 @@ class TestBenchCrypto:
 
 
 class TestExitCodeTable:
-    def test_codes_are_distinct_per_error_kind(self):
-        codes = [code for _, code in cli.EXIT_CODES]
-        # one row per code: every header read failure is a MalformedPacket (4)
-        assert sorted(set(codes)) == [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+    ERROR_CLASSES = [value for value in vars(errors).values()
+                     if isinstance(value, type) and issubclass(value, QespLabError)]
 
-    def test_one_row_per_code(self):
-        codes = [code for _, code in cli.EXIT_CODES]
-        assert len(codes) == len(set(codes))
+    def test_codes_are_three_to_thirteen(self):
+        assert {cls.exit_code for cls in self.ERROR_CLASSES} == set(range(3, 14))
+
+    def test_header_failures_share_the_malformed_code(self):
         for kind in (Truncated, InvalidHeader, BadChecksum, UnsupportedOptions):
-            assert cli.exit_code_for(kind("x")) == 4
+            assert kind.exit_code == 4
 
     def test_unmapped_error_exits_other(self, monkeypatch, capsys):
-        """A QespLabError with no row of its own still exits nonzero, not None."""
-        assert cli.exit_code_for(BadKeyLength("x")) == cli.EXIT_OTHER == 13
+        """A QespLabError that sets no code of its own inherits 13, not None."""
+        assert BadKeyLength.exit_code == 13
 
         def fail(args):
             raise BadKeyLength("unmapped")
         monkeypatch.setattr(cli, "cmd_classify", fail)
         assert main(["classify", "--config", "unused.json", "--in", "unused.hex"]) == 13
         assert capsys.readouterr().err == "error: BadKeyLength: unmapped\n"
+
+    def test_readme_lists_each_code_once(self):
+        """The README table has a row for success (0), argparse's usage exit (2)
+        and each class's code, and no other."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("\n## Exit codes\n")[1].split("\n## ")[0]
+        rows = [int(code) for code in re.findall(r"^\| (\d+) +\|", table, re.M)]
+        assert rows == sorted({0, 2} | {cls.exit_code for cls in self.ERROR_CLASSES})
