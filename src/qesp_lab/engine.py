@@ -1,16 +1,16 @@
-"""Q-ESP and ESP encapsulation/decapsulation, plus overhead accounting.
+"""Q-ESP and ESP encapsulation and decapsulation.
 
 One encap path (outbound) and one decap path (inbound) serve both protocols:
 Q-ESP is classic ESP (RFC 4303) with a 16-byte clear header (SPI, Seq, inner
 ports and protocol, flags) instead of ESP's 8-byte one, no next-header byte
 in its trailer, and optional ICV coverage of the outer header.  Each
 sadb.ProtocolVariant row holds its variant's wire facts (IP protocol, header
-and fixed trailer lengths), which per_packet_overhead reads too; the paths
-branch on the variant only for the header, ESP's next-header tail and the
-Q-ESP five-tuple cross-check.  Both variants read the ports before a seal,
-so ESP refuses every segment Q-ESP refuses.  Decap checks the decrypted
-datagram in one step: a tunnel's inner datagram gets one read_ipv4 (for ESP
-after its IP-in-IP check), and Q-ESP's clear copies must match the segment.
+and fixed trailer lengths); the paths branch on the variant only for the
+header, ESP's next-header tail and the Q-ESP five-tuple cross-check.  Both
+variants read the ports before a seal, so ESP refuses every segment Q-ESP
+refuses.  Decap checks the decrypted datagram in one step: a tunnel's inner
+datagram gets one read_ipv4 (for ESP after its IP-in-IP check), and Q-ESP's
+clear copies must match the segment.
 
 Both protocols follow encrypt-then-MAC.  Outbound transport mode protects the
 transport segment in place under the original IP header (protocol number
@@ -58,7 +58,6 @@ from __future__ import annotations
 import struct
 
 from . import crypto, wire
-from .crypto import CipherAlg, MacAlg
 from .errors import (
     AuthFailure,
     BadBlockAlignment,
@@ -193,22 +192,6 @@ def inbound(sadb: Sadb, datagram: bytes) -> bytes:
     if tunnel:
         return plaintext
     return wire.pack_ipv4(tos, ident, flags_frag, ttl, inner_protocol, src, dst, plaintext)
-
-
-def per_packet_overhead(variant: ProtocolVariant, mode: SaMode, cipher: CipherAlg,
-                        mac: MacAlg, transport_payload_len: int) -> int:
-    """Bytes added to the wire packet by encapsulation.
-
-    header + IV + pad + fixed trailer + ICV, plus 20 bytes for the fresh
-    outer IP header in tunnel mode.  Q-ESP trades ESP's in-trailer
-    next_header byte (and 8-byte header) for its 16-byte clear header:
-    +7 bytes before padding effects.
-    """
-    tunnel_extra = IPV4_HEADER_LEN if mode is SaMode.TUNNEL else 0
-    pad_len = crypto.compute_pad_len(transport_payload_len + tunnel_extra,
-                                     variant.trailer_fixed, cipher.effective_block)
-    return (variant.header_len + cipher.iv_len + pad_len + variant.trailer_fixed
-            + mac.icv_len + tunnel_extra)
 
 
 def five_tuple_of(datagram: bytes) -> FiveTuple:

@@ -197,8 +197,9 @@ class FlowStats:
 
     delivered_bytes/offered_bytes count transport payload (goodput);
     delivered_plain_bytes and delivered_wire_bytes count whole datagrams
-    before and after encapsulation, which makes encapsulation overhead
-    directly observable.  delivered + dropped == offered packets, always.
+    before and after encapsulation: the throughput subcommand reads its
+    overhead_bytes column off these two totals.  delivered + dropped ==
+    offered packets, always.
     """
 
     flow_id: str

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import oracle
-from conftest import FIXTURES, make_datagram
+from conftest import FIXTURES, make_datagram, make_sa
 from qesp_lab import cli, crypto, engine, errors, wire
 from qesp_lab.cli import main
 from qesp_lab.config import load_config
@@ -127,6 +127,23 @@ class TestThroughput:
                      "--duration", "0.01"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert sorted({row.split(",")[0] for row in rows}) == ["1", "65000"]
+
+    def test_overhead_is_measured_under_tail_drops(self, capsys):
+        """overhead_bytes is wire minus plain bytes per delivered packet: a sweep
+        that drops packets (20000 pps of 1400 B over 100 Mbps) prints what the
+        uncongested one does, the bytes outbound adds (60 for Q-ESP, 52 for ESP
+        under AES/SHA1 transport)."""
+        columns = {}
+        for pps in ("100", "20000"):
+            assert main(["throughput", "--sizes", "1400", "--pps", pps, "--duration", "1"]) == 0
+            rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+            columns[pps] = {variant: int(overhead) for _, variant, *_, overhead in rows}
+            if pps == "20000":  # goodput below the offered 224000 Kbps: drops
+                assert all(float(goodput) < 224_000 for _, _, goodput, *_ in rows)
+        datagram = make_datagram(payload_len=1400)
+        measured = {variant.value: len(engine.outbound(make_sa(variant=variant), datagram))
+                    - len(datagram) for variant in ProtocolVariant}
+        assert columns["20000"] == columns["100"] == measured
 
     def test_goodput_linear_in_size(self, tmp_path):
         """At a fixed 100 pps the sweep is a 0.8 Kbps/byte line."""

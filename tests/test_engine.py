@@ -562,35 +562,37 @@ class TestDscpHandling:
         engine.inbound(db, remarked)  # must not raise
 
 
+def encap_overhead(sa, datagram: bytes) -> int:
+    """Bytes that outbound adds to datagram under sa."""
+    return len(engine.outbound(sa, datagram)) - len(datagram)
+
+
 class TestOverheadAccounting:
-    @pytest.mark.parametrize("variant,mode,cipher,mac,payload_len,expected", [
-        (ProtocolVariant.QESP, SaMode.TRANSPORT, CipherAlg.AES_128_CBC,
-         MacAlg.HMAC_SHA1_96, 100, 56),
-        (ProtocolVariant.ESP, SaMode.TRANSPORT, CipherAlg.AES_128_CBC,
-         MacAlg.HMAC_SHA1_96, 100, 48),
-        (ProtocolVariant.QESP, SaMode.TRANSPORT, CipherAlg.NULL, MacAlg.NULL, 7, 17),
+    """Lengths read off outbound's packets; TestOracleDifferential checks their bytes."""
+
+    @pytest.mark.parametrize("variant,cipher,mac,segment_len,expected", [
+        (ProtocolVariant.QESP, CipherAlg.AES_128_CBC, MacAlg.HMAC_SHA1_96, 100, 56),
+        (ProtocolVariant.ESP, CipherAlg.AES_128_CBC, MacAlg.HMAC_SHA1_96, 100, 48),
+        (ProtocolVariant.QESP, CipherAlg.NULL, MacAlg.NULL, 7, 17),
     ])
-    def test_reference_values(self, variant, mode, cipher, mac, payload_len, expected):
-        assert engine.per_packet_overhead(variant, mode, cipher, mac, payload_len) == expected
+    def test_reference_values(self, variant, cipher, mac, segment_len, expected):
+        """Transport mode on a GRE datagram, whose segment is all payload."""
+        sa = make_sa(variant=variant, cipher=cipher, mac=mac)
+        assert encap_overhead(sa, make_datagram(protocol=47, payload_len=segment_len)) == expected
 
-    def test_header_trailer_delta_is_seven_bytes(self):
-        """Q-ESP header+trailer cost exceeds ESP's by 7 before padding."""
-        for cipher in ALL_CIPHERS:
-            for mac in ALL_MACS:
-                qesp = 16 + 1 + cipher.iv_len + mac.icv_len
-                esp = 8 + 2 + cipher.iv_len + mac.icv_len
-                assert qesp - esp == 7
-
-    def test_matches_measured_wire_length(self):
-        rng = random.Random(5)
-        for variant, mode, cipher, mac in itertools.product(
-                ALL_VARIANTS, ALL_MODES, ALL_CIPHERS, ALL_MACS):
-            sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac)
-            datagram = make_datagram(payload_len=rng.randint(0, 500), rng=rng)
-            out = engine.outbound(sa, datagram)
-            predicted = engine.per_packet_overhead(
-                variant, mode, cipher, mac, len(datagram) - 20)
-            assert len(out) - len(datagram) == predicted
+    @pytest.mark.parametrize("mode,cipher,mac", list(itertools.product(
+        ALL_MODES, ALL_CIPHERS, ALL_MACS)))
+    def test_header_trailer_delta_is_seven_bytes(self, mode, cipher, mac):
+        """Q-ESP's 16-byte header and 1-byte trailer cost 7 bytes more than ESP's
+        8 and 2.  Over effective_block consecutive lengths each pad takes every
+        residue once, so the padding differences sum to zero."""
+        block = cipher.effective_block
+        qesp, esp = (make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac)
+                     for variant in ALL_VARIANTS)
+        for start in (0, 37, 1000):
+            datagrams = [make_datagram(payload_len=n) for n in range(start, start + block)]
+            assert sum(encap_overhead(qesp, d) - encap_overhead(esp, d)
+                       for d in datagrams) == 7 * block
 
     @pytest.mark.parametrize("variant,mode,cipher,mac", list(itertools.product(
         ALL_VARIANTS, ALL_MODES, ALL_CIPHERS, ALL_MACS)))
@@ -598,16 +600,18 @@ class TestOverheadAccounting:
         """The largest UDP payload encapsulates to at most 65535 bytes and one
         byte more is OversizePacket.  Every result is 20 + header + IV +
         ciphertext aligned to lcm(block, 4) + ICV long, a multiple of 4, so the
-        largest lands within one aligned block below 65535, never on it."""
-        payload = 0xFFFF - 28
-        while 28 + payload + engine.per_packet_overhead(
-                variant, mode, cipher, mac, 8 + payload) > 0xFFFF:
-            payload -= 1
+        largest lands within one aligned block below 65535, never on it.  The
+        overhead depends on the payload length only mod effective_block, so one
+        short datagram per residue gives it for any length."""
+        block = cipher.effective_block
         sa = make_sa(variant=variant, mode=mode, cipher=cipher, mac=mac)
+        overhead = [encap_overhead(sa, make_datagram(payload_len=n)) for n in range(block)]
+        payload = 0xFFFF - 28
+        while 28 + payload + overhead[payload % block] > 0xFFFF:
+            payload -= 1
         datagram = make_datagram(payload_len=payload)
         out = engine.outbound(sa, datagram)
-        assert len(out) - len(datagram) == engine.per_packet_overhead(
-            variant, mode, cipher, mac, len(datagram) - 20)
+        assert len(out) - len(datagram) == overhead[payload % block]
         assert len(out) % 4 == 0 and 0 <= 0xFFFF - len(out) < cipher.effective_block
         with pytest.raises(OversizePacket):
             engine.outbound(sa, make_datagram(payload_len=payload + 1))

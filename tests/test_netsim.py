@@ -338,14 +338,12 @@ class TestRunSimulation:
         assert stats.drop_reasons == {}
 
     def test_wire_accounting_shows_overhead(self):
-        from qesp_lab import engine
         cfg = simple_config([flow("p", 5060, 50, 300, spi=0x11)],
                             sas=[null_sa_spec(0x11, (5060, 5060))], duration=2.0)
         stats = run_simulation(cfg)[0]
-        overhead = engine.per_packet_overhead(
-            ProtocolVariant.QESP, SaMode.TRANSPORT, CipherAlg.NULL, MacAlg.NULL, 308)
-        expected_wire = stats.delivered_plain_bytes + stats.delivered_packets * overhead
-        assert stats.delivered_wire_bytes == expected_wire
+        assert stats.delivered_packets == 100
+        # NULL/NULL Q-ESP transport on a 308-byte segment: header 16 + pad 3 + trailer 1
+        assert stats.delivered_wire_bytes - stats.delivered_plain_bytes == 100 * 20
 
     def test_unknown_protection_spi_rejected(self):
         """The config that names the source refuses it, before any run."""
