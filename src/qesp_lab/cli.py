@@ -147,8 +147,8 @@ def _sweep_config(size: int, cipher: CipherAlg, mac: MacAlg, mode: SaMode, pps: 
         spi=0x101, variant=ProtocolVariant.QESP, mode=mode, cipher=cipher,
         cipher_key=bytes(range(cipher.key_len)), mac=mac, mac_key=bytes(range(mac.key_len)),
         selector=Selector(), extended_auth=True,
-        tunnel_src=0x0A000001 if mode is SaMode.TUNNEL else None,
-        tunnel_dst=0x0A000909 if mode is SaMode.TUNNEL else None,
+        tunnel_src=SWEEP_FLOW.src_addr if mode is SaMode.TUNNEL else None,
+        tunnel_dst=SWEEP_FLOW.dst_addr if mode is SaMode.TUNNEL else None,
         iv_seed=seed)
     source = TrafficSource(
         flow_id=f"sweep-{size}", payload_size=size, rate_pps=pps,

@@ -3,7 +3,7 @@
 Pipeline per packet: source emits -> sender encapsulates (if the flow is
 protected) -> multi-field classifier remarks DSCP -> bottleneck link with
 per-class strict-priority queues serves or tail-drops -> receiver
-decapsulates -> per-flow stats.
+decapsulates -> the run's record.
 
 Sources emit on a uniformly jittered grid: packet k of a rate-r flow leaves at
 start + (k + u_k)/r with seeded u_k in [0, 1), which keeps packet counts
@@ -12,8 +12,8 @@ under tail drop.  Encapsulation and classification take zero simulated time;
 latency is dequeue completion minus emission.
 
 Sources are open loop, so the whole emission schedule is known before the
-run, and the link has at most one completion pending.  run_simulation owns
-the whole link: the packet in service, its completion time and the waiting
+run, and the link has at most one completion pending.  simulate owns the
+whole link: the packet in service, its completion time and the waiting
 room, one FIFO per class that tail-drops an arrival finding queue_limit
 packets ahead of it.  The server is work-conserving and non-preemptive: an
 idle link serves an arrival at once, and each service end takes the oldest
@@ -22,12 +22,20 @@ packet of the highest non-empty class.  The walk sorts every emission by
 service whose completion time is < the emission's time; at equal times the
 emission goes first.  That is the order of one event heap holding every
 emission numbered flow by flow and each completion numbered after them, so a
-given (config, seed) always produces byte-identical statistics.  The
+given (config, seed) always produces a byte-identical record.  The
 event-driven reference model, with its own strict-priority waiting room,
-lives in tests/test_netsim.py and checks this walk.  The seeded rng draws all
-jitter, flow by flow, and then one payload per flow, which every packet of
-that flow carries; datagrams differ by IP identification (and, when
-protected, by sequence number and IV).
+lives in tests/test_netsim.py and checks this walk record for record.  The
+seeded rng draws all jitter, flow by flow, and then one payload per flow,
+which every packet of that flow carries; datagrams differ by IP
+identification (and, when protected, by sequence number and IV).
+
+simulate returns the record: one plain tuple (flow, ident, emitted, done,
+wire_len, verdict) per emitted packet, appended when its fate is settled,
+so each flow's deliveries appear in completion order.  flow indexes
+config.sources and ident numbers the flow's packets from 1; done is the
+completion time (None if the packet never crossed the link), wire_len the
+length classified (0 if it never reached the link), and verdict None if
+delivered, else the drop reason.  run_simulation folds it into FlowStats.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from .sadb import SEED_MAX, FiveTuple, ProtocolVariant, Sadb, SecurityAssociatio
 from .wire import DEFAULT_TTL, IPPROTO_TCP, IPPROTO_UDP
 
 MAX_PAYLOAD_SIZE = 65000
-# run_simulation holds every emission in memory, so a run may offer at most
+# simulate holds every emission in memory, so a run may offer at most
 # this many packets over all its sources.
 MAX_PACKETS_PER_RUN = 2 ** 20
 
@@ -193,13 +201,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class FlowStats:
-    """Per-flow measurement over one run.
+    """Per-flow measurement over one run: run_simulation's fold of the record.
 
     delivered_bytes/offered_bytes count transport payload (goodput);
     delivered_plain_bytes and delivered_wire_bytes count whole datagrams
-    before and after encapsulation: the throughput subcommand reads its
-    overhead_bytes column off these two totals.  delivered + dropped ==
-    offered packets, always.
+    before and after encapsulation (the throughput subcommand's
+    overhead_bytes).  offered counts the flow's entries, dropped those with
+    a verdict; drop_reasons keep first-seen order, and the latency sum runs
+    in record order.
     """
 
     flow_id: str
@@ -219,7 +228,7 @@ class FlowStats:
 class EventScheduler:
     """Time-ordered callback heap; ties break by scheduling order.
 
-    run_simulation needs no heap (see the module docstring); this is the
+    simulate needs no heap (see the module docstring); this is the
     general event-driven form of the same discipline.
     """
 
@@ -262,33 +271,12 @@ def build_datagram(ft: FiveTuple, payload: bytes, ident: int = 0) -> bytes:
                           ft.dst_addr, segment)
 
 
-@dataclass(slots=True)
-class _FlowState:
-    source: TrafficSource
-    five_tuple: FiveTuple
-    sa: SecurityAssociation | None
-    payload: bytes = b""
-    offered_packets: int = 0
-    delivered_packets: int = 0
-    delivered_wire: int = 0
-    drop_reasons: dict[str, int] = field(default_factory=dict)
-    latency_sum: float = 0.0
-
-    def drop(self, reason: str) -> None:
-        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-
-
-def run_simulation(config: ExperimentConfig) -> list[FlowStats]:
-    """Run one experiment to completion and return per-flow statistics.
-
-    The run drains fully: every emitted packet is either delivered or
-    dropped (with a reason tag) by the time this returns.  Pipeline errors
-    never abort the run.
-    """
+def simulate(config: ExperimentConfig) -> list[tuple]:
+    """Run one experiment to completion and return its record.  The run
+    drains fully, so the record settles every emitted packet; pipeline
+    errors never abort the run."""
     sadb = config.build_sadb()
-    table = config.rules
     rng = random.Random(config.seed)
-    duration = config.duration
     capacity = config.link.capacity_bps
     queue_limit = config.link.queue_limit
     class_map = config.link.class_map
@@ -296,86 +284,96 @@ def run_simulation(config: ExperimentConfig) -> list[FlowStats]:
     queues = [deque() for _ in range(max(class_map.values(), default=0) + 1)]
     highest_first = queues[::-1]
 
-    flows = [_FlowState(src, src.five_tuple, sadb.lookup_outbound(src.shown_five_tuple))
-             for src in config.sources]
-
-    for fl in flows:
-        src = fl.source
-        stop = src.stop if src.stop is not None else duration
+    counts = []
+    for src in config.sources:
+        stop = src.stop if src.stop is not None else config.duration
         # epsilon keeps the count stable against float rounding; the clamp
         # keeps int() off a product that overflowed to +-inf
         expected = min(max((stop - src.start) * src.rate_pps, 0.0), MAX_PACKETS_PER_RUN + 1)
-        fl.offered_packets = int(expected + 1e-9)
-    if sum(fl.offered_packets for fl in flows) > MAX_PACKETS_PER_RUN:
+        counts.append(int(expected + 1e-9))
+    if sum(counts) > MAX_PACKETS_PER_RUN:
         raise ConfigError(f"the sources offer more than {MAX_PACKETS_PER_RUN} packets "
                           f"in one run; lower rate_pps or duration")
 
     # (time, ident, flow); a stable sort by time keeps equal times flow-major.
     emissions = []
-    for fl in flows:
-        src = fl.source
-        emissions += [(src.start + (k + rng.random()) / src.rate_pps, k + 1, fl)
-                      for k in range(fl.offered_packets)]
-    for fl in flows:
-        fl.payload = rng.randbytes(fl.source.payload_size)
+    for flow, (src, count) in enumerate(zip(config.sources, counts)):
+        emissions += [(src.start + (k + rng.random()) / src.rate_pps, k + 1, flow)
+                      for k in range(count)]
+    # (five_tuple, payload, sa) of each flow
+    flows = [(src.five_tuple, rng.randbytes(src.payload_size),
+              sadb.lookup_outbound(src.shown_five_tuple)) for src in config.sources]
     emissions.sort(key=itemgetter(0))
     emissions.append((math.inf, 0, None))  # drains the link (done may be inf), ends the walk
 
-    in_service = None  # (flow, emit time, wire bytes) of the packet on the link
+    record = []
+    in_service = None  # (flow, ident, emit time, wire bytes) of the packet on the link
     done = 0.0  # its completion time
-    for now, ident, fl in emissions:
-        while in_service is not None and (done < now or fl is None):
-            owner, emitted_at, sent = in_service
+    for now, ident, flow in emissions:
+        while in_service is not None and (done < now or flow is None):
+            owner, number, emitted_at, sent = in_service
+            verdict = None
             try:
-                if owner.sa is not None:
+                if flows[owner][2] is not None:
                     engine.inbound(sadb, sent)
             except QespLabError as exc:
-                owner.drop(_camel_to_snake(type(exc).__name__))
-            else:
-                owner.delivered_packets += 1
-                owner.delivered_wire += len(sent)
-                owner.latency_sum += done - emitted_at
+                verdict = _camel_to_snake(type(exc).__name__)
+            record.append((owner, number, emitted_at, done, len(sent), verdict))
             in_service = None
             for queue in highest_first:
                 if queue:
                     in_service = queue.popleft()
-                    done += len(in_service[2]) * 8 / capacity
+                    done += len(in_service[3]) * 8 / capacity
                     break
-        if fl is None:
+        if flow is None:
             break
-        plain = build_datagram(fl.five_tuple, fl.payload, ident)
+        five_tuple, payload, sa = flows[flow]
+        plain = build_datagram(five_tuple, payload, ident)
         try:
-            sent = plain if fl.sa is None else engine.outbound(fl.sa, plain)
-            dscp, marked = classifier.classify_and_remark(table, sent)
+            sent = plain if sa is None else engine.outbound(sa, plain)
+            dscp, marked = classifier.classify_and_remark(config.rules, sent)
         except QespLabError as exc:
-            fl.drop(_camel_to_snake(type(exc).__name__))
+            record.append((flow, ident, now, None, 0, _camel_to_snake(type(exc).__name__)))
             continue
         if in_service is None:
-            in_service = (fl, now, marked)
+            in_service = (flow, ident, now, marked)
             done = now + len(marked) * 8 / capacity
         else:
             queue = queues[class_map.get(dscp, 0)]
             if len(queue) < queue_limit:
-                queue.append((fl, now, marked))
+                queue.append((flow, ident, now, marked))
             else:
-                fl.drop("queue_full")
+                record.append((flow, ident, now, None, len(marked), "queue_full"))
+    return record
 
+
+def run_simulation(config: ExperimentConfig) -> list[FlowStats]:
+    """Per-flow statistics of one experiment: the fold of simulate's record."""
+    by_flow = [[] for _ in config.sources]
+    for entry in simulate(config):
+        by_flow[entry[0]].append(entry)
     stats = []
-    for fl in flows:
-        src, delivered = fl.source, fl.delivered_packets
-        plain_len = len(build_datagram(fl.five_tuple, fl.payload)) if delivered else 0
+    for src, entries in zip(config.sources, by_flow):
+        delivered, wire_bytes, latency_sum, drop_reasons = 0, 0, 0.0, {}
+        for _, _, emitted, done, wire_len, verdict in entries:  # in completion order
+            if verdict is None:
+                delivered += 1
+                wire_bytes += wire_len
+                latency_sum += done - emitted
+            else:
+                drop_reasons[verdict] = drop_reasons.get(verdict, 0) + 1
+        offered, size = len(entries), src.payload_size
         stats.append(FlowStats(
             flow_id=src.flow_id,
-            offered_packets=fl.offered_packets,
-            offered_bytes=fl.offered_packets * src.payload_size,
+            offered_packets=offered,
+            offered_bytes=offered * size,
             delivered_packets=delivered,
-            delivered_bytes=delivered * src.payload_size,
-            delivered_plain_bytes=delivered * plain_len,
-            delivered_wire_bytes=fl.delivered_wire,
-            dropped_packets=sum(fl.drop_reasons.values()),
-            drop_reasons=dict(fl.drop_reasons),
-            mean_latency_s=fl.latency_sum / delivered if delivered else 0.0,
-            throughput_kbps=delivered * src.payload_size * 8 / duration / 1000,
-            wire_kbps=fl.delivered_wire * 8 / duration / 1000,
-        ))
+            delivered_bytes=delivered * size,
+            delivered_plain_bytes=delivered * len(build_datagram(src.five_tuple, bytes(size))),
+            delivered_wire_bytes=wire_bytes,
+            dropped_packets=offered - delivered,
+            drop_reasons=drop_reasons,
+            mean_latency_s=latency_sum / delivered if delivered else 0.0,
+            throughput_kbps=delivered * size * 8 / config.duration / 1000,
+            wire_kbps=wire_bytes * 8 / config.duration / 1000))
     return stats

@@ -81,7 +81,7 @@ def udp_datagram() -> bytes:
 
 
 class JitterDrawn(Exception):
-    """run_simulation asked for its first jitter draw."""
+    """simulate asked for its first jitter draw."""
 
 
 class _NoDraws(random.Random):
@@ -91,6 +91,6 @@ class _NoDraws(random.Random):
 
 @pytest.fixture
 def no_draws(monkeypatch):
-    """run_simulation raises JitterDrawn at its first jitter draw, so a test can
+    """simulate raises JitterDrawn at its first jitter draw, so a test can
     show that a run was refused before it built any emission."""
     monkeypatch.setattr(netsim, "random", type("Rng", (), {"Random": _NoDraws}))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -254,3 +255,22 @@ def test_09_crypto_throughput_ordering():
         assert ns[CipherAlg.NULL] < ns[CipherAlg.AES_128_CBC] < ns[CipherAlg.TRIPLE_DES_CBC], (
             size, {c.value: round(v) for c, v in ns.items()})
     _passed(9, "crypto throughput ordering (NULL > AES > 3DES)")
+
+
+def test_10_voice_latency_percentiles():
+    """Bundled A/B run, seed 1, from simulate's record: Q-ESP voice loses no
+    packet, and its p99 latency is below ESP voice's median."""
+    cfg = replace(config.load_config(cli._bundled_priority_config()), seed=1)
+    voice = [src.flow_id for src in cfg.sources].index("voice")
+    percentiles = {}
+    for variant in ALL_VARIANTS:
+        entries = [e for e in netsim.simulate(cfg.with_variant(variant)) if e[0] == voice]
+        if variant is ProtocolVariant.QESP:
+            assert len(entries) == 800 and all(e[5] is None for e in entries)
+        latencies = [done - emitted for _, _, emitted, done, _, verdict in entries
+                     if verdict is None]
+        percentiles[variant] = statistics.quantiles(latencies, n=100, method="inclusive")
+    qesp_p99 = percentiles[ProtocolVariant.QESP][98]
+    esp_p50 = percentiles[ProtocolVariant.ESP][49]
+    assert qesp_p99 < esp_p50, (qesp_p99, esp_p50)  # 22.9 ms < 176.4 ms at seed 1
+    _passed(10, "Q-ESP voice p99 latency below ESP voice median")

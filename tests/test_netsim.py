@@ -1,6 +1,6 @@
 """Simulator: link discipline against a hand-stepped trace, conservation,
-determinism, priority monotonicity, and run_simulation's merge against an
-event-driven reference."""
+determinism, priority monotonicity, the FlowStats fold, and simulate's
+record against an event-driven reference."""
 
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ def simple_config(sources, link=None, sas=(), rules=RuleTable(), duration=10.0,
 
 class ReferenceServer:
     """A strict-priority link whose every completion is an EventScheduler
-    event: the event-driven form of run_simulation's link, with a waiting
+    event: the event-driven form of simulate's link, with a waiting
     room of its own.
 
     The waiting room is one list of (class, arrival number, entry).  A
@@ -117,8 +117,8 @@ class ReferenceServer:
 
 
 def reference_run(config: ExperimentConfig, scheduler: EventScheduler | None = None,
-                  rng_class=random.Random) -> list[FlowStats]:
-    """run_simulation's contract, stepped one heap event at a time.
+                  rng_class=random.Random) -> list[tuple]:
+    """simulate's record, stepped one heap event at a time.
 
     The rng draws every flow's jitter, flow by flow, then one payload per
     flow.  Every emission is scheduled up front in flow-major order, so equal
@@ -127,41 +127,33 @@ def reference_run(config: ExperimentConfig, scheduler: EventScheduler | None = N
     scheduler = scheduler or EventScheduler()
     sadb = config.build_sadb()
     rng = rng_class(config.seed)
-    tallies = {src.flow_id: {"offered": 0, "delivered": 0, "wire": 0, "latency": 0.0,
-                             "reasons": {}} for src in config.sources}
-
-    def drop(flow_id: str, reason: str) -> None:
-        reasons = tallies[flow_id]["reasons"]
-        reasons[reason] = reasons.get(reason, 0) + 1
+    sas = [sadb.lookup_outbound(src.shown_five_tuple) for src in config.sources]
+    record = []
 
     def deliver(entry, now: float) -> None:
-        src, emitted_at, sent = entry
+        flow, ident, emitted_at, sent = entry
+        verdict = None
         try:
-            if src.protection_spi is not None:
+            if sas[flow] is not None:
                 engine.inbound(sadb, sent)
         except QespLabError as exc:
-            drop(src.flow_id, netsim._camel_to_snake(type(exc).__name__))
-            return
-        tally = tallies[src.flow_id]
-        tally["delivered"] += 1
-        tally["wire"] += len(sent)
-        tally["latency"] += now - emitted_at
+            verdict = netsim._camel_to_snake(type(exc).__name__)
+        record.append((flow, ident, emitted_at, now, len(sent), verdict))
 
     server = ReferenceServer(config.link, scheduler, deliver)
 
-    def emit(src: TrafficSource, payload: bytes, ident: int) -> None:
+    def emit(flow: int, payload: bytes, ident: int) -> None:
         now = scheduler.now
-        plain = netsim.build_datagram(src.five_tuple, payload, ident)
+        plain = netsim.build_datagram(config.sources[flow].five_tuple, payload, ident)
         try:
-            sent = plain
-            if src.protection_spi is not None:
-                sent = engine.outbound(sadb.lookup_by_spi(src.protection_spi), plain)
+            sent = plain if sas[flow] is None else engine.outbound(sas[flow], plain)
             dscp, marked = classifier.classify_and_remark(config.rules, sent)
         except QespLabError as exc:
-            drop(src.flow_id, netsim._camel_to_snake(type(exc).__name__))
+            record.append((flow, ident, now, None, 0,
+                           netsim._camel_to_snake(type(exc).__name__)))
             return
-        if not server.arrive((src, now, marked), dscp, now):
-            drop(src.flow_id, "queue_full")
+        if not server.arrive((flow, ident, now, marked), dscp, now):
+            record.append((flow, ident, now, None, len(marked), "queue_full"))
 
     grids = []
     for src in config.sources:
@@ -169,31 +161,11 @@ def reference_run(config: ExperimentConfig, scheduler: EventScheduler | None = N
         count = int((stop - src.start) * src.rate_pps + 1e-9)
         grids.append([src.start + (k + rng.random()) / src.rate_pps for k in range(count)])
     payloads = [rng.randbytes(src.payload_size) for src in config.sources]
-    for src, grid, payload in zip(config.sources, grids, payloads):
-        tallies[src.flow_id]["offered"] = len(grid)
+    for flow, (grid, payload) in enumerate(zip(grids, payloads)):
         for k, t in enumerate(grid):
-            scheduler.schedule(t, partial(emit, src, payload, k + 1))
+            scheduler.schedule(t, partial(emit, flow, payload, k + 1))
     scheduler.run()
-
-    stats = []
-    for src in config.sources:
-        tally = tallies[src.flow_id]
-        delivered = tally["delivered"]
-        transport_len = {IPPROTO_UDP: 8, IPPROTO_TCP: 20}.get(src.five_tuple.protocol, 0)
-        stats.append(FlowStats(
-            flow_id=src.flow_id,
-            offered_packets=tally["offered"],
-            offered_bytes=tally["offered"] * src.payload_size,
-            delivered_packets=delivered,
-            delivered_bytes=delivered * src.payload_size,
-            delivered_plain_bytes=delivered * (20 + transport_len + src.payload_size),
-            delivered_wire_bytes=tally["wire"],
-            dropped_packets=sum(tally["reasons"].values()),
-            drop_reasons=tally["reasons"],
-            mean_latency_s=tally["latency"] / delivered if delivered else 0.0,
-            throughput_kbps=delivered * src.payload_size * 8 / config.duration / 1000,
-            wire_kbps=tally["wire"] * 8 / config.duration / 1000))
-    return stats
+    return record
 
 
 class TestLinkHandSteppedTrace:
@@ -264,23 +236,59 @@ class TestLinkHandSteppedTrace:
         assert deliveries == [("low", pytest.approx(0.1)), ("high", pytest.approx(0.2))]
 
     def test_run_simulation_steps_the_same_trace(self, monkeypatch):
-        """The trace above through run_simulation's own queues: each packet is
-        a one-packet plaintext flow emitted on the grid, 72 B UDP payloads
-        make 100 wire bytes, and C's port is the one marked 46."""
+        """The trace above through simulate's own queues: each packet is a
+        one-packet plaintext flow emitted on the grid, 72 B UDP payloads make
+        100 wire bytes, and C's port is the one marked 46.  The record settles
+        D at its arrival and the others in completion order."""
         monkeypatch.setattr(netsim, "random", type("Rng", (), {"Random": ZeroJitter}))
         rules = RuleTable(rules=(ClassifierRule(
             selector=Selector(dst_ports=(5060, 5060)), dscp=46),))
         sources = [flow(name, port, 100, 72, start=t, stop=t + 0.01)
                    for name, port, t in (("A", 9000, 0.00), ("B", 9001, 0.02),
                                          ("C", 5060, 0.03), ("D", 9002, 0.04))]
-        stats = {s.flow_id: s for s in run_simulation(simple_config(
-            sources, rules=rules, duration=1.0,
-            link=LinkConfig(capacity_bps=8000, queue_limit=1, class_map={46: 1})))}
+        cfg = simple_config(sources, rules=rules, duration=1.0,
+                            link=LinkConfig(capacity_bps=8000, queue_limit=1, class_map={46: 1}))
+        assert [(sources[flow].flow_id, verdict)
+                for flow, _, _, _, _, verdict in netsim.simulate(cfg)] == [
+            ("D", "queue_full"), ("A", None), ("C", None), ("B", None)]
+        stats = {s.flow_id: s for s in run_simulation(cfg)}
         assert {name: (s.offered_packets, s.delivered_packets, s.drop_reasons)
                 for name, s in stats.items()} == {
             "A": (1, 1, {}), "B": (1, 1, {}), "C": (1, 1, {}), "D": (1, 0, {"queue_full": 1})}
         assert {name: round(stats[name].mean_latency_s, 6) for name in "ACB"} == {
             "A": 0.10, "C": 0.17, "B": 0.28}
+
+
+class TestFold:
+    """run_simulation is the FlowStats fold of simulate's record, whatever
+    walk made it: every field pinned against a record built by hand."""
+
+    def test_every_field(self, monkeypatch):
+        sources = [flow("udp", 5060, 10, 100), flow("tcp", 80, 10, 100, protocol=IPPROTO_TCP),
+                   flow("bare", 0, 10, 100, protocol=1)]
+        record = [(0, 1, 0.0, 0.1, 150, None),
+                  (0, 2, 0.0, None, 0, "oversize_packet"),  # dropped at emission
+                  (1, 1, 0.5, 0.75, 200, None),
+                  (0, 3, 0.0, None, 150, "queue_full"),
+                  (0, 4, 0.0, 0.2, 150, None),
+                  (0, 5, 0.0, 0.25, 150, "auth_failure"),  # crossed the link, failed decap
+                  (2, 1, 1.0, 1.5, 120, None),
+                  (0, 6, 0.0, 0.3, 150, None),
+                  (0, 7, 0.0, None, 150, "queue_full")]
+        monkeypatch.setattr(netsim, "simulate", lambda config: record)
+        udp, tcp, bare = run_simulation(simple_config(sources, duration=2.0))
+        assert list(udp.drop_reasons.items()) == [  # first-seen order
+            ("oversize_packet", 1), ("queue_full", 2), ("auth_failure", 1)]
+        # latencies summed in record order: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert udp.mean_latency_s == (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3
+        assert udp == FlowStats(
+            flow_id="udp", offered_packets=7, offered_bytes=700, delivered_packets=3,
+            delivered_bytes=300, delivered_plain_bytes=3 * 128, delivered_wire_bytes=450,
+            dropped_packets=4, drop_reasons={"oversize_packet": 1, "queue_full": 2,
+                                             "auth_failure": 1},
+            mean_latency_s=(0.1 + 0.2 + 0.3) / 3, throughput_kbps=1.2, wire_kbps=1.8)
+        assert tcp == FlowStats("tcp", 1, 100, 1, 100, 140, 200, 0, {}, 0.25, 0.4, 0.8)
+        assert bare == FlowStats("bare", 1, 100, 1, 100, 120, 120, 0, {}, 0.5, 0.4, 0.48)
 
 
 class TestRunSimulation:
@@ -545,17 +553,20 @@ def pipeline_calls(monkeypatch) -> list[tuple[str, bytes]]:
 
 
 def matches_reference(config, monkeypatch, rng_class=random.Random):
-    """run_simulation == reference_run, in its statistics and in the order it
-    drives the pipeline; returns the stats and the reference's scheduler."""
+    """simulate == reference_run, record for record and in the order it
+    drives the pipeline; returns run_simulation's fold of that record and
+    the reference's scheduler."""
     calls = pipeline_calls(monkeypatch)
     monkeypatch.setattr(netsim, "random", type("Rng", (), {"Random": rng_class}))
-    stats = run_simulation(config)
+    record = netsim.simulate(config)
     merged = list(calls)
     calls.clear()
     scheduler = RecordingScheduler()
-    assert stats == reference_run(config, scheduler, rng_class)
+    assert record == reference_run(config, scheduler, rng_class)
     assert merged == calls
-    return stats, scheduler
+    with monkeypatch.context() as patch:
+        patch.setattr(netsim, "simulate", lambda _: record)
+        return run_simulation(config), scheduler
 
 
 # The class maps random_scenario draws, under rules that mark voice 46 and
@@ -600,10 +611,10 @@ def random_scenario(seed: int) -> ExperimentConfig:
 
 
 class TestAgainstEventDrivenReference:
-    """run_simulation walks the sorted emissions and the link's one pending
+    """simulate walks the sorted emissions and the link's one pending
     completion; a heap of every emission and completion must pop the same
-    events in the same order, which shows as the same statistics and the
-    same sequence of classify and decap calls."""
+    events in the same order, which shows as the same record, entry for
+    entry, and the same sequence of classify and decap calls."""
 
     def test_congested_staggered_sources(self, monkeypatch):
         sources = [flow("a", 5060, 130, 900), flow("b", 9000, 170, 600, start=0.5),
